@@ -5,15 +5,20 @@ running the paired command and redirecting stdout, but only after
 checking the change is intentional.
 """
 
+import ast
+import csv
 import io
 import json
+import math
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from k3walls import report
+import frozen
+from k3walls import MukaiVector, mukai_pairing, mukai_square, report
 from k3walls.cli import _fuse_negative_values, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -91,6 +96,60 @@ def test_csv_shape():
     assert lines[0] == "gamma,a_r,a_c,a_s,a_sq,pairing,curve_kind,center_x,radius_sq,x0,type"
     assert len(lines) == 13
     assert "\r" not in raw
+
+
+def _csv_rows(raw):
+    assert "\r" not in raw
+    return list(csv.reader(io.StringIO(raw)))
+
+
+def test_path_csv_matches_frozen_curves():
+    """y^2 = radius^2 - (x0 - center)^2 from the frozen n = 10 circles."""
+    x0 = Fraction(-3)
+    expected = []
+    for gamma, a, _, _, curve, _ in frozen.WALLS_N10:
+        if curve is None or curve[0] != "c":
+            continue
+        _, center, radius_sq = curve
+        y_sq = radius_sq - (x0 - center) ** 2
+        if y_sq > 1:
+            expected.append((gamma, a, y_sq))
+    expected.sort(key=lambda item: -item[2])
+    assert len(expected) == 6
+
+    code, raw, _ = run_cli(["path", "--n", "10", "--x0", "-3", "--format", "csv"])
+    assert code == 0
+    header, *rows = _csv_rows(raw)
+    assert header == ["gamma", "a_r", "a_c", "a_s", "y_sq", "y"]
+    assert len(rows) == len(expected)
+    for row, (gamma, a, y_sq) in zip(rows, expected):
+        assert Fraction(row[0]) == gamma
+        assert tuple(int(x) for x in row[1:4]) == a
+        assert Fraction(row[4]) == y_sq
+        assert len(row[5].split(".")[1]) == 6
+        assert abs(float(row[5]) - math.sqrt(y_sq)) <= 5e-7
+
+
+def test_decompose_csv_dimensions_recomputed():
+    """Parts sum to v; dims are u^2 + 2 and <partial sum, u> - 1."""
+    v = MukaiVector(1, 0, -9)
+    code, raw, _ = run_cli(["decompose", "--n", "10", "--gamma", "2/7", "--format", "csv"])
+    assert code == 0
+    header, *rows = _csv_rows(raw)
+    assert header == ["decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error"]
+    assert len(rows) == len(frozen.DECOMPOSITIONS[(frozen.V10, Fraction(2, 7))])
+    for i, (index, parts_cell, moduli_cell, fiber_cell, stratum_cell, error) in enumerate(rows, start=1):
+        assert index == str(i)
+        assert error == ""
+        parts = [MukaiVector(*ast.literal_eval(chunk)) for chunk in parts_cell.split(" + ")]
+        assert len(parts) >= 2
+        zero = MukaiVector(0, 0, 0)
+        assert sum(parts, zero) == v
+        fibers = [mukai_pairing(sum(parts[:j], zero), parts[j]) - 1 for j in range(1, len(parts))]
+        moduli = [mukai_square(u) + 2 for u in parts]
+        assert [int(x) for x in moduli_cell.split()] == moduli
+        assert [int(x) for x in fiber_cell.split()] == fibers
+        assert int(stratum_cell) == sum(moduli) + sum(fibers)
 
 
 def test_walls_json_fields():
