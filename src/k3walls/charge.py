@@ -100,9 +100,6 @@ class ComplexValue:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im_coeff == 0
 
-    def abs_sq(self) -> Fraction:
-        return self.re * self.re + self.im_coeff * self.im_coeff * self.y_sq
-
     def times_conj(self, other: "ComplexValue") -> tuple[Fraction, Fraction]:
         """Exact real part and imaginary coefficient of self * conj(other)."""
         if self.y_sq != other.y_sq:

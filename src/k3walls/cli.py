@@ -11,24 +11,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from . import report
-from .charge import DEGENERATE, Semicircle, VerticalLine, path_intersection
+from .charge import DEGENERATE, path_intersection
 from .crossing import decompositions, moduli_dim, stratum_dims
-from .lattice import MukaiVector, SurfaceParams, phi_pushforward
+from .lattice import MukaiVector, SurfaceParams
 from .svgfig import render_figure
 from .walls import (
     SearchBounds,
     WallSearch,
-    beauville_mukai_partner,
-    candidate_walls,
-    hilbert_n_of,
+    default_rank_bound,
     hilbert_vector,
-    hilbert_walls,
     resolve_walls,
-    transport_walls,
+    transport_search,
 )
 
 EXIT_OK = 0
@@ -115,31 +113,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _surface(args) -> SurfaceParams:
-    return SurfaceParams(d=args.degree)
-
-
-def _base_vector(args) -> MukaiVector:
-    if args.n is not None:
-        return hilbert_vector(args.n)
-    return args.vector
-
-
-def _bounds(args, v: MukaiVector, p: SurfaceParams) -> SearchBounds:
-    r_max = args.rmax
-    if r_max is None:
-        n = hilbert_n_of(v)
-        if n is None:
-            partner = beauville_mukai_partner(v, p)
-            n = partner[0] if partner else None
-        r_max = 4 * n if n else 40
-    return SearchBounds(r_max=r_max, y_min=args.ymin)
-
-
-def _search(args, v: MukaiVector, bounds: SearchBounds, p: SurfaceParams) -> WallSearch:
-    if getattr(args, "candidates", False):
-        return candidate_walls(v, bounds, p)
-    return resolve_walls(v, bounds, p)
+def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
+    """The wall search of the vector and flags every subcommand shares."""
+    p = SurfaceParams(d=args.degree)
+    v = hilbert_vector(args.n) if args.n is not None else args.vector
+    r_max = default_rank_bound(v, p) if args.rmax is None else args.rmax
+    bounds = SearchBounds(r_max=r_max, y_min=args.ymin)
+    return resolve_walls(v, bounds, p, force_candidates=getattr(args, "candidates", False)), p
 
 
 def _emit(text: str, args) -> None:
@@ -161,18 +141,14 @@ def _fmt(args) -> str:
 
 
 def cmd_walls(args) -> int:
-    p = _surface(args)
-    v = _base_vector(args)
-    search = _search(args, v, _bounds(args, v, p), p)
+    search, p = _wall_search(args)
     payload = report.walls_payload(search, p)
     _emit(report.render("walls", payload, _fmt(args)), args)
     return _complete_status(args, search.complete)
 
 
 def cmd_path(args) -> int:
-    p = _surface(args)
-    v = _base_vector(args)
-    search = _search(args, v, _bounds(args, v, p), p)
+    search, p = _wall_search(args)
     x0 = args.x0
     y_min = args.ymin
     hits = []
@@ -192,9 +168,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    p = _surface(args)
-    v = _base_vector(args)
-    search = _search(args, v, _bounds(args, v, p), p)
+    search, p = _wall_search(args)
+    v = search.vector
     if args.wall_index is not None:
         if not 0 <= args.wall_index < len(search.records):
             raise ValueError(f"wall index {args.wall_index} out of range; the table has {len(search.records)} rows")
@@ -224,21 +199,11 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_transport(args) -> int:
-    p = _surface(args)
-    v = _base_vector(args)
-    base = _search(args, v, _bounds(args, v, p), p)
-    records = transport_walls(base.records, args.m, base.vector, p)
+    base, p = _wall_search(args)
+    search = transport_search(base, args.m, p)
     if args.gamma_min is not None:
-        records = [rec for rec in records if rec.gamma is not None and rec.gamma >= args.gamma_min]
-    search = WallSearch(
-        vector=phi_pushforward(base.vector, args.m, p),
-        records=tuple(records),
-        complete=base.complete,
-        mode="transport",
-        n=base.n,
-        m=args.m,
-        source_vector=base.vector,
-    )
+        kept = tuple(rec for rec in search.records if rec.gamma is not None and rec.gamma >= args.gamma_min)
+        search = replace(search, records=kept)
     payload = report.walls_payload(search, p)
     _emit(report.render("walls", payload, _fmt(args)), args)
     return _complete_status(args, search.complete)
@@ -248,9 +213,7 @@ def cmd_figure(args) -> int:
     fmt = args.format or "svg"
     if fmt != "svg":
         raise ValueError("figure output is svg only")
-    p = _surface(args)
-    v = _base_vector(args)
-    search = _search(args, v, _bounds(args, v, p), p)
+    search, p = _wall_search(args)
     payload = report.walls_payload(search, p)
     _emit(render_figure(payload, args.xrange, args.yrange, y_marker=args.ymin, precision=args.precision), args)
     return _complete_status(args, search.complete)
@@ -264,15 +227,14 @@ _COMMANDS = {
     "figure": cmd_figure,
 }
 
-_RATIONAL_FLAGS = {"--x0", "--ymin", "--gamma", "--gamma-min", "--xrange", "--yrange"}
-
-
 def _fuse_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ['--x0', '-1/6'] as ['--x0=-1/6'].
 
     argparse only recognizes plain negative numbers after a flag;
-    rationals like -1/6 or pairs like -8,0 would be read as option
-    names.  The fused form is unambiguous.
+    rationals like -1/6, pairs like -8,0 and vectors like -1,0,9 would
+    be read as option names.  No option name starts with a digit or a
+    dot, so a token of '-' and then one of those after a '--flag' is
+    always that flag's value, and the fused form is unambiguous.
     """
     out = []
     skip = False
@@ -281,7 +243,8 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
             skip = False
             continue
         nxt = argv[i + 1] if i + 1 < len(argv) else ""
-        if tok in _RATIONAL_FLAGS and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
+        is_flag = tok.startswith("--") and len(tok) > 2 and "=" not in tok
+        if is_flag and len(nxt) > 1 and nxt[0] == "-" and (nxt[1].isdigit() or nxt[1] == "."):
             out.append(f"{tok}={nxt}")
             skip = True
         else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from fractions import Fraction
 from io import StringIO
 from typing import Optional
@@ -31,33 +30,6 @@ FORMATS = ("text", "csv", "json", "svg")
 def default_format() -> str:
     value = os.environ.get(FORMAT_ENV_VAR, "text").strip().lower()
     return value if value in FORMATS else "text"
-
-
-@dataclass(frozen=True)
-class ReportConfig:
-    format: str = field(default_factory=default_format)
-    degree_d: int = 1
-    precision_digits: int = 6
-    output_path: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        if self.format not in FORMATS:
-            raise ValueError(f"unknown output format {self.format!r}; pick one of {', '.join(FORMATS)}")
-        if self.precision_digits < 1:
-            raise ValueError("precision_digits must be positive")
-
-
-@dataclass(frozen=True)
-class WallTableRow:
-    """One rendered wall-table line (kept for library users who want the
-    columns without going through a payload)."""
-
-    gamma: str
-    a: str
-    a_sq: str
-    pairing: str
-    wall: str
-    wall_type: str
 
 
 # ---------------------------------------------------------------------------
@@ -238,21 +210,49 @@ def _gamma_str(gamma) -> str:
 
 
 # ---------------------------------------------------------------------------
+# rows shared by the text and csv renderers: a vector cell stays a list of
+# components, which text writes as (r, c, s) and csv as three columns
+
+
+def _wall_rows(payload: dict) -> list[tuple]:
+    """(gamma, a, a^2, (v,a), curve, type) per wall."""
+    return [
+        (_gamma_str(w["gamma"]), w["a"], str(w["a_sq"]), str(w["pairing"]), w["curve"], w["type"])
+        for w in payload["walls"]
+    ]
+
+
+def _path_rows(payload: dict) -> list[tuple]:
+    """(gamma, a, y^2, y) per crossing, y to the payload's precision."""
+    digits = payload["precision"]
+    return [
+        (
+            _gamma_str(hit["gamma"]),
+            hit["a"],
+            frac_str(hit["y_sq"]),
+            f"{math.sqrt(float(frac_of_json(hit['y_sq']))):.{digits}f}",
+        )
+        for hit in payload["hits"]
+    ]
+
+
+def _decomposition_rows(payload: dict) -> list[tuple]:
+    """(index, parts written u1 + u2 + ..., entry) per decomposition."""
+    return [
+        (str(i), " + ".join(vector_str(u) for u in entry["parts"]), entry)
+        for i, entry in enumerate(payload["decompositions"], start=1)
+    ]
+
+
+# ---------------------------------------------------------------------------
 # text renderers (pure functions of the payload)
 
 
 def render_walls_text(payload: dict) -> str:
     header = ("gamma", "a", "a^2", "(v,a)", "wall", "type")
     rows = [
-        (
-            _gamma_str(w["gamma"]),
-            vector_str(w["a"]),
-            str(w["a_sq"]),
-            str(w["pairing"]),
-            curve_equation(w["curve"], payload["vector"]),
-            w["type"],
-        )
-        for w in payload["walls"]
+        (gamma, vector_str(a), a_sq, pairing, curve_equation(curve, payload["vector"]), wall_type)
+        for gamma, a, a_sq, pairing, curve, wall_type in _wall_rows(payload)
     ]
     body = _table(rows, header) if rows else "(no walls found)"
     return (
@@ -267,23 +267,9 @@ def render_path_text(payload: dict) -> str:
     d = payload["surface"]["d"]
     x0 = frac_str(payload["x0"])
     y_min = frac_str(payload["y_min"])
-    digits = payload["precision"]
     lines = [f"Crossings of the path x = {x0} for v = {vec} (d = {d}), y > {y_min}"]
-    if payload["hits"]:
-        rows = []
-        for hit in payload["hits"]:
-            y_sq = frac_of_json(hit["y_sq"])
-            rows.append(
-                (
-                    _gamma_str(hit["gamma"]),
-                    vector_str(hit["a"]),
-                    frac_str(hit["y_sq"]),
-                    f"{math.sqrt(float(y_sq)):.{digits}f}",
-                )
-            )
-        lines.append(_table(rows, ("gamma", "a", "y^2", "y")))
-    else:
-        lines.append("(no crossings)")
+    rows = [(gamma, vector_str(a), y_sq, y) for gamma, a, y_sq, y in _path_rows(payload)]
+    lines.append(_table(rows, ("gamma", "a", "y^2", "y")) if rows else "(no crossings)")
     for x in payload["on_wall"]:
         lines.append(f"note: the path lies on the vertical wall x = {frac_str(x)}")
     return "\n".join(lines) + "\n"
@@ -299,18 +285,16 @@ def render_decompose_text(payload: dict) -> str:
         f"curve: {curve_equation(wall['curve'], payload['vector'])}",
         f"total space dimension: {payload['total_space_dim']}",
     ]
-    if payload["decompositions"]:
-        for i, entry in enumerate(payload["decompositions"], start=1):
-            parts = " + ".join(vector_str(u) for u in entry["parts"])
-            lines.append(f"decomposition {i}: {parts}")
-            if entry.get("error"):
-                lines.append(f"  not effective: {entry['error']}")
-            else:
-                lines.append(
-                    f"  moduli dims: {entry['moduli_dims']}; fiber dims: {entry['fiber_dims']}; "
-                    f"stratum dim: {entry['stratum_dim']}"
-                )
-    else:
+    for i, parts, entry in _decomposition_rows(payload):
+        lines.append(f"decomposition {i}: {parts}")
+        if entry.get("error"):
+            lines.append(f"  not effective: {entry['error']}")
+        else:
+            lines.append(
+                f"  moduli dims: {entry['moduli_dims']}; fiber dims: {entry['fiber_dims']}; "
+                f"stratum dim: {entry['stratum_dim']}"
+            )
+    if not payload["decompositions"]:
         lines.append(f"no decompositions with at most {payload['parts_max']} parts")
     return "\n".join(lines) + "\n"
 
@@ -326,67 +310,38 @@ def _csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
+def _curve_cells(curve: Optional[dict]) -> list[str]:
+    """curve_kind, center_x, radius_sq, x0 columns."""
+    if curve is None:
+        return ["", "", "", ""]
+    if curve["kind"] == "semicircle":
+        return [curve["kind"], frac_str(curve["center"]), frac_str(curve["radius_sq"]), ""]
+    return [curve["kind"], "", "", frac_str(curve["x0"])]
+
+
 def render_walls_csv(payload: dict) -> str:
     rows = [["gamma", "a_r", "a_c", "a_s", "a_sq", "pairing", "curve_kind", "center_x", "radius_sq", "x0", "type"]]
-    for w in payload["walls"]:
-        curve = w["curve"]
-        kind = "" if curve is None else curve["kind"]
-        center = frac_str(curve["center"]) if curve and curve["kind"] == "semicircle" else ""
-        radius = frac_str(curve["radius_sq"]) if curve and curve["kind"] == "semicircle" else ""
-        x0 = frac_str(curve["x0"]) if curve and curve["kind"] == "vertical_line" else ""
-        rows.append(
-            [
-                _gamma_str(w["gamma"]),
-                str(w["a"][0]),
-                str(w["a"][1]),
-                str(w["a"][2]),
-                str(w["a_sq"]),
-                str(w["pairing"]),
-                kind,
-                center,
-                radius,
-                x0,
-                w["type"],
-            ]
-        )
+    for gamma, a, a_sq, pairing, curve, wall_type in _wall_rows(payload):
+        rows.append([gamma, *map(str, a), a_sq, pairing, *_curve_cells(curve), wall_type])
     return _csv(rows)
 
 
 def render_path_csv(payload: dict) -> str:
-    digits = payload["precision"]
     rows = [["gamma", "a_r", "a_c", "a_s", "y_sq", "y"]]
-    for hit in payload["hits"]:
-        y_sq = frac_of_json(hit["y_sq"])
-        rows.append(
-            [
-                _gamma_str(hit["gamma"]),
-                str(hit["a"][0]),
-                str(hit["a"][1]),
-                str(hit["a"][2]),
-                frac_str(hit["y_sq"]),
-                f"{math.sqrt(float(y_sq)):.{digits}f}",
-            ]
-        )
+    for gamma, a, y_sq, y in _path_rows(payload):
+        rows.append([gamma, *map(str, a), y_sq, y])
     return _csv(rows)
 
 
 def render_decompose_csv(payload: dict) -> str:
     rows = [["decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error"]]
-    for i, entry in enumerate(payload["decompositions"], start=1):
-        parts = " + ".join(vector_str(u) for u in entry["parts"])
+    for i, parts, entry in _decomposition_rows(payload):
         if entry.get("error"):
-            rows.append([str(i), parts, "", "", "", entry["error"]])
+            rows.append([i, parts, "", "", "", entry["error"]])
         else:
-            rows.append(
-                [
-                    str(i),
-                    parts,
-                    " ".join(str(x) for x in entry["moduli_dims"]),
-                    " ".join(str(x) for x in entry["fiber_dims"]),
-                    str(entry["stratum_dim"]),
-                    "",
-                ]
-            )
+            moduli = " ".join(map(str, entry["moduli_dims"]))
+            fibers = " ".join(map(str, entry["fiber_dims"]))
+            rows.append([i, parts, moduli, fibers, str(entry["stratum_dim"]), ""])
     return _csv(rows)
 
 

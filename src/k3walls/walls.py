@@ -29,7 +29,7 @@ the result is flagged incomplete when the two wall sets differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -71,32 +71,23 @@ class WallRecord:
 class MovableCone:
     """Slope parametrization of the movable cone of the n-th Hilbert scheme.
 
-    Rays are h_tilde + gamma * b in the coordinates theta(h_tilde),
-    theta(b); walls live at slopes gamma_min <= gamma <= gamma_max.
+    Rays are theta(0, -1, 0) + gamma * theta(-1, 0, 1-n); walls live at
+    slopes gamma_min <= gamma <= gamma_max.
     """
 
     n: int
     gamma_min: Fraction
     gamma_max: Fraction
-    h_tilde: MukaiVector = field(default=MukaiVector(0, -1, 0))
-    b: MukaiVector = field(default=None)  # set in __post_init__ from n
-
-    def __post_init__(self) -> None:
-        if self.b is None:
-            object.__setattr__(self, "b", MukaiVector(-1, 0, 1 - self.n))
 
 
 @dataclass(frozen=True)
 class SearchBounds:
     r_max: int
-    parts_max: int = 3
     y_min: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
         if self.r_max < 1:
             raise ValueError("r_max must be positive")
-        if self.parts_max < 2:
-            raise ValueError("parts_max must be at least 2")
         object.__setattr__(self, "y_min", Fraction(self.y_min))
         if self.y_min < 0:
             raise ValueError("y_min must be non-negative")
@@ -105,6 +96,16 @@ class SearchBounds:
 def default_bounds(n: Optional[int] = None) -> SearchBounds:
     """The stock search box: r_max = 4n for Hilbert input, 40 otherwise."""
     return SearchBounds(r_max=4 * n if n else 40)
+
+
+def default_rank_bound(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
+    """r_max for v: 4n when v is the Hilbert vector of S^[n] or its
+    Beauville-Mukai partner Phi_m(1, 0, 1-n), 40 otherwise."""
+    n = hilbert_n_of(v)
+    if n is None:
+        partner = beauville_mukai_partner(v, p)
+        n = partner[0] if partner else None
+    return default_bounds(n).r_max
 
 
 @dataclass(frozen=True)
@@ -240,12 +241,7 @@ def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams
 
 def _wall_groups(n: int, r_max: int, p: SurfaceParams) -> tuple[Fraction, dict]:
     """gamma_max plus {gamma: [(class, divisorial_clause), ...]} for one bound."""
-    slopes = _positive_boundary_slopes(n, r_max, p)
-    if not slopes:
-        raise ValueError(
-            f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
-        )
-    gamma_max = min(slopes)
+    gamma_max = movable_cone(n, SearchBounds(r_max=r_max), p).gamma_max
     groups: dict[Fraction, list[tuple[MukaiVector, bool]]] = {}
     for a_sq, k, divisorial in _clause_pairs(n):
         for a in _clause_classes(n, a_sq, k, r_max, p):
@@ -351,6 +347,20 @@ def transport_walls(
             )
         )
     return out
+
+
+def transport_search(base: WallSearch, m: int, p: SurfaceParams = DEFAULT_SURFACE) -> WallSearch:
+    """base moved through Phi_m: the vector becomes Phi_m(base.vector),
+    the records go through transport_walls, and completeness carries over."""
+    return WallSearch(
+        vector=phi_pushforward(base.vector, m, p),
+        records=tuple(transport_walls(base.records, m, base.vector, p)),
+        complete=base.complete,
+        mode="transport",
+        n=base.n,
+        m=m,
+        source_vector=base.vector,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +490,7 @@ def resolve_walls(
     partner = beauville_mukai_partner(v, p)
     if partner is not None:
         n, m = partner
-        base = hilbert_walls(n, bounds or default_bounds(n), p)
-        records = transport_walls(base.records, m, base.vector, p)
-        return WallSearch(
-            vector=v,
-            records=tuple(records),
-            complete=base.complete,
-            mode="transport",
-            n=n,
-            m=m,
-            source_vector=base.vector,
-        )
+        return transport_search(hilbert_walls(n, bounds, p), m, p)
     if v.r == 0:
         return candidate_walls(v, bounds, p)
     raise ValueError(

@@ -300,6 +300,21 @@ def test_strict_complete_exit_three():
     assert "complete: no" in out
 
 
+def test_negative_vector_reaches_the_search():
+    code, out, err = run_cli(["walls", "--vector", "-1,0,9"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "no wall enumeration" in err
+
+
+def test_negative_zero_vector_component(monkeypatch):
+    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+    code, out, _ = run_cli(["walls", "--vector", "-0,3,-1"])
+    assert code == 0
+    assert out == run_cli(["walls", "--vector", "0,3,-1"])[1]
+
+
 def test_decompose_by_wall_index():
     _, by_gamma, _ = run_cli(["decompose", "--n", "10", "--gamma", "2/11"])
     _, by_index, _ = run_cli(["decompose", "--n", "10", "--wall-index", "1"])
@@ -314,7 +329,7 @@ def test_fuse_negative_values():
     assert _fuse_negative_values(["--x0", "-1/6"]) == ["--x0=-1/6"]
     assert _fuse_negative_values(["--xrange", "-8,0"]) == ["--xrange=-8,0"]
     assert _fuse_negative_values(["--x0", "3"]) == ["--x0", "3"]
-    assert _fuse_negative_values(["--vector", "-1,0,1"]) == ["--vector", "-1,0,1"]
+    assert _fuse_negative_values(["--vector", "-1,0,1"]) == ["--vector=-1,0,1"]
     assert _fuse_negative_values(["--x0"]) == ["--x0"]
     assert _fuse_negative_values(["--x0", "-"]) == ["--x0", "-"]
     assert _fuse_negative_values(["--x0", "--help"]) == ["--x0", "--help"]

@@ -22,6 +22,7 @@ from k3walls import (
     transport_walls,
     wall_locus,
 )
+from k3walls.walls import default_rank_bound
 
 F = Fraction
 
@@ -48,8 +49,6 @@ def test_movable_cone_boundaries(n, expected):
     cone = movable_cone(n)
     assert cone.gamma_min == 0
     assert cone.gamma_max == expected
-    assert cone.h_tilde == MukaiVector(0, -1, 0)
-    assert cone.b == MukaiVector(-1, 0, 1 - n)
 
 
 def test_gamma_circle_identity():
@@ -228,13 +227,24 @@ def test_transport_mode_matches_direct_transport():
     base = hilbert_walls(10)
     direct = transport_walls(base.records, 3, base.vector)
     assert list(bm.records) == direct
+    assert (bm.vector, bm.source_vector, bm.n, bm.m) == (MukaiVector(0, 3, -1), base.vector, 10, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_default_rank_bound(d):
+    """4n for S^[n] and for its partner (0, m, -1) with n = d m^2 + 1, 40 otherwise."""
+    p = SurfaceParams(d=d)
+    for n in (2, 5, 10, 37):
+        assert default_rank_bound(MukaiVector(1, 0, 1 - n), p) == 4 * n
+    for m in (1, 2, 3):
+        assert default_rank_bound(MukaiVector(0, m, -1), p) == 4 * (d * m * m + 1)
+    for vec in [(0, 2, -2), (0, 1, 0), (0, -3, 1), (0, 0, -1), (1, 0, 1), (2, 0, -9), (-1, 0, 9)]:
+        assert default_rank_bound(MukaiVector(*vec), p) == 40
 
 
 def test_search_bounds_validation():
     with pytest.raises(ValueError):
         SearchBounds(r_max=0)
-    with pytest.raises(ValueError):
-        SearchBounds(r_max=10, parts_max=1)
     with pytest.raises(ValueError):
         SearchBounds(r_max=10, y_min=F(-1))
 
