@@ -23,7 +23,6 @@ from .svgfig import render_figure
 from .walls import (
     SearchBounds,
     WallSearch,
-    default_rank_bound,
     hilbert_vector,
     resolve_walls,
     transport_search,
@@ -69,7 +68,7 @@ def _add_common(sub: argparse.ArgumentParser, vector_needed: bool = True) -> Non
         group.add_argument("--n", type=int, help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
         group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
     sub.add_argument("--degree", type=int, default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
-    sub.add_argument("--rmax", type=int, help="rank bound for wall searches (default 4n, or 40)")
+    sub.add_argument("--rmax", type=int, help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, the proven bound for candidates)")
     sub.add_argument("--ymin", type=_fraction, default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")
     sub.add_argument("--format", choices=report.FORMATS, help="output format (default from K3WALLS_FORMAT, else text)")
     sub.add_argument("--precision", type=int, default=6, help="digits for float display (default 6)")
@@ -117,8 +116,7 @@ def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
     """The wall search of the vector and flags every subcommand shares."""
     p = SurfaceParams(d=args.degree)
     v = hilbert_vector(args.n) if args.n is not None else args.vector
-    r_max = default_rank_bound(v, p) if args.rmax is None else args.rmax
-    bounds = SearchBounds(r_max=r_max, y_min=args.ymin)
+    bounds = SearchBounds(r_max=args.rmax, y_min=args.ymin)
     return resolve_walls(v, bounds, p, force_candidates=getattr(args, "candidates", False)), p
 
 
@@ -168,6 +166,8 @@ def cmd_path(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    if args.parts_max < 2:
+        raise ValueError("--parts-max must be at least 2")
     search, p = _wall_search(args)
     v = search.vector
     if args.wall_index is not None:
@@ -180,8 +180,6 @@ def cmd_decompose(args) -> int:
             available = ", ".join(report.frac_str(r.gamma) for r in search.records if r.gamma is not None)
             raise ValueError(f"no wall with slope {report.frac_str(args.gamma)}; available slopes: {available or 'none'}")
         rec = matches[0]
-    if args.parts_max < 2:
-        raise ValueError("--parts-max must be at least 2")
     entries = []
     for dec in decompositions(v, rec, parts_max=args.parts_max, p=p):
         entry = {"parts": [list(u.as_tuple()) for u in dec.parts]}

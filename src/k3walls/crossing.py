@@ -204,12 +204,10 @@ def positive_classes(
         disc = b2_ * b2_ - 4 * a2 * c2_
         if disc < 0:
             continue
-        t_center = -b2_ / (2 * a2)
-        half = math.sqrt(disc) / (2 * abs(a2))
-        for t in range(math.floor(t_center - half) - 1, math.ceil(t_center + half) + 2):
+        # a2 < 0, so u^2 >= -2 on this level reads (2*a2*t + b2_)^2 <= disc
+        root = math.isqrt(disc)
+        for t in range(-((root - b2_) // (-2 * a2)), (b2_ + root) // (-2 * a2) + 1):
             x, y = base[0] + t * k0[0], base[1] + t * k0[1]
-            if q_form(x, y) < -2:
-                continue
             u = plane.vector(x, y)
             if u.is_zero():
                 continue

@@ -21,9 +21,10 @@ isotropic class with <v,a> = 0 (the Lagrangian fibration), whose
 numerical wall misses the upper half plane, so that record carries no
 curve.
 
-The enumeration is bounded by |rank(a)| <= r_max.  Completeness is
-certified empirically: the search is repeated with the bound doubled and
-the result is flagged incomplete when the two wall sets differ.
+The Hilbert clause classes are listed once, up to |rank(a)| <= 2 * r_max
+(default r_max = 4n), and the search is flagged incomplete when the walls
+within r_max and within 2 * r_max differ.  The candidate search stops at
+a proven rank bound (_candidate_rank_bound), so its completeness is a proof.
 """
 
 from __future__ import annotations
@@ -82,11 +83,14 @@ class MovableCone:
 
 @dataclass(frozen=True)
 class SearchBounds:
-    r_max: int
+    """r_max caps |rank(a)|; None means 4n for a Hilbert or Beauville-Mukai
+    search and the proven bound for a candidate search."""
+
+    r_max: Optional[int] = None
     y_min: Fraction = Fraction(1)
 
     def __post_init__(self) -> None:
-        if self.r_max < 1:
+        if self.r_max is not None and self.r_max < 1:
             raise ValueError("r_max must be positive")
         object.__setattr__(self, "y_min", Fraction(self.y_min))
         if self.y_min < 0:
@@ -94,18 +98,8 @@ class SearchBounds:
 
 
 def default_bounds(n: Optional[int] = None) -> SearchBounds:
-    """The stock search box: r_max = 4n for Hilbert input, 40 otherwise."""
-    return SearchBounds(r_max=4 * n if n else 40)
-
-
-def default_rank_bound(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
-    """r_max for v: 4n when v is the Hilbert vector of S^[n] or its
-    Beauville-Mukai partner Phi_m(1, 0, 1-n), 40 otherwise."""
-    n = hilbert_n_of(v)
-    if n is None:
-        partner = beauville_mukai_partner(v, p)
-        n = partner[0] if partner else None
-    return default_bounds(n).r_max
+    """The stock search box: r_max = 4n for S^[n], no cap without n."""
+    return SearchBounds(r_max=4 * n if n else None)
 
 
 @dataclass(frozen=True)
@@ -190,12 +184,9 @@ def _clause_classes(n: int, a_sq: int, k: int, r_max: int, p: SurfaceParams):
             yield a
 
 
-_SIGN_KEY = {True: 0, False: 1}
-
-
 def _representative_key(a: MukaiVector) -> tuple:
     first_nonzero = next((x for x in a.as_tuple() if x != 0), 0)
-    return (abs(a.r), abs(a.c), abs(a.s), _SIGN_KEY[first_nonzero > 0], a.as_tuple())
+    return (abs(a.r), abs(a.c), abs(a.s), first_nonzero <= 0, a.as_tuple())
 
 
 def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
@@ -210,44 +201,43 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
     return MukaiVector(-1, m, 1 - n)
 
 
-def _positive_boundary_slopes(n: int, r_max: int, p: SurfaceParams) -> list[Fraction]:
-    """Positive slopes of divisorial-clause classes and of the Lagrangian class."""
-    slopes = []
-    for a_sq, k, divisorial in _clause_pairs(n):
-        if not divisorial:
-            continue
-        for a in _clause_classes(n, a_sq, k, r_max, p):
-            gamma = gamma_of_wall(n, a, p)
-            if gamma > 0:
-                slopes.append(gamma)
-    lag = _lagrangian_class(n, p)
-    if lag is not None:
-        slopes.append(gamma_of_wall(n, lag, p))
-    return slopes
+def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool = False) -> list:
+    """(class, divisorial clause, slope) for every clause class with |r| <= r_max."""
+    return [
+        (a, divisorial, gamma_of_wall(n, a, p))
+        for a_sq, k, divisorial in _clause_pairs(n)
+        if divisorial or not divisorial_only
+        for a in _clause_classes(n, a_sq, k, r_max, p)
+    ]
 
 
 def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
     """Boundary slopes of the movable cone, searched within bounds."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    bounds = bounds or default_bounds(n)
-    slopes = _positive_boundary_slopes(n, bounds.r_max, p)
+    r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
+    gamma_max, _ = _wall_groups(n, _slope_classes(n, r_max, p, divisorial_only=True), r_max, p)
+    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=gamma_max)
+
+
+def _wall_groups(n: int, classes: list, r_max: int, p: SurfaceParams) -> tuple[Fraction, dict]:
+    """gamma_max plus {gamma: [(class, divisorial_clause), ...]} for the
+    classes with |r| <= r_max; gamma_max is the smallest positive slope of
+    a divisorial class or of the Lagrangian class."""
+    classes = [entry for entry in classes if abs(entry[0].r) <= r_max]
+    slopes = [gamma for _, divisorial, gamma in classes if divisorial and gamma > 0]
+    lag = _lagrangian_class(n, p)
+    if lag is not None:
+        slopes.append(gamma_of_wall(n, lag, p))
     if not slopes:
         raise ValueError(
-            f"no movable-cone boundary class found for n={n} within |r| <= {bounds.r_max}; increase r_max"
+            f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
         )
-    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=min(slopes))
-
-
-def _wall_groups(n: int, r_max: int, p: SurfaceParams) -> tuple[Fraction, dict]:
-    """gamma_max plus {gamma: [(class, divisorial_clause), ...]} for one bound."""
-    gamma_max = movable_cone(n, SearchBounds(r_max=r_max), p).gamma_max
+    gamma_max = min(slopes)
     groups: dict[Fraction, list[tuple[MukaiVector, bool]]] = {}
-    for a_sq, k, divisorial in _clause_pairs(n):
-        for a in _clause_classes(n, a_sq, k, r_max, p):
-            gamma = gamma_of_wall(n, a, p)
-            if 0 <= gamma <= gamma_max:
-                groups.setdefault(gamma, []).append((a, divisorial))
+    for a, divisorial, gamma in classes:
+        if 0 <= gamma <= gamma_max:
+            groups.setdefault(gamma, []).append((a, divisorial))
     return gamma_max, groups
 
 
@@ -265,9 +255,10 @@ def hilbert_walls(
     perfect square times d, is appended last with no curve.
     """
     v = hilbert_vector(n)
-    bounds = bounds or default_bounds(n)
-    gamma_max, groups = _wall_groups(n, bounds.r_max, p)
-    gamma_max_2, groups_2 = _wall_groups(n, 2 * bounds.r_max, p)
+    r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
+    classes = _slope_classes(n, 2 * r_max, p)
+    gamma_max, groups = _wall_groups(n, classes, r_max, p)
+    gamma_max_2, groups_2 = _wall_groups(n, classes, 2 * r_max, p)
     complete = gamma_max == gamma_max_2 and set(groups) == set(groups_2)
 
     records = []
@@ -367,12 +358,18 @@ def transport_search(base: WallSearch, m: int, p: SurfaceParams = DEFAULT_SURFAC
 # candidate superset for torsion vectors
 
 
-def _floor(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _candidate_rank_bound(m: int, y_min: Fraction, p: SurfaceParams) -> Optional[int]:
+    """Largest |r| with d*r^2*y_min^2 < d*m^2 + 1, None when y_min = 0.
 
-
-def _ceil(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
+    At the apex of a wall of w = (0, m, k) with radius R > y_min and
+    center e, a destabilizer a = (r, c, s) has 0 < c - r*e < m and
+    a^2 = 2d(c - r*e)^2 - 2d*r^2*R^2 >= -2, so no rank beyond this
+    bound carries one.
+    """
+    if y_min == 0:
+        return None
+    num = (p.d * m * m + 1) * y_min.denominator ** 2
+    return math.isqrt((num - 1) // (p.d * y_min.numerator ** 2))
 
 
 def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfaceParams) -> dict:
@@ -394,13 +391,13 @@ def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfacePa
         if r == 0:
             continue
         window = r * center
-        for c in range(_floor(window) + 1, _ceil(window + m)):
+        for c in range(math.floor(window) + 1, math.ceil(window + m)):
             square_cap = Fraction(d * c * c + 1, r)  # from a^2 >= -2: s <= cap (r>0) / s >= cap (r<0)
             radius_cut = Fraction(t_min * d * r * m + c * k, m)
             if r > 0:
-                s_lo, s_hi = _floor(radius_cut) + 1, _floor(square_cap)
+                s_lo, s_hi = math.floor(radius_cut) + 1, math.floor(square_cap)
             else:
-                s_lo, s_hi = _ceil(square_cap), _ceil(radius_cut) - 1
+                s_lo, s_hi = math.ceil(square_cap), math.ceil(radius_cut) - 1
             for s in range(s_lo, s_hi + 1):
                 a = MukaiVector(r, c, s)
                 if not a.is_primitive():
@@ -421,7 +418,9 @@ def candidate_walls(
 
     Every record is tagged candidate: the destabilizer window, square
     bound, hyperbolicity, and the radius filter are the only cuts, so
-    pseudo-walls are expected and no semistability claim is made.
+    pseudo-walls are expected and no semistability claim is made.  The
+    scan runs up to the proven rank bound (or bounds.r_max, when lower)
+    and is complete when it reaches that bound.
     Rank-nonzero vectors are rejected; Hilbert-type vectors have the
     exact criterion enumeration instead.  Non-primitive vectors are
     fine: the destabilizer window is taken relative to the vector as
@@ -434,15 +433,18 @@ def candidate_walls(
         raise ValueError(
             f"candidate search supports rank-zero vectors only; for {v} use the criterion enumeration"
         )
-    bounds = bounds or default_bounds()
+    bounds = bounds or SearchBounds()
     if v.c == 0:
         # (0, 0, s): every numerical wall is a vertical line, so the
         # radius filter leaves nothing.
         return WallSearch(vector=v, records=(), complete=True, mode="candidate")
     w = v if v.c > 0 else -v
-    buckets = _candidate_buckets(w, bounds.r_max, bounds.y_min, p)
-    buckets_2 = _candidate_buckets(w, 2 * bounds.r_max, bounds.y_min, p)
-    complete = set(buckets) == set(buckets_2)
+    proven = _candidate_rank_bound(w.c, bounds.y_min, p)
+    if proven is None and bounds.r_max is None:
+        raise ValueError("a candidate search with y_min = 0 has no rank bound; give r_max (--rmax)")
+    r_max = min(b for b in (proven, bounds.r_max) if b is not None)
+    buckets = _candidate_buckets(w, r_max, bounds.y_min, p)
+    complete = r_max == proven
     records = []
     for radius_sq in sorted(buckets, reverse=True):
         rep = min(buckets[radius_sq], key=_representative_key)

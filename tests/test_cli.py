@@ -282,6 +282,9 @@ def test_usage_errors_exit_two(argv):
         (["decompose", "--n", "10", "--wall-index", "99"], "out of range"),
         (["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "1"], "at least 2"),
         (["decompose", "--n", "10", "--gamma", "1/3"], "semicircular"),
+        # checked before the search, which fails for n = 22
+        (["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"], "--parts-max must be at least 2"),
+        (["walls", "--vector", "0,2,-1", "--candidates", "--ymin", "0"], "give r_max"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):
@@ -298,6 +301,16 @@ def test_strict_complete_exit_three():
     code, out, _ = run_cli(["walls", "--n", "10", "--rmax", "1"])
     assert code == 0
     assert "complete: no" in out
+
+
+def test_candidate_cap_below_bound_exits_three():
+    # the proven rank bound of (0, 2, -1) at --ymin 1 is 2
+    code, out, _ = run_cli(["walls", "--vector", "0,2,-1", "--candidates", "--rmax", "1", "--strict-complete"])
+    assert code == 3
+    assert "complete: no" in out
+    code, out, _ = run_cli(["walls", "--vector", "0,2,-1", "--candidates", "--rmax", "2", "--strict-complete"])
+    assert code == 0
+    assert "complete: yes" in out
 
 
 def test_negative_vector_reaches_the_search():

@@ -7,6 +7,7 @@ inequalities, and list the lattice points.  The remaining walls are covered
 by the brute-force box oracle at the bottom.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -372,3 +373,33 @@ def test_positive_classes_box_oracle(vec, gamma):
             box.add(u)
     fast = set(positive_classes(v, w))
     assert fast == box
+
+
+@pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737))])
+def test_positive_classes_rank_scan_oracle(n, gamma):
+    # Walls with thousands of charge levels, whose classes have plane
+    # coordinates in the millions.  Independent enumeration: scan ranks
+    # up to ten times the wall class's, take each c with 0 < lambda < 1
+    # and solve s from u . (v x a) = 0; keep u passing the definition.
+    v = MukaiVector(1, 0, 1 - n)
+    w = _record(hilbert_walls(n), gamma)
+    a, x0 = w.a, w.curve.center_x
+    normal = (v.c * a.s - v.s * a.c, v.s * a.r - v.r * a.s, v.r * a.c - v.c * a.r)
+    denom = v.c - v.r * x0
+    assert denom > 0 and normal[2] != 0
+    oracle = set()
+    r_box = 10 * abs(a.r) + 10
+    for r in range(-r_box, r_box + 1):
+        lo, hi = r * x0, r * x0 + denom  # lo < c < hi
+        for c in range(math.floor(lo) + 1, math.ceil(hi)):
+            s_num = -(r * normal[0] + c * normal[1])
+            if s_num % normal[2]:
+                continue
+            u = MukaiVector(r, c, s_num // normal[2])
+            if u.is_zero() or mukai_square(u) < -2:
+                continue
+            if not u.is_primitive() and mukai_square(u.primitive_part()) <= 0:
+                continue
+            oracle.add(u)
+    assert oracle
+    assert set(positive_classes(v, w)) == oracle

@@ -1,5 +1,6 @@
 """Wall enumeration: criterion tables, movable cones, transport, candidates."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,6 @@ from k3walls import (
     transport_walls,
     wall_locus,
 )
-from k3walls.walls import default_rank_bound
 
 F = Fraction
 
@@ -232,17 +232,22 @@ def test_transport_mode_matches_direct_transport():
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_default_rank_bound(d):
-    """4n for S^[n] and for its partner (0, m, -1) with n = d m^2 + 1, 40 otherwise."""
+    """Without r_max a Hilbert search and the search of its partner
+    (0, m, -1), n = d m^2 + 1, both run at 4n."""
     p = SurfaceParams(d=d)
-    for n in (2, 5, 10, 37):
-        assert default_rank_bound(MukaiVector(1, 0, 1 - n), p) == 4 * n
-    for m in (1, 2, 3):
-        assert default_rank_bound(MukaiVector(0, m, -1), p) == 4 * (d * m * m + 1)
-    for vec in [(0, 2, -2), (0, 1, 0), (0, -3, 1), (0, 0, -1), (1, 0, 1), (2, 0, -9), (-1, 0, 9)]:
-        assert default_rank_bound(MukaiVector(*vec), p) == 40
+    for n in (2, 5, 10):
+        assert default_bounds(n).r_max == 4 * n
+        assert hilbert_walls(n, p=p) == hilbert_walls(n, SearchBounds(r_max=4 * n), p)
+    for m in (1, 2):
+        n = d * m * m + 1
+        base = hilbert_walls(n, SearchBounds(r_max=4 * n), p)
+        partner = resolve_walls(MukaiVector(0, m, -1), SearchBounds(), p)
+        assert partner.records == tuple(transport_walls(base.records, m, base.vector, p))
+        assert partner.complete == base.complete
 
 
 def test_search_bounds_validation():
+    assert SearchBounds().r_max is None
     with pytest.raises(ValueError):
         SearchBounds(r_max=0)
     with pytest.raises(ValueError):
@@ -260,3 +265,63 @@ def test_degree_two_surface_walls():
     for rec in transported:
         if rec.curve is not None:
             assert rec.curve.center_x == F(-1, 8)
+
+
+# ---------------------------------------------------------------------------
+# candidate rank bound, against a brute-force scan
+
+
+def _candidate_radii(vec, ranks, y_min, d):
+    """Radii^2 of the walls of w = (0, m, k), m > 0, with a destabilizer
+    of rank in `ranks`, straight from the definition: a primitive,
+    a^2 >= -2, 0 < c - r*e < m at the center e, and radius^2 > y_min^2
+    from the 2x2 minors of (w, a).  For each (r, c) both a^2 >= -2 and
+    the radius cut are linear in s, so s is scanned between the two
+    limits."""
+    _, m, k = vec
+    e = F(k, 2 * d * m)
+    radii = set()
+    for r in ranks:
+        for c in range(math.floor(r * e) + 1, math.ceil(r * e + m)):
+            cap = F(d * c * c + 1, r)  # a^2 >= -2 <=> r*s <= d c^2 + 1
+            cut = F(c * k, m) + d * r * (y_min * y_min - e * e)  # radius^2 = y_min^2
+            for s in range(math.floor(min(cap, cut)) - 1, math.ceil(max(cap, cut)) + 2):
+                if 2 * d * c * c - 2 * r * s < -2 or not 0 < 2 * d * m * c - r * k < 2 * d * m * m:
+                    continue
+                big_p, big_b, big_c = r * m, r * k, m * s - c * k
+                radius_sq = F(big_b, 2 * d * big_p) ** 2 + F(big_c, d * big_p)
+                if radius_sq > y_min * y_min and MukaiVector(r, c, s).is_primitive():
+                    radii.add(radius_sq)
+    return radii
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("y_min", [F(1, 2), F(1), F(3, 2)])
+def test_candidate_rank_bound_oracle(d, y_min):
+    p = SurfaceParams(d=d)
+    for m in range(1, 6):
+        bound = max(r for r in range(0, 100) if d * r * r * y_min * y_min < d * m * m + 1)
+        for k in range(-3, 4):
+            vec = (0, m, k)
+            inside = [r for r in range(-bound, bound + 1) if r != 0]
+            beyond = [r for r in range(bound + 1, 3 * max(bound, 1) + 1)]
+            assert _candidate_radii(vec, beyond + [-r for r in beyond], y_min, d) == set()
+            search = candidate_walls(MukaiVector(*vec), SearchBounds(y_min=y_min), p)
+            assert search.complete
+            assert {rec.curve.radius_sq for rec in search.records} == _candidate_radii(vec, inside, y_min, d)
+
+
+def test_candidate_cap_below_bound_is_incomplete():
+    # the proven bound of (0, 3, -1) at y_min = 1 is 3
+    capped = candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=1))
+    assert not capped.complete
+    assert {rec.curve.radius_sq for rec in capped.records} == _candidate_radii((0, 3, -1), [-1, 1], F(1), 1)
+    assert candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=3)).complete
+
+
+def test_candidate_ymin_zero_needs_rmax():
+    with pytest.raises(ValueError, match="give r_max"):
+        candidate_walls(MukaiVector(0, 2, -1), SearchBounds(y_min=0))
+    capped = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=5, y_min=0))
+    assert not capped.complete
+    assert capped.records
