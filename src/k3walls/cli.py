@@ -59,6 +59,8 @@ def _float_pair(text: str) -> tuple[float, float]:
         lo, hi = (float(Fraction(chunk)) for chunk in parts)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"range endpoints must be numbers: {text!r}") from exc
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"range endpoints must fit in a float: {text!r}") from exc
     return lo, hi
 
 
@@ -122,8 +124,11 @@ def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
 
 def _emit(text: str, args) -> None:
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 

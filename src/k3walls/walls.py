@@ -23,8 +23,17 @@ curve.
 
 The Hilbert clause classes are listed once, up to |rank(a)| <= 2 * r_max
 (default r_max = 4n), and the search is flagged incomplete when the walls
-within r_max and within 2 * r_max differ.  The candidate search stops at
-a proven rank bound (_candidate_rank_bound), so its completeness is a proof.
+within r_max and within 2 * r_max differ.  That listing is one scan of
+lattice points (r, c, s), rank first: writing s = r(n-1) - <v,a>, every
+clause reads d*c^2 = r*s + a^2/2, so each rank leaves a window of about
+sqrt(n) values of c (two isqrt calls), each c leaves the s with r*s
+within (n-1)/4 + 1 of d*c^2 (at most one once |r| > (n-1)/4 + 1), and
+a lookup of (a^2, <v,a>) among the clauses keeps or drops the point.
+A search at rank bound R thus visits about R*sqrt(n) points instead of
+passing over the ranks once per clause (about n^2/4 clauses).
+
+The candidate search stops at a proven rank bound (_candidate_rank_bound),
+so its completeness is a proof.
 """
 
 from __future__ import annotations
@@ -163,27 +172,6 @@ def _clause_pairs(n: int) -> list[tuple[int, int, bool]]:
     return pairs
 
 
-def _clause_classes(n: int, a_sq: int, k: int, r_max: int, p: SurfaceParams):
-    """Primitive integral solutions of a^2 = a_sq, <v,a> = k with |r| <= r_max."""
-    d = p.d
-    for r in range(-r_max, r_max + 1):
-        s = r * (n - 1) - k
-        num = r * s + a_sq // 2
-        if num < 0 or num % d != 0:
-            continue
-        c_sq = num // d
-        c = math.isqrt(c_sq)
-        if c * c != c_sq:
-            continue
-        for cc in ((c,) if c == 0 else (c, -c)):
-            a = MukaiVector(r, cc, s)
-            if a.is_zero() or not a.is_primitive():
-                continue
-            assert mukai_square(a, p) == a_sq
-            assert mukai_pairing(hilbert_vector(n), a, p) == k
-            yield a
-
-
 def _representative_key(a: MukaiVector) -> tuple:
     first_nonzero = next((x for x in a.as_tuple() if x != 0), 0)
     return (abs(a.r), abs(a.c), abs(a.s), first_nonzero <= 0, a.as_tuple())
@@ -202,13 +190,51 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
 
 
 def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool = False) -> list:
-    """(class, divisorial clause, slope) for every clause class with |r| <= r_max."""
-    return [
-        (a, divisorial, gamma_of_wall(n, a, p))
-        for a_sq, k, divisorial in _clause_pairs(n)
-        if divisorial or not divisorial_only
-        for a in _clause_classes(n, a_sq, k, r_max, p)
-    ]
+    """(class, divisorial clause, slope) for every clause class with |r| <= r_max.
+
+    One scan of lattice points a = (r, c, s), rank first.  With
+    k = <v,a> = r(n-1) - s and A = a^2 the clause equation reads
+    d*c^2 = r*s + A/2, so for each r the values of d*c^2 lie in
+    [r*s - 1, r*s + A_max/2] for some s = r(n-1) - k, 0 <= k <= k_max:
+    c runs over that window (about sqrt(n) values, two isqrt calls per
+    rank), and for each c the s with r*s in [d*c^2 - A_max/2, d*c^2 + 1]
+    come from exact floor and ceiling division (at most one once
+    |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
+    """
+    d = p.d
+    clauses = {
+        (a_sq, k): divisorial for a_sq, k, divisorial in _clause_pairs(n) if divisorial or not divisorial_only
+    }
+    k_max = max(k for _, k in clauses)
+    half_max = max(a_sq for a_sq, _ in clauses) // 2
+    v = hilbert_vector(n)
+    out = []
+    for r in range(-r_max, r_max + 1):
+        s_top = r * (n - 1)  # s = s_top - k
+        rs_ends = (r * s_top, r * (s_top - k_max))
+        lo, hi = min(rs_ends) - 1, max(rs_ends) + half_max  # bounds on d*c^2
+        c_lo = 0 if lo <= 0 else math.isqrt(-(-lo // d) - 1) + 1
+        for c in range(c_lo, math.isqrt(hi // d) + 1):
+            q = d * c * c
+            if r > 0:
+                s_lo, s_hi = -(-(q - half_max) // r), (q + 1) // r
+            elif r < 0:
+                s_lo, s_hi = -(-(q + 1) // r), (q - half_max) // r
+            else:
+                s_lo, s_hi = s_top - k_max, s_top
+            for s in range(max(s_lo, s_top - k_max), min(s_hi, s_top) + 1):
+                a_sq, k = 2 * (q - r * s), s_top - s
+                divisorial = clauses.get((a_sq, k))
+                if divisorial is None:
+                    continue
+                for cc in ((c,) if c == 0 else (c, -c)):
+                    a = MukaiVector(r, cc, s)
+                    if not a.is_primitive():
+                        continue
+                    assert mukai_square(a, p) == a_sq
+                    assert mukai_pairing(v, a, p) == k
+                    out.append((a, divisorial, gamma_of_wall(n, a, p)))
+    return out
 
 
 def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:

@@ -179,6 +179,15 @@ def test_output_flag_writes_file(tmp_path, monkeypatch):
     )
 
 
+def test_output_to_missing_directory_exits_two(tmp_path):
+    target = tmp_path / "missing" / "walls.txt"
+    code, out, err = run_cli(["walls", "--n", "5", "--output", str(target)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert not target.parent.exists()
+
+
 def test_format_env_variable(monkeypatch):
     code, out, _ = run_cli(
         ["walls", "--n", "10"], env={report.FORMAT_ENV_VAR: "json"}, monkeypatch=monkeypatch
@@ -267,6 +276,7 @@ def test_empty_result_still_exits_zero():
         ["decompose", "--n", "10", "--gamma", "2/11", "--wall-index", "0"],
         ["transport", "--n", "10"],
         ["walls", "--n", "10", "--ymin", "one"],
+        ["figure", "--n", "10", "--xrange", "0,1e400"],
     ],
 )
 def test_usage_errors_exit_two(argv):

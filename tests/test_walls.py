@@ -23,6 +23,7 @@ from k3walls import (
     transport_walls,
     wall_locus,
 )
+from k3walls.walls import _slope_classes
 
 F = Fraction
 
@@ -69,25 +70,71 @@ def test_gamma_of_wall_matches_table():
         gamma_of_wall(10, MukaiVector(1, 0, -9))
 
 
+def _criterion_clause(n, sq, k):
+    """True for a divisorial clause on (a^2, <v,a>), False for a flopping
+    one, None when (sq, k) satisfies no clause of the wall criterion."""
+    if (sq, k) in ((-2, 0), (0, 1), (0, 2)):
+        return True
+    if (
+        (sq == -2 and 1 <= k <= n - 1)
+        or (sq == 0 and 3 <= k <= n - 1)
+        or (sq >= 2 and sq % 2 == 0 and 2 * sq < n - 1 and 2 * sq + 1 <= k <= n - 1)
+    ):
+        return False
+    return None
+
+
 def test_wall_classes_solve_the_criterion():
     """Every emitted non-boundary wall class satisfies one clause on
     (a^2, <v,a>) and spans a hyperbolic plane with v."""
     for n in (2, 3, 4, 8, 10):
-        v = hilbert_vector(n)
         for rec in hilbert_walls(n).records:
             if rec.wall_type == "boundary_lagrangian":
                 assert rec.a_sq == 0 and rec.pairing_va == 0
                 continue
             k, sq = rec.pairing_va, rec.a_sq
-            divisorial_clause = (sq, k) in ((-2, 0), (0, 1), (0, 2))
-            flopping_clause = (
-                (sq == -2 and 1 <= k <= n - 1)
-                or (sq == 0 and 3 <= k <= n - 1)
-                or (sq >= 2 and sq % 2 == 0 and 2 * sq < n - 1 and 2 * sq + 1 <= k <= n - 1)
-            )
-            assert divisorial_clause or flopping_clause
+            assert _criterion_clause(n, sq, k) is not None
             # span(v, a) is hyperbolic: <v,a>^2 - v^2 a^2 > 0
             assert k * k - 2 * (n - 1) * sq > 0
+
+
+def _brute_clause_classes(n, r_max, d):
+    """{((r, c, s), divisorial)} for the primitive clause classes with
+    |r| <= r_max, by a plain scan of r, k = <v,a> and c."""
+    k_max = max(n - 1, 2)
+    sq_max = max(sq for sq in range(-2, n) for k in range(k_max + 1) if _criterion_clause(n, sq, k) is not None)
+    found = set()
+    for r in range(-r_max, r_max + 1):
+        for k in range(k_max + 1):
+            s = r * (n - 1) - k
+            if 2 * r * s + sq_max < 0:
+                continue
+            c_max = math.isqrt((2 * r * s + sq_max) // (2 * d)) + 1
+            for c in range(-c_max, c_max + 1):
+                sq = 2 * d * c * c - 2 * r * s  # a^2 for a = (r, c, s); <v,a> = k
+                if not -2 <= sq <= sq_max:
+                    continue
+                divisorial = _criterion_clause(n, sq, k)
+                if divisorial is not None and math.gcd(r, c, s) == 1:
+                    found.add(((r, c, s), divisorial))
+    return found
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_slope_classes_match_brute_force(d):
+    """The rank-first lattice scan finds exactly the primitive classes of
+    a brute-force scan, with the same divisorial flags."""
+    p = SurfaceParams(d=d)
+    for n in (2, 3, 4, 5, 7, 10, 13, 17, 22, 29, 32, 40):
+        oracle = _brute_clause_classes(n, 2 * n, d)
+        for r_max in sorted({1, 3, n, 2 * n}):
+            for divisorial_only in (False, True):
+                expected = {
+                    (a, flag) for a, flag in oracle if abs(a[0]) <= r_max and (flag or not divisorial_only)
+                }
+                scanned = [(a.as_tuple(), flag) for a, flag, _ in _slope_classes(n, r_max, p, divisorial_only)]
+                assert len(scanned) == len(set(scanned))
+                assert set(scanned) == expected, (n, r_max, divisorial_only)
 
 
 def test_doubling_stabilization():
