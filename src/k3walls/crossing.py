@@ -1,14 +1,18 @@
 """What happens on a wall: aligned classes, decompositions, stratum dimensions.
 
-At the apex of a semicircular wall (the point above its center) every
-class u of the saturated rank-two lattice spanned by v and the wall
-class a has purely imaginary central charge, so Z(u) = lambda(u) * Z(v)
-with lambda a rational-valued linear form and lambda(v) = 1.  The
-"positive classes" of the wall are those u with u^2 >= -2 and
-0 < lambda(u) < 1 whose stable locus is nonempty (u primitive, or a
-multiple of a class of positive square).  A decomposition of v is a
-multiset of positive classes summing to v; lambda sums to 1 across any
-decomposition, which makes the search a small exact knapsack.
+At the apex x = num/den of a semicircular wall (the point above its
+center) every class u of the saturated rank-two lattice spanned by v and
+the wall class a has purely imaginary central charge, so
+Z(u) = lambda(u) * Z(v) with lambda(u) = L(u)/L(v) for the integer form
+L(u) = den*c_u - num*r_u.  L maps the plane onto g*Z, so lambda takes
+the values j/N with N = L(v)/g and integer levels j.  The "positive
+classes" of the wall are those u with u^2 >= -2 and 0 < j < N whose
+stable locus is nonempty (u primitive, or a multiple of a class of
+positive square); on each level u^2 >= -2 cuts out an interval of one
+line.  A decomposition of v is a multiset of positive classes summing to
+v, so its levels sum to N: the search is an exact integer knapsack that
+prunes once the levels pass N and keeps a full sum when the parts add
+up to v.
 
 Dimension bookkeeping for a decomposition u_1, ..., u_t (ordered by
 descending lambda):
@@ -26,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .charge import Semicircle, StabilityPoint, central_charge
+from .charge import Semicircle, StabilityPoint, wall_locus
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, mukai_pairing, mukai_square
 from .walls import WallRecord
 
@@ -135,52 +139,34 @@ def wall_base_point(w: WallRecord, side: str = "on", epsilon: Fraction = Fractio
     return StabilityPoint(x=w.curve.center_x, y_sq=y_sq)
 
 
-def _lambda_form(v: MukaiVector, plane: SaturatedPlane, center: Fraction):
-    """The linear form u -> Z(u)/Z(v) at the wall apex, on plane coordinates.
-
-    At the apex the real parts vanish identically on the plane, so the
-    ratio is (c_u - r_u * x) / (c_v - r_v * x) with x the wall center.
-    """
-    denom = v.c - v.r * center
-    if denom == 0:
-        raise ValueError("v has vanishing charge at the wall apex; not a wall for v")
-
-    def lam(u: MukaiVector) -> Fraction:
-        return Fraction(u.c - u.r * center) / denom
-
-    return lam
+def _has_stable_locus(u: MukaiVector, p: SurfaceParams) -> bool:
+    """A nonzero class carries stable objects only when it is primitive or
+    a multiple of a class of positive square."""
+    return u.is_primitive() or mukai_square(u.primitive_part(), p) > 0
 
 
-def positive_classes(
-    v: MukaiVector,
-    w: WallRecord,
-    p: SurfaceParams = DEFAULT_SURFACE,
-) -> tuple[MukaiVector, ...]:
-    """Potential stable factors along the wall: u in the saturated plane with
-    u^2 >= -2, 0 < lambda(u) < 1, and a nonempty stable locus.
-
-    Sorted by descending lambda, ties by (r, c, s).
-    """
+def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[int, list[tuple[int, MukaiVector]]]:
+    """(N, [(j, u), ...]): the positive classes u of the wall with
+    lambda(u) = j/N, sorted by descending j, ties by (r, c, s)."""
     if w.curve is None or not isinstance(w.curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
-    apex = wall_base_point(w, "on")
-    if central_charge(v, apex, p).re != 0 or central_charge(w.a, apex, p).re != 0:
+    if wall_locus(v, w.a, p) != w.curve:
         raise ValueError("record curve is not the wall of (v, a): charges do not align at the apex")
     plane = saturated_plane(v, w.a)
-    lam = _lambda_form(v, plane, w.curve.center_x)
-    l1, l2 = lam(plane.b1), lam(plane.b2)
-    q0 = math.lcm(l1.denominator, l2.denominator)
-    p1, p2 = int(l1 * q0), int(l2 * q0)
+    # L(u) = den*c_u - num*r_u is den times Im Z(u) / 2dy at the apex
+    # x = num/den, so lambda = L(u)/L(v); L(b1), L(b2) generate g*Z
+    num, den = w.curve.center_x.numerator, w.curve.center_x.denominator
+    l_v = den * v.c - num * v.r
+    if l_v == 0:
+        raise ValueError("v has vanishing charge at the wall apex; not a wall for v")
+    sign = 1 if l_v > 0 else -1
+    p1, p2 = (sign * (den * b.c - num * b.r) for b in (plane.b1, plane.b2))
     g = math.gcd(p1, p2)
-    if g == 0:
-        raise ValueError("charge ratio degenerates on the wall plane")
-    # lambda image is (g/q0) Z and lambda(v) = 1, so levels are j/N
-    if q0 % g != 0:
-        raise AssertionError("lambda(v) = 1 must lie in the image lattice")
-    level_count = q0 // g
+    level_count = sign * l_v // g
+    p1, p2 = p1 // g, p2 // g
 
     # direction of constant lambda, and the quadratic form on coordinates
-    k0 = (p2 // g, -p1 // g)
+    k0 = (p2, -p1)
     q11 = mukai_pairing(plane.b1, plane.b1, p)
     q12 = mukai_pairing(plane.b1, plane.b2, p)
     q22 = mukai_pairing(plane.b2, plane.b2, p)
@@ -195,10 +181,10 @@ def positive_classes(
     if a2 >= 0:
         raise ValueError("the wall kernel is not negative definite; not a wall of geometric stability")
 
-    bez1, bez2 = _bezout(p1, p2)  # bez1*p1 + bez2*p2 = g
-    found: list[tuple[Fraction, MukaiVector]] = []
+    bez1, bez2 = _bezout(p1, p2)  # bez1*p1 + bez2*p2 = 1
+    found: list[tuple[int, MukaiVector]] = []
     for j in range(1, level_count):
-        base = (bez1 * j, bez2 * j)  # lambda = j*g/q0 = j/level_count
+        base = (bez1 * j, bez2 * j)  # on level j
         b2_ = 2 * q_pair(*base, *k0)
         c2_ = q_form(*base) + 2
         disc = b2_ * b2_ - 4 * a2 * c2_
@@ -209,16 +195,25 @@ def positive_classes(
         for t in range(-((root - b2_) // (-2 * a2)), (b2_ + root) // (-2 * a2) + 1):
             x, y = base[0] + t * k0[0], base[1] + t * k0[1]
             u = plane.vector(x, y)
-            if u.is_zero():
+            if u.is_zero() or not _has_stable_locus(u, p):
                 continue
-            content = u.content()
-            if content > 1 and mukai_square(u.primitive_part(), p) <= 0:
-                continue  # no stable objects for multiples of isotropic or spherical classes
-            lam_u = Fraction(j, level_count)
-            assert lam(u) == lam_u
-            found.append((lam_u, u))
+            assert sign * (den * u.c - num * u.r) == j * g
+            found.append((j, u))
     found.sort(key=lambda item: (-item[0], item[1].as_tuple()))
-    return tuple(u for _, u in found)
+    return level_count, found
+
+
+def positive_classes(
+    v: MukaiVector,
+    w: WallRecord,
+    p: SurfaceParams = DEFAULT_SURFACE,
+) -> tuple[MukaiVector, ...]:
+    """Potential stable factors along the wall: u in the saturated plane with
+    u^2 >= -2, 0 < lambda(u) < 1, and a nonempty stable locus.
+
+    Sorted by descending lambda, ties by (r, c, s).
+    """
+    return tuple(u for _, u in _levelled_classes(v, w, p)[1])
 
 
 @dataclass(frozen=True)
@@ -240,31 +235,26 @@ def decompositions(
     between 2 and parts_max parts."""
     if parts_max < 2:
         raise ValueError("parts_max must be at least 2")
-    classes = positive_classes(v, w, p)
-    if not classes:
-        return ()
-    plane = saturated_plane(v, w.a)
-    lam = _lambda_form(v, plane, w.curve.center_x)
-    lambdas = [lam(u) for u in classes]
-    one = Fraction(1)
+    level_count, classes = _levelled_classes(v, w, p)
     results: list[tuple[MukaiVector, ...]] = []
 
-    def search(start: int, acc: list[MukaiVector], acc_sum: MukaiVector, acc_lambda: Fraction) -> None:
-        if len(acc) >= 2 and acc_lambda == one and acc_sum == v:
-            results.append(tuple(acc))
-            # a complete decomposition cannot be extended (all lambdas positive)
+    def search(start: int, acc: list[MukaiVector], acc_sum: MukaiVector, acc_level: int) -> None:
+        if acc_level == level_count:
+            # every level is positive, so a full sum cannot be extended
+            if acc_sum == v:
+                results.append(tuple(acc))
             return
         if len(acc) == parts_max:
             return
         for i in range(start, len(classes)):
-            new_lambda = acc_lambda + lambdas[i]
-            if new_lambda > one:
+            j, u = classes[i]
+            if acc_level + j > level_count:
                 continue
-            acc.append(classes[i])
-            search(i, acc, acc_sum + classes[i], new_lambda)
+            acc.append(u)
+            search(i, acc, acc_sum + u, acc_level + j)
             acc.pop()
 
-    search(0, [], MukaiVector(0, 0, 0), Fraction(0))
+    search(0, [], MukaiVector(0, 0, 0), 0)
     results.sort(key=lambda parts: (len(parts), tuple(u.as_tuple() for u in parts)))
     return tuple(Decomposition(parts=parts, wall=w) for parts in results)
 
@@ -273,10 +263,7 @@ def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
     """Dimension u^2 + 2 of the moduli space of stable objects of class u."""
     if not u.is_primitive():
         raise ValueError(f"moduli_dim expects a primitive class, got {u}")
-    sq = mukai_square(u, p)
-    if sq < -2:
-        raise ValueError(f"no semistable objects of class {u} (square {sq} < -2)")
-    return sq + 2
+    return _part_dim(u, p)
 
 
 def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
@@ -285,7 +272,7 @@ def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
     sq = mukai_square(u, p)
     if sq < -2:
         raise ValueError(f"no semistable objects of class {u} (square {sq} < -2)")
-    if not u.is_primitive() and mukai_square(u.primitive_part(), p) <= 0:
+    if not _has_stable_locus(u, p):
         raise ValueError(f"no stable objects of class {u} (imprimitive over a non-positive class)")
     return sq + 2
 

@@ -28,8 +28,9 @@ FORMATS = ("text", "csv", "json", "svg")
 
 
 def default_format() -> str:
+    """The table format (text, csv or json) K3WALLS_FORMAT names, else text."""
     value = os.environ.get(FORMAT_ENV_VAR, "text").strip().lower()
-    return value if value in FORMATS else "text"
+    return value if value in ("text", "csv", "json") else "text"
 
 
 # ---------------------------------------------------------------------------

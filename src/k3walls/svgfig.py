@@ -23,6 +23,7 @@ MARGIN_LEFT = 60
 MARGIN_RIGHT = 180
 MARGIN_TOP = 34
 MARGIN_BOTTOM = 44
+MAX_TICK_STEPS = 20
 
 PALETTE = (
     "#1f77b4",
@@ -80,6 +81,8 @@ class _Canvas:
         self.y0, self.y1 = y_range
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("figure ranges must be increasing intervals")
+        if not (math.isfinite(self.x1 - self.x0) and math.isfinite(self.y1 - self.y0)):
+            raise ValueError("figure ranges must have a finite width")
         self.precision = precision
         self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -139,8 +142,11 @@ def render_figure(
         f'fill="none" stroke="#000000" stroke-width="1"/>'
     )
 
-    # integer ticks along the x axis
-    for tick in range(math.ceil(cv.x0), math.floor(cv.x1) + 1):
+    # ticks along the x axis at the smallest step 1, 2, 5 x 10^k (k < 309
+    # covers every finite float width) leaving at most MAX_TICK_STEPS steps
+    width = cv.x1 - cv.x0
+    step = next(s for k in range(309) for s in (10**k, 2 * 10**k, 5 * 10**k) if width <= MAX_TICK_STEPS * s)
+    for tick in (i * step for i in range(math.ceil(cv.x0 / step), math.floor(cv.x1 / step) + 1)):
         tx = cv.px(tick)
         out.append(
             f'<line x1="{tx}" y1="{bottom}" x2="{tx}" y2="{cv.fmt(float(bottom) + 5)}" '

@@ -28,9 +28,9 @@ lattice points (r, c, s), rank first: writing s = r(n-1) - <v,a>, every
 clause reads d*c^2 = r*s + a^2/2, so each rank leaves a window of about
 sqrt(n) values of c (two isqrt calls), each c leaves the s with r*s
 within (n-1)/4 + 1 of d*c^2 (at most one once |r| > (n-1)/4 + 1), and
-a lookup of (a^2, <v,a>) among the clauses keeps or drops the point.
-A search at rank bound R thus visits about R*sqrt(n) points instead of
-passing over the ranks once per clause (about n^2/4 clauses).
+a closed-form test of (a^2, <v,a>) against the clauses keeps or drops
+the point.  A search at rank bound R thus visits about R*sqrt(n) points
+instead of passing over the ranks once per clause (about n^2/4 clauses).
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
 so its completeness is a proof.
@@ -160,16 +160,20 @@ def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) ->
 # criterion enumeration for v = (1, 0, 1-n)
 
 
-def _clause_pairs(n: int) -> list[tuple[int, int, bool]]:
-    """(a_sq, <v,a>, is_divisorial) triples allowed by the wall criterion."""
-    pairs: list[tuple[int, int, bool]] = [(-2, 0, True), (0, 1, True), (0, 2, True)]
-    pairs.extend((-2, k, False) for k in range(1, n))
-    pairs.extend((0, k, False) for k in range(3, n))
-    a_sq = 2
-    while 2 * a_sq < n - 1:
-        pairs.extend((a_sq, k, False) for k in range(2 * a_sq + 1, n))
-        a_sq += 2
-    return pairs
+def _clause_type(n: int, a_sq: int, k: int) -> Optional[bool]:
+    """True when (a^2, <v,a>) = (a_sq, k) satisfies a divisorial clause of
+    the wall criterion, False for a flopping clause, None for neither."""
+    if (a_sq, k) in ((-2, 0), (0, 1), (0, 2)):
+        return True
+    if a_sq == -2:
+        k_lo = 1
+    elif a_sq == 0:
+        k_lo = 3
+    elif a_sq > 0 and a_sq % 2 == 0 and 2 * a_sq < n - 1:
+        k_lo = 2 * a_sq + 1
+    else:
+        return None
+    return False if k_lo <= k <= n - 1 else None
 
 
 def _representative_key(a: MukaiVector) -> tuple:
@@ -202,11 +206,8 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool =
     |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
     """
     d = p.d
-    clauses = {
-        (a_sq, k): divisorial for a_sq, k, divisorial in _clause_pairs(n) if divisorial or not divisorial_only
-    }
-    k_max = max(k for _, k in clauses)
-    half_max = max(a_sq for a_sq, _ in clauses) // 2
+    # the largest <v,a> and a^2/2 of any clause kept
+    k_max, half_max = (2, 0) if divisorial_only else (max(n - 1, 2), max(n - 2, 0) // 4)
     v = hilbert_vector(n)
     out = []
     for r in range(-r_max, r_max + 1):
@@ -224,8 +225,8 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool =
                 s_lo, s_hi = s_top - k_max, s_top
             for s in range(max(s_lo, s_top - k_max), min(s_hi, s_top) + 1):
                 a_sq, k = 2 * (q - r * s), s_top - s
-                divisorial = clauses.get((a_sq, k))
-                if divisorial is None:
+                divisorial = _clause_type(n, a_sq, k)
+                if divisorial is None or (divisorial_only and not divisorial):
                     continue
                 for cc in ((c,) if c == 0 else (c, -c)):
                     a = MukaiVector(r, cc, s)

@@ -214,6 +214,18 @@ def test_unknown_env_format_falls_back_to_text(monkeypatch):
     assert out.startswith("Walls for v = (1, 0, -9)")
 
 
+def test_svg_env_format_falls_back_to_text(monkeypatch):
+    # svg is figure's format only; as a table default it means text
+    code, out, _ = run_cli(
+        ["walls", "--n", "4"], env={report.FORMAT_ENV_VAR: "svg"}, monkeypatch=monkeypatch
+    )
+    assert code == 0
+    assert out.startswith("Walls for v = (1, 0, -3)")
+    code, _, err = run_cli(["walls", "--n", "4", "--format", "svg"], monkeypatch=monkeypatch)
+    assert code == 2
+    assert "format 'svg' is not valid for walls output" in err
+
+
 # ---------------------------------------------------------------------------
 # figure
 
@@ -244,6 +256,44 @@ def test_figure_axes_only_when_no_walls():
     _, svg, _ = run_cli(["figure", "--vector", "0,1,0", "--candidates"])
     assert _arc_count(svg) == 0
     ET.fromstring(svg)
+
+
+def _tick_labels(svg_text):
+    root = ET.fromstring(svg_text)
+    ns = "{http://www.w3.org/2000/svg}"
+    return [int(el.text) for el in root.iter(f"{ns}text") if el.attrib.get("text-anchor") == "middle"]
+
+
+@pytest.mark.parametrize(
+    "xrange,step",
+    [("0,1e5", 5000), ("0,1e6", 50000), ("-1e300,-1e299", 5 * 10**298)],
+    ids=["1e5", "1e6", "1e300"],
+)
+def test_figure_wide_window_has_few_ticks(xrange, step):
+    code, svg, _ = run_cli(["figure", "--n", "10", f"--xrange={xrange}"])
+    assert code == 0
+    lo, hi = (float(x) for x in xrange.split(","))
+    slack = (hi - lo) * 1e-9  # float rounding of the window ends
+    ticks = _tick_labels(svg)
+    assert 2 <= len(ticks) <= 21
+    assert all(t % step == 0 and lo - slack <= t <= hi + slack for t in ticks)
+    assert [b - a for a, b in zip(ticks, ticks[1:])] == [step] * (len(ticks) - 1)
+    assert len(svg) < 20000
+
+
+def test_figure_ticks_on_a_default_window():
+    # the fitted window of S^[60] is about 66 wide
+    _, svg, _ = run_cli(["figure", "--n", "60"])
+    ticks = _tick_labels(svg)
+    assert len(ticks) <= 21 and all(t % 5 == 0 for t in ticks)
+
+
+@pytest.mark.parametrize("window", ["--xrange=-1e308,1e308", "--yrange=-1e308,1e308"])
+def test_figure_rejects_infinite_window_width(window):
+    code, out, err = run_cli(["figure", "--n", "10", window])
+    assert code == 2
+    assert out == ""
+    assert "finite width" in err
 
 
 def test_figure_rejects_non_svg_format():

@@ -9,6 +9,7 @@ by the brute-force box oracle at the bottom.
 
 import math
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 from hypothesis import given, settings
@@ -375,19 +376,15 @@ def test_positive_classes_box_oracle(vec, gamma):
     assert fast == box
 
 
-@pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737))])
-def test_positive_classes_rank_scan_oracle(n, gamma):
-    # Walls with thousands of charge levels, whose classes have plane
-    # coordinates in the millions.  Independent enumeration: scan ranks
-    # up to ten times the wall class's, take each c with 0 < lambda < 1
-    # and solve s from u . (v x a) = 0; keep u passing the definition.
-    v = MukaiVector(1, 0, 1 - n)
-    w = _record(hilbert_walls(n), gamma)
+def _rank_scan_classes(v, w):
+    """Positive classes of the wall by a rank scan: ranks up to ten times
+    the wall class's, each c with 0 < lambda < 1, s solved from
+    u . (v x a) = 0, and u kept when it passes the definition."""
     a, x0 = w.a, w.curve.center_x
     normal = (v.c * a.s - v.s * a.c, v.s * a.r - v.r * a.s, v.r * a.c - v.c * a.r)
     denom = v.c - v.r * x0
     assert denom > 0 and normal[2] != 0
-    oracle = set()
+    found = set()
     r_box = 10 * abs(a.r) + 10
     for r in range(-r_box, r_box + 1):
         lo, hi = r * x0, r * x0 + denom  # lo < c < hi
@@ -400,6 +397,41 @@ def test_positive_classes_rank_scan_oracle(n, gamma):
                 continue
             if not u.is_primitive() and mukai_square(u.primitive_part()) <= 0:
                 continue
-            oracle.add(u)
+            found.add(u)
+    return found
+
+
+@pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737))])
+def test_positive_classes_rank_scan_oracle(n, gamma):
+    # Walls with thousands of charge levels, whose classes have plane
+    # coordinates in the millions.
+    v = MukaiVector(1, 0, 1 - n)
+    w = _record(hilbert_walls(n), gamma)
+    oracle = _rank_scan_classes(v, w)
     assert oracle
     assert set(positive_classes(v, w)) == oracle
+
+
+@pytest.mark.parametrize("vec", [(1, 0, -9), (1, 0, -11), (0, 3, -1), (0, 4, -1)])
+def test_decompositions_rank_scan_oracle(vec):
+    # Every multiset of 2 to 4 rank-scanned classes summing to v, found
+    # without charge levels: pairs and triples directly, and a fourth
+    # part by looking up what the triple leaves of v.
+    v = MukaiVector(*vec)
+    zero = MukaiVector(0, 0, 0)
+    walls = [w for w in resolve_walls(v).records if isinstance(w.curve, Semicircle)]
+    assert walls
+    for w in walls:
+        classes = _rank_scan_classes(v, w)
+        assert set(positive_classes(v, w)) == classes
+        oracle = set()
+        for size in (2, 3):
+            for parts in combinations_with_replacement(sorted(classes, key=MukaiVector.as_tuple), size):
+                rest = v - sum(parts, zero)
+                if rest.is_zero():
+                    oracle.add(tuple(sorted(u.as_tuple() for u in parts)))
+                elif size == 3 and rest in classes:
+                    oracle.add(tuple(sorted(u.as_tuple() for u in parts + (rest,))))
+        got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decompositions(v, w, parts_max=4)]
+        assert len(got) == len(set(got))
+        assert set(got) == oracle, (vec, w.a)

@@ -23,7 +23,7 @@ from k3walls import (
     transport_walls,
     wall_locus,
 )
-from k3walls.walls import _slope_classes
+from k3walls.walls import _clause_type, _slope_classes
 
 F = Fraction
 
@@ -96,6 +96,34 @@ def test_wall_classes_solve_the_criterion():
             assert _criterion_clause(n, sq, k) is not None
             # span(v, a) is hyperbolic: <v,a>^2 - v^2 a^2 > 0
             assert k * k - 2 * (n - 1) * sq > 0
+
+
+def _clause_list(n):
+    """{(a^2, <v,a>): divisorial} for every clause of the wall criterion,
+    written out clause by clause."""
+    clauses = {(-2, 0): True, (0, 1): True, (0, 2): True}
+    for k in range(1, n):
+        clauses[(-2, k)] = False
+    for k in range(3, n):
+        clauses[(0, k)] = False
+    for a_sq in range(2, n, 2):
+        if 2 * a_sq < n - 1:
+            for k in range(2 * a_sq + 1, n):
+                clauses[(a_sq, k)] = False
+    return clauses
+
+
+def test_clause_type_matches_clause_list():
+    """The closed-form clause test agrees with the written-out clause list
+    on a grid around every clause, and the scan bounds k_max and
+    A_max/2 are the largest <v,a> and a^2/2 of any clause."""
+    for n in range(2, 81):
+        clauses = _clause_list(n)
+        for a_sq in range(-6, n + 4):
+            for k in range(-3, n + 4):
+                assert _clause_type(n, a_sq, k) == clauses.get((a_sq, k)), (n, a_sq, k)
+        assert max(k for _, k in clauses) == max(n - 1, 2)
+        assert max(a_sq for a_sq, _ in clauses) // 2 == max(n - 2, 0) // 4
 
 
 def _brute_clause_classes(n, r_max, d):
