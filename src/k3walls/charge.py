@@ -173,11 +173,11 @@ def wall_locus(v: MukaiVector, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFAC
                 raise ValueError(f"classes {v} and {a} are proportional; the wall is undefined")
             raise ValueError(f"wall of {v} and {a} does not meet the upper half plane")
         return VerticalLine(Fraction(-C, B))
-    center = Fraction(B, 2 * d * P)
-    radius_sq = center * center + Fraction(C, d * P)
-    if radius_sq <= 0:
+    # radius^2 = center^2 + C/(dP) over the common denominator (2dP)^2
+    radius_num = B * B + 4 * d * P * C
+    if radius_num <= 0:
         raise ValueError(f"wall of {v} and {a} does not meet the upper half plane")
-    return Semicircle(center, radius_sq)
+    return Semicircle(Fraction(B, 2 * d * P), Fraction(radius_num, 4 * d * d * P * P))
 
 
 class _Degenerate:
@@ -195,15 +195,20 @@ def path_intersection(curve: WallCurve, x0: Fraction):
 
     Returns the exact rational y^2, or None when the path misses the
     wall, or the DEGENERATE marker when the path runs along a vertical
-    wall.
+    wall.  A miss is decided from the sign of the integer numerator of
+    radius^2 - (x0 - center)^2; a Fraction is built only for a hit.
     """
-    x0 = Fraction(x0)
+    if not isinstance(x0, Fraction):
+        x0 = Fraction(x0)
     if isinstance(curve, VerticalLine):
         return DEGENERATE if x0 == curve.x0 else None
-    y_sq = curve.radius_sq - (x0 - curve.center_x) ** 2
-    if y_sq <= 0:
+    e, rho_sq = curve.center_x, curve.radius_sq
+    q = x0.denominator * e.denominator  # (x0 - e) = offset / q
+    offset = x0.numerator * e.denominator - e.numerator * x0.denominator
+    y_sq_num = rho_sq.numerator * q * q - offset * offset * rho_sq.denominator
+    if y_sq_num <= 0:
         return None
-    return y_sq
+    return Fraction(y_sq_num, rho_sq.denominator * q * q)
 
 
 @dataclass(frozen=True)
@@ -213,21 +218,18 @@ class GeometricCheckResult:
     reason: str
 
 
-def geometric_check(
-    pt: StabilityPoint,
-    p: SurfaceParams = DEFAULT_SURFACE,
-    rank_bound: int = 20,
-) -> GeometricCheckResult:
+def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> GeometricCheckResult:
     """Test whether (x, y) lies in the geometric chamber shared with large volume.
 
-    Points with y > 1 are always geometric.  Below that, a spherical
-    class (r, c, s) with c/r = x and y^2 <= 1/(d r^2) kills geometricity;
-    we scan ranks up to rank_bound for such a witness.  When x is not an
-    exact rational, or no witness exists within the bound, the answer is
-    inconclusive rather than a claim.
+    A spherical class (r, c, s), r > 0, with c/r = x and d*r^2*y^2 <= 1
+    has Z real and non-positive there and kills geometricity; the point
+    is geometric exactly when no such witness exists.  Writing x = a/q in
+    lowest terms, a witness has r = q*t and c = a*t, and spherical means
+    r divides d*c^2 + 1, so t divides d*a^2*t^2 + 1: t = 1.  The only
+    candidate is (q, a, (d*a^2 + 1)/q), so the test is exact for rational
+    x and y^2.  It is inconclusive only when x is flagged irrational or
+    y <= 1 is known only as a float.
     """
-    if rank_bound < 1:
-        raise ValueError("rank_bound must be positive")
     y_sq = pt.y_square()
     if pt.y_exact:
         if y_sq > 1:
@@ -238,27 +240,19 @@ def geometric_check(
         return GeometricCheckResult("inconclusive", None, "y <= 1 known only approximately")
     if not pt.x_exact:
         return GeometricCheckResult("inconclusive", None, "x is flagged irrational; no integral witness can match it")
-    q = pt.x.denominator
-    for r in range(q, rank_bound + 1, q):
-        c_frac = pt.x * r
-        c = int(c_frac)  # exact: q divides r
-        num = p.d * c * c + 1
-        if num % r != 0:
-            continue
-        s = num // r
-        if y_sq <= Fraction(1, p.d * r * r):
-            witness = MukaiVector(r, c, s)
-            # by construction the witness is spherical
-            assert mukai_square(witness, p) == -2
-            return GeometricCheckResult(
-                "obstructed",
-                witness,
-                f"spherical class {witness} is destabilized at y^2 = {y_sq}",
-            )
+    r, c = pt.x.denominator, pt.x.numerator
+    num = p.d * c * c + 1
+    if num % r == 0 and p.d * r * r * y_sq <= 1:
+        witness = MukaiVector(r, c, num // r)
+        # by construction the witness is spherical
+        assert mukai_square(witness, p) == -2
+        return GeometricCheckResult(
+            "obstructed",
+            witness,
+            f"spherical class {witness} is destabilized at y^2 = {y_sq}",
+        )
     return GeometricCheckResult(
-        "inconclusive",
-        None,
-        f"no spherical witness of rank <= {rank_bound}; a wall-level test is needed",
+        "ok", None, f"no spherical class (r, c, s) with c/r = {pt.x} and d*r^2*y^2 <= 1 exists"
     )
 
 

@@ -4,8 +4,11 @@ Every command first builds a plain-JSON payload (dicts, lists, ints,
 strings; rationals as {"num": n, "den": d} in lowest terms with positive
 denominator).  The text and csv renderers are pure functions of that
 payload, so re-rendering a parsed JSON file reproduces the direct text
-output byte for byte.  Floats appear only where a display column asks
-for them (the y column of path output) and in SVG geometry.
+output byte for byte.  The renderers read the {"num", "den"} pairs as
+they are: frac_str relies on them being in lowest terms, and a float is
+num / den, which Python rounds correctly, as float(Fraction) does.
+Floats appear only where a display column asks for them (the y column
+of path output) and in SVG geometry.
 """
 
 from __future__ import annotations
@@ -42,13 +45,17 @@ def frac_json(q: Fraction) -> dict:
     return {"num": q.numerator, "den": q.denominator}
 
 
-def frac_of_json(obj) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
+def _ratio_str(num: int, den: int) -> str:
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def frac_str(q) -> str:
-    q = frac_of_json(q) if isinstance(q, dict) else Fraction(q)
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+    """q written "n" or "n/d": a payload rational, read as it is (payload
+    rationals are in lowest terms), or anything Fraction accepts."""
+    if isinstance(q, dict):
+        return _ratio_str(q["num"], q["den"])
+    q = Fraction(q)
+    return _ratio_str(q.numerator, q.denominator)
 
 
 def curve_json(curve) -> Optional[dict]:
@@ -140,26 +147,26 @@ def decompose_payload(
 
 def _expanded_circle(center, radius_sq) -> str:
     """x^2 + Bx + y^2 = C with B = -2*center, C = radius_sq - center^2."""
-    e = frac_of_json(center)
-    rho_sq = frac_of_json(radius_sq)
-    b = -2 * e
-    c = rho_sq - e * e
+    en, ed = center["num"], center["den"]
+    rn, rd = radius_sq["num"], radius_sq["den"]
+    b = Fraction(-2 * en, ed)
+    c = Fraction(rn * ed * ed - en * en * rd, rd * ed * ed)
     if b == 0:
         lhs = "x^2 + y^2"
     else:
         coeff = frac_str(abs(b))
-        term = f"{coeff}x" if abs(b).denominator == 1 else f"{coeff} x"
+        term = f"{coeff}x" if b.denominator == 1 else f"{coeff} x"
         lhs = f"x^2 {'+' if b > 0 else '-'} {term} + y^2"
     return f"{lhs} = {frac_str(c)}"
 
 
 def _centered_circle(center, radius_sq) -> str:
-    e = frac_of_json(center)
-    if e == 0:
+    en, ed = center["num"], center["den"]
+    if en == 0:
         lhs = "x^2 + y^2"
     else:
-        lhs = f"(x {'-' if e > 0 else '+'} {frac_str(abs(e))})^2 + y^2"
-    return f"{lhs} = {frac_str(frac_of_json(radius_sq))}"
+        lhs = f"(x {'-' if en > 0 else '+'} {_ratio_str(abs(en), ed)})^2 + y^2"
+    return f"{lhs} = {frac_str(radius_sq)}"
 
 
 def curve_equation(curve: Optional[dict], vector: list) -> str:
@@ -231,7 +238,7 @@ def _path_rows(payload: dict) -> list[tuple]:
             _gamma_str(hit["gamma"]),
             hit["a"],
             frac_str(hit["y_sq"]),
-            f"{math.sqrt(float(frac_of_json(hit['y_sq']))):.{digits}f}",
+            f"{math.sqrt(hit['y_sq']['num'] / hit['y_sq']['den']):.{digits}f}",
         )
         for hit in payload["hits"]
     ]

@@ -15,7 +15,7 @@ import math
 from fractions import Fraction
 from typing import Optional
 
-from .report import frac_of_json, frac_str
+from .report import frac_str
 
 WIDTH = 800
 HEIGHT = 480
@@ -41,25 +41,32 @@ PALETTE = (
 )
 
 
+def _float(q: dict) -> float:
+    """A payload rational as a float, num / den (correctly rounded)."""
+    return q["num"] / q["den"]
+
+
 def _curve_extent(curve: dict) -> tuple[float, float, float]:
     """(x lo, x hi, top y) of one wall curve in plane coordinates."""
     if curve["kind"] == "vertical_line":
-        x0 = float(frac_of_json(curve["x0"]))
+        x0 = _float(curve["x0"])
         return x0, x0, 0.0
-    center = float(frac_of_json(curve["center"]))
-    radius = math.sqrt(float(frac_of_json(curve["radius_sq"])))
+    center = _float(curve["center"])
+    radius = math.sqrt(_float(curve["radius_sq"]))
     return center - radius, center + radius, radius
 
 
 def _above_marker(wall: dict, marker_sq: Fraction) -> bool:
     """Does the wall reach above the marker line?  Vertical lines always
-    do; semicircles need radius^2 > marker^2 (exact comparison)."""
+    do; semicircles need radius^2 > marker^2 (exact cross-multiplication;
+    both denominators are positive)."""
     curve = wall["curve"]
     if curve is None:
         return False
     if curve["kind"] == "vertical_line":
         return True
-    return frac_of_json(curve["radius_sq"]) > marker_sq
+    rho_sq = curve["radius_sq"]
+    return rho_sq["num"] * marker_sq.denominator > marker_sq.numerator * rho_sq["den"]
 
 
 def default_ranges(walls: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:

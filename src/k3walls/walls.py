@@ -21,16 +21,22 @@ isotropic class with <v,a> = 0 (the Lagrangian fibration), whose
 numerical wall misses the upper half plane, so that record carries no
 curve.
 
-The Hilbert clause classes are listed once, up to |rank(a)| <= 2 * r_max
-(default r_max = 4n), and the search is flagged incomplete when the walls
-within r_max and within 2 * r_max differ.  That listing is one scan of
-lattice points (r, c, s), rank first: writing s = r(n-1) - <v,a>, every
-clause reads d*c^2 = r*s + a^2/2, so each rank leaves a window of about
-sqrt(n) values of c (two isqrt calls), each c leaves the s with r*s
-within (n-1)/4 + 1 of d*c^2 (at most one once |r| > (n-1)/4 + 1), and
-a closed-form test of (a^2, <v,a>) against the clauses keeps or drops
-the point.  A search at rank bound R thus visits about R*sqrt(n) points
-instead of passing over the ranks once per clause (about n^2/4 clauses).
+The Hilbert search works up to |rank(a)| <= 2 * r_max (default
+r_max = 4n) and is flagged incomplete when the walls within r_max and
+within 2 * r_max differ.  It first finds gamma_max from the divisorial
+clauses alone (a few points per rank), so a cap too small to reach the
+cone boundary raises at once.  It then lists the clause classes in one
+scan of lattice points (r, c, s), rank first: writing
+s = r(n-1) - <v,a>, every clause reads d*c^2 = r*s + a^2/2, so each rank
+leaves a window of about sqrt(n) values of c (two isqrt calls), each c
+leaves the s with r*s within (n-1)/4 + 1 of d*c^2 (at most one once
+|r| > (n-1)/4 + 1), and a closed-form test of (a^2, <v,a>) against the
+clauses keeps or drops the point.  A search at rank bound R thus visits
+about R*sqrt(n) points instead of passing over the ranks once per clause
+(about n^2/4 clauses).  Slopes are coprime integer pairs throughout the
+scan: a class outside [0, gamma_max] is dropped by cross-multiplication
+before any MukaiVector is built, walls are grouped by the pair, and one
+Fraction is made per wall, for its record.
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
 so its completeness is a proof.
@@ -137,23 +143,26 @@ def hilbert_n_of(v: MukaiVector) -> Optional[int]:
     return None
 
 
-def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> Fraction:
-    """Slope of the wall of (v, a) in the movable cone of S^[n].
+def _slope(n: int, r: int, c: int, s: int, d: int) -> tuple[int, int]:
+    """The slope of the wall of (v, a), a = (r, c, s), in the movable cone
+    of S^[n] as a coprime pair (num, den), den > 0: gamma = -2dc / (r(n-1) + s).
 
     The wall's image is the ray through theta(w), where w spans the rank
     one lattice orthogonal to both v = (1, 0, 1-n) and a.
     """
-    rw = 2 * p.d * a.c
-    cw = a.r * (n - 1) + a.s
-    if rw == 0 and cw == 0:
-        raise ValueError(f"class {a} is proportional to (1, 0, {1 - n}); no wall")
-    g = math.gcd(abs(rw), abs(cw))
-    rw, cw = rw // g, cw // g
-    if cw > 0:  # normalize so the h_tilde coordinate -cw is positive
-        rw, cw = -rw, -cw
-    if cw == 0:
+    num, den = -2 * d * c, r * (n - 1) + s
+    if den == 0:
+        a = MukaiVector(r, c, s)
+        if num == 0:
+            raise ValueError(f"class {a} is proportional to (1, 0, {1 - n}); no wall")
         raise ValueError(f"wall of {a} does not meet the movable-cone chart")
-    return Fraction(rw, -cw)
+    g = math.gcd(num, den)
+    return (num // g, den // g) if den > 0 else (-num // g, -den // g)
+
+
+def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> Fraction:
+    """Slope of the wall of (v, a) in the movable cone of S^[n] (see _slope)."""
+    return Fraction(*_slope(n, a.r, a.c, a.s, p.d))
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +202,15 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
     return MukaiVector(-1, m, 1 - n)
 
 
-def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool = False) -> list:
-    """(class, divisorial clause, slope) for every clause class with |r| <= r_max.
+def _slope_classes(
+    n: int,
+    r_max: int,
+    p: SurfaceParams,
+    divisorial_only: bool = False,
+    gamma_max: Optional[tuple[int, int]] = None,
+) -> list:
+    """(class, divisorial clause, slope) for every clause class with |r| <= r_max,
+    the slope a coprime pair (num, den) as _slope gives it.
 
     One scan of lattice points a = (r, c, s), rank first.  With
     k = <v,a> = r(n-1) - s and A = a^2 the clause equation reads
@@ -204,6 +220,10 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool =
     rank), and for each c the s with r*s in [d*c^2 - A_max/2, d*c^2 + 1]
     come from exact floor and ceiling division (at most one once
     |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
+
+    With gamma_max = (P, Q) the scan keeps only slopes in [0, P/Q], decided
+    by _in_cone before any MukaiVector is built; as the slope is
+    -2dc / (r(n-1) + s), 2d|c| <= (P/Q)(2|r|(n-1) + k_max) caps |c| per rank.
     """
     d = p.d
     # the largest <v,a> and a^2/2 of any clause kept
@@ -215,7 +235,10 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool =
         rs_ends = (r * s_top, r * (s_top - k_max))
         lo, hi = min(rs_ends) - 1, max(rs_ends) + half_max  # bounds on d*c^2
         c_lo = 0 if lo <= 0 else math.isqrt(-(-lo // d) - 1) + 1
-        for c in range(c_lo, math.isqrt(hi // d) + 1):
+        c_hi = math.isqrt(hi // d)
+        if gamma_max is not None:
+            c_hi = min(c_hi, gamma_max[0] * (2 * abs(r) * (n - 1) + k_max) // (2 * d * gamma_max[1]))
+        for c in range(c_lo, c_hi + 1):
             q = d * c * c
             if r > 0:
                 s_lo, s_hi = -(-(q - half_max) // r), (q + 1) // r
@@ -228,14 +251,37 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, divisorial_only: bool =
                 divisorial = _clause_type(n, a_sq, k)
                 if divisorial is None or (divisorial_only and not divisorial):
                     continue
-                for cc in ((c,) if c == 0 else (c, -c)):
-                    a = MukaiVector(r, cc, s)
-                    if not a.is_primitive():
+                if math.gcd(r, c, s) != 1:
+                    continue
+                num, den = _slope(n, r, c, s, d)  # (r, -c, s) has slope (-num, den)
+                for cc, slope in ((c, (num, den)),) if c == 0 else ((c, (num, den)), (-c, (-num, den))):
+                    if gamma_max is not None and not _in_cone(slope, gamma_max):
                         continue
+                    a = MukaiVector(r, cc, s)
                     assert mukai_square(a, p) == a_sq
                     assert mukai_pairing(v, a, p) == k
-                    out.append((a, divisorial, gamma_of_wall(n, a, p)))
+                    out.append((a, divisorial, slope))
     return out
+
+
+def _in_cone(slope: tuple[int, int], gamma_max: tuple[int, int]) -> bool:
+    """0 <= slope <= gamma_max for coprime pairs with positive denominators."""
+    return slope[0] >= 0 and slope[0] * gamma_max[1] <= gamma_max[0] * slope[1]
+
+
+def _cone_bound(n: int, boundary: list, r_max: int, p: SurfaceParams) -> tuple[int, int]:
+    """gamma_max as a coprime pair: the smallest positive slope of a
+    divisorial class with |r| <= r_max (from the divisorial-only scan
+    boundary) or of the Lagrangian class."""
+    slopes = [gamma for a, _, gamma in boundary if abs(a.r) <= r_max and gamma[0] > 0]
+    lag = _lagrangian_class(n, p)
+    if lag is not None:
+        slopes.append(_slope(n, lag.r, lag.c, lag.s, p.d))
+    if not slopes:
+        raise ValueError(
+            f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
+        )
+    return min(slopes, key=lambda slope: Fraction(*slope))
 
 
 def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
@@ -243,29 +289,18 @@ def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    gamma_max, _ = _wall_groups(n, _slope_classes(n, r_max, p, divisorial_only=True), r_max, p)
-    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=gamma_max)
+    gamma_max = _cone_bound(n, _slope_classes(n, r_max, p, divisorial_only=True), r_max, p)
+    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
 
 
-def _wall_groups(n: int, classes: list, r_max: int, p: SurfaceParams) -> tuple[Fraction, dict]:
-    """gamma_max plus {gamma: [(class, divisorial_clause), ...]} for the
-    classes with |r| <= r_max; gamma_max is the smallest positive slope of
-    a divisorial class or of the Lagrangian class."""
-    classes = [entry for entry in classes if abs(entry[0].r) <= r_max]
-    slopes = [gamma for _, divisorial, gamma in classes if divisorial and gamma > 0]
-    lag = _lagrangian_class(n, p)
-    if lag is not None:
-        slopes.append(gamma_of_wall(n, lag, p))
-    if not slopes:
-        raise ValueError(
-            f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
-        )
-    gamma_max = min(slopes)
-    groups: dict[Fraction, list[tuple[MukaiVector, bool]]] = {}
+def _wall_groups(classes: list, r_max: int, gamma_max: tuple[int, int]) -> dict:
+    """{slope: [(class, divisorial_clause), ...]} for the classes with
+    |r| <= r_max and slope in [0, gamma_max], slopes as coprime pairs."""
+    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
     for a, divisorial, gamma in classes:
-        if 0 <= gamma <= gamma_max:
+        if abs(a.r) <= r_max and _in_cone(gamma, gamma_max):
             groups.setdefault(gamma, []).append((a, divisorial))
-    return gamma_max, groups
+    return groups
 
 
 def hilbert_walls(
@@ -283,14 +318,15 @@ def hilbert_walls(
     """
     v = hilbert_vector(n)
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    classes = _slope_classes(n, 2 * r_max, p)
-    gamma_max, groups = _wall_groups(n, classes, r_max, p)
-    gamma_max_2, groups_2 = _wall_groups(n, classes, 2 * r_max, p)
-    complete = gamma_max == gamma_max_2 and set(groups) == set(groups_2)
+    boundary = _slope_classes(n, 2 * r_max, p, divisorial_only=True)
+    gamma_max = _cone_bound(n, boundary, r_max, p)
+    gamma_max_2 = _cone_bound(n, boundary, 2 * r_max, p)
+    classes = _slope_classes(n, 2 * r_max, p, gamma_max=gamma_max)
+    groups = _wall_groups(classes, r_max, gamma_max)
+    complete = gamma_max == gamma_max_2 and set(groups) == set(_wall_groups(classes, 2 * r_max, gamma_max))
 
     records = []
-    for gamma in sorted(groups):
-        classes = groups[gamma]
+    for gamma, classes in groups.items():
         rep = min((a for a, _ in classes), key=_representative_key)
         divisorial = any(flag for _, flag in classes)
         try:
@@ -305,21 +341,22 @@ def hilbert_walls(
                 a=rep,
                 a_sq=mukai_square(rep, p),
                 pairing_va=mukai_pairing(v, rep, p),
-                gamma=gamma,
+                gamma=Fraction(*gamma),
                 curve=curve,
                 wall_type="divisorial" if divisorial else "flopping",
             )
         )
+    records.sort(key=lambda rec: rec.gamma)
     lag = _lagrangian_class(n, p)
     if lag is not None:
-        gamma = gamma_of_wall(n, lag, p)
+        gamma = _slope(n, lag.r, lag.c, lag.s, p.d)
         assert gamma == gamma_max, "Lagrangian boundary must realize the cone boundary"
         records.append(
             WallRecord(
                 a=lag,
                 a_sq=0,
                 pairing_va=0,
-                gamma=gamma,
+                gamma=Fraction(*gamma_max),
                 curve=None,
                 wall_type="boundary_lagrangian",
             )

@@ -1,9 +1,10 @@
 """Central charge values, wall loci, path crossings, geometric checks."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from k3walls import (
     DEGENERATE,
@@ -112,6 +113,26 @@ def test_path_intersection():
     assert path_intersection(line, F(1)) is None
 
 
+fractions = st.fractions(min_value=-20, max_value=20, max_denominator=40)
+
+
+@given(fractions, st.fractions(min_value=F(1, 50), max_value=60, max_denominator=60),
+       st.one_of(st.integers(-20, 20), fractions, fractions.map(str)))
+@example(F(0), F(4), 2)  # tangency is not a crossing
+@example(F(-1, 2), F(1, 4), "-1/2")
+def test_path_intersection_oracle(center, radius_sq, x0):
+    """y^2 = R - (x0 - e)^2 when that is positive, else None; x0 may be an
+    int, a str or a Fraction."""
+    expected = radius_sq - (F(x0) - center) ** 2
+    got = path_intersection(Semicircle(center, radius_sq), x0)
+    if expected > 0:
+        assert type(got) is F and got == expected
+    else:
+        assert got is None
+    line = VerticalLine(center)
+    assert path_intersection(line, x0) is (DEGENERATE if F(x0) == center else None)
+
+
 def test_geometric_check_ok_above_one():
     res = geometric_check(StabilityPoint(F(-3), y_sq=F(15)))
     assert res.status == "ok"
@@ -136,10 +157,46 @@ def test_geometric_check_obstructed_at_rational_x():
 def test_geometric_check_inconclusive():
     assert geometric_check(StabilityPoint(F(0), y_sq=F(1, 4), x_exact=False)).status == "inconclusive"
     assert geometric_check(StabilityPoint(F(0), y_approx=0.5)).status == "inconclusive"
-    # witness would need rank above the bound (x = 1/30 needs rank 30)
-    assert geometric_check(StabilityPoint(F(1, 30), y_sq=F(1, 2000)), rank_bound=20).status == "inconclusive"
-    with pytest.raises(ValueError):
-        geometric_check(StabilityPoint(F(0), y_sq=F(1, 4)), rank_bound=0)
+
+
+def test_geometric_check_ok_without_witness():
+    # (1/2, 1/2): the rank-2 witness (2, 1, 1) needs y^2 <= 1/4;
+    # x = 1/3 and x = 1/30 carry no spherical class at all
+    for x, y_sq in ((F(1, 2), F(1, 2)), (F(1, 3), F(1, 100)), (F(1, 30), F(1, 2000))):
+        res = geometric_check(StabilityPoint(x, y_sq=y_sq))
+        assert (res.status, res.witness) == ("ok", None), (x, y_sq)
+
+
+def _brute_witnesses(x, y_sq, d):
+    """Spherical (r, c, s), r > 0, with c = x*r and d*r^2*y^2 <= 1, by a
+    scan of every rank up to isqrt(floor(1 / (d*y^2))) and every c and s
+    in a box around the line."""
+    found = set()
+    r_top = math.isqrt(math.floor(1 / (d * y_sq)))
+    for r in range(1, r_top + 1):
+        for c in range(math.floor(x * r) - 1, math.ceil(x * r) + 2):
+            for s in range(-2, (d * c * c + 1) // r + 2):
+                if d * c * c - r * s == -1 and c == x * r:
+                    found.add(MukaiVector(r, c, s))
+    return found
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_geometric_check_brute_force(d):
+    """Obstructed exactly when a brute-force scan finds a witness, and then
+    with that witness; ok otherwise."""
+    p = SurfaceParams(d)
+    xs = {F(a, q) for q in range(1, 13) for a in range(-2 * q, 2 * q + 1)}
+    y_sqs = {F(k, m) for m in (1, 2, 3, 5, 9, 16, 50, 144, 400) for k in range(1, 6)} | {F(1, d * 36)}
+    for x in sorted(xs):
+        for y_sq in sorted(y_sqs):
+            expected = _brute_witnesses(x, y_sq, d)
+            assert len(expected) <= 1
+            res = geometric_check(StabilityPoint(x, y_sq=y_sq), p)
+            if expected:
+                assert (res.status, {res.witness}) == ("obstructed", expected), (x, y_sq)
+            else:
+                assert (res.status, res.witness) == ("ok", None), (x, y_sq)
 
 
 def test_discriminant_values():

@@ -168,6 +168,18 @@ def test_walls_json_fields():
 # output routing and formats
 
 
+def test_frac_str_on_payload_rationals_ints_and_fractions():
+    """frac_str writes what str(Fraction) writes, whether it is given a
+    payload pair, an int or a Fraction."""
+    values = [Fraction(a, b) for a in range(-13, 14) for b in (1, 2, 3, 7, 12, 10**20 + 1)]
+    for q in values + [Fraction(-(2**70) - 1, 3**40)]:
+        assert report.frac_str(report.frac_json(q)) == str(q)
+        assert report.frac_str(q) == str(q)
+    for k in (0, 1, -1, 17, -(10**30)):
+        assert report.frac_str(k) == str(k)
+        assert report.frac_str({"num": k, "den": 1}) == str(k)
+
+
 def test_output_flag_writes_file(tmp_path, monkeypatch):
     monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
     target = tmp_path / "walls.txt"
@@ -345,6 +357,8 @@ def test_usage_errors_exit_two(argv):
         # checked before the search, which fails for n = 22
         (["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"], "--parts-max must be at least 2"),
         (["walls", "--vector", "0,2,-1", "--candidates", "--ymin", "0"], "give r_max"),
+        # the cone bound is searched first, so a large n answers at once
+        (["walls", "--n", "32000", "--rmax", "1"], "no movable-cone boundary class found for n=32000"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):

@@ -151,18 +151,30 @@ def _brute_clause_classes(n, r_max, d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_slope_classes_match_brute_force(d):
     """The rank-first lattice scan finds exactly the primitive classes of
-    a brute-force scan, with the same divisorial flags."""
+    a brute-force scan, with the same divisorial flags and slopes; with a
+    cone bound it keeps exactly the classes of slope in [0, gamma_max],
+    gamma_max taken from the brute-force divisorial classes."""
     p = SurfaceParams(d=d)
     for n in (2, 3, 4, 5, 7, 10, 13, 17, 22, 29, 32, 40):
         oracle = _brute_clause_classes(n, 2 * n, d)
+        slopes = {a: F(-2 * d * a[1], a[0] * (n - 1) + a[2]) for a, _ in oracle}
+        m = math.isqrt((n - 1) // d)
+        lagrangian = [F(d * m, n - 1)] if d * m * m == n - 1 else []  # slope of (-1, m, 1-n)
         for r_max in sorted({1, 3, n, 2 * n}):
-            for divisorial_only in (False, True):
-                expected = {
-                    (a, flag) for a, flag in oracle if abs(a[0]) <= r_max and (flag or not divisorial_only)
-                }
-                scanned = [(a.as_tuple(), flag) for a, flag, _ in _slope_classes(n, r_max, p, divisorial_only)]
-                assert len(scanned) == len(set(scanned))
-                assert set(scanned) == expected, (n, r_max, divisorial_only)
+            within = {(a, flag) for a, flag in oracle if abs(a[0]) <= r_max}
+            cases = [(False, None, within), (True, None, {(a, flag) for a, flag in within if flag})]
+            boundary = [slopes[a] for a, flag in within if flag and slopes[a] > 0] + lagrangian
+            if boundary:
+                top = min(boundary)
+                in_cone = {(a, flag) for a, flag in within if 0 <= slopes[a] <= top}
+                cases.append((False, (top.numerator, top.denominator), in_cone))
+            for divisorial_only, gamma_max, expected in cases:
+                scanned = _slope_classes(n, r_max, p, divisorial_only, gamma_max)
+                found = [(a.as_tuple(), flag) for a, flag, _ in scanned]
+                assert len(found) == len(set(found))
+                assert set(found) == expected, (n, r_max, divisorial_only, gamma_max)
+                for a, _, (num, den) in scanned:
+                    assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == slopes[a.as_tuple()]
 
 
 def test_doubling_stabilization():
@@ -179,6 +191,16 @@ def test_small_rmax_reports_incomplete():
     search = hilbert_walls(10, SearchBounds(r_max=1))
     assert not search.complete
     assert len(search.records) < 12
+
+
+def test_large_n_without_cone_bound_raises():
+    """The cone bound is searched first, on the divisorial clauses alone,
+    so a rank cap that finds no boundary class raises before the full
+    clause scan (which at n = 32000 would visit millions of points)."""
+    for n in (32000, 100000):
+        with pytest.raises(ValueError, match=f"no movable-cone boundary class found for n={n} within "
+                                             r"\|r\| <= 1; increase r_max"):
+            hilbert_walls(n, SearchBounds(r_max=1))
 
 
 def test_transport_table():
