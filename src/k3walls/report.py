@@ -1,10 +1,12 @@
 """Payloads and renderers for the command line interface.
 
-Every command first builds a plain-JSON payload (dicts, lists, ints,
-strings; rationals as {"num": n, "den": d} in lowest terms with positive
-denominator).  The text and csv renderers are pure functions of that
-payload, so re-rendering a parsed JSON file reproduces the direct text
-output byte for byte.  The renderers read the {"num", "den"} pairs as
+Every command first builds a plain-JSON payload whose values are
+str-keyed dicts, lists, ints, strs, bools and None; rationals are
+{"num": n, "den": d} in lowest terms with positive denominator.  The
+text and csv renderers are pure functions of that payload, so
+re-rendering a parsed JSON file reproduces the direct text output byte
+for byte, and render_json writes the bytes of json.dumps(payload,
+indent=2) plus a newline.  The renderers read the {"num", "den"} pairs as
 they are: frac_str relies on them being in lowest terms, and a float is
 num / den, which Python rounds correctly, as float(Fraction) does.
 Floats appear only where a display column asks for them (the y column
@@ -13,11 +15,11 @@ of path output) and in SVG geometry.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from fractions import Fraction
 from io import StringIO
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Optional
 
 import csv
@@ -41,7 +43,7 @@ def default_format() -> str:
 
 
 def frac_json(q: Fraction) -> dict:
-    q = Fraction(q)
+    """q (a Fraction or an int) as a payload rational."""
     return {"num": q.numerator, "den": q.denominator}
 
 
@@ -149,15 +151,18 @@ def _expanded_circle(center, radius_sq) -> str:
     """x^2 + Bx + y^2 = C with B = -2*center, C = radius_sq - center^2."""
     en, ed = center["num"], center["den"]
     rn, rd = radius_sq["num"], radius_sq["den"]
-    b = Fraction(-2 * en, ed)
-    c = Fraction(rn * ed * ed - en * en * rd, rd * ed * ed)
-    if b == 0:
+    g = math.gcd(2 * en, ed)
+    bn, bd = -2 * en // g, ed // g
+    cn, cd = rn * ed * ed - en * en * rd, rd * ed * ed
+    g = math.gcd(cn, cd)
+    cn, cd = cn // g, cd // g
+    if bn == 0:
         lhs = "x^2 + y^2"
     else:
-        coeff = frac_str(abs(b))
-        term = f"{coeff}x" if b.denominator == 1 else f"{coeff} x"
-        lhs = f"x^2 {'+' if b > 0 else '-'} {term} + y^2"
-    return f"{lhs} = {frac_str(c)}"
+        coeff = _ratio_str(abs(bn), bd)
+        term = f"{coeff}x" if bd == 1 else f"{coeff} x"
+        lhs = f"x^2 {'+' if bn > 0 else '-'} {term} + y^2"
+    return f"{lhs} = {_ratio_str(cn, cd)}"
 
 
 def _centered_circle(center, radius_sq) -> str:
@@ -357,8 +362,39 @@ def render_decompose_csv(payload: dict) -> str:
 # dispatch
 
 
+def _json(value, newline: str) -> str:
+    """value as json.dumps(value, indent=2) writes it, nested at the
+    indent that newline (a newline and spaces) carries.  Only the payload
+    types themselves are written; anything else raises TypeError."""
+    kind = type(value)
+    if kind is str:
+        return _json_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_json_str(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_json(item, inner) for item in value]) + newline + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise TypeError(f"Object of type {kind.__name__} is not a payload value")
+
+
 def render_json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """json.dumps(payload, indent=2) + "\n", written without the pure-Python
+    encoder that json falls back to when given an indent."""
+    return _json(payload, "\n") + "\n"
 
 
 _TEXT = {"walls": render_walls_text, "path": render_path_text, "decompose": render_decompose_text}

@@ -39,7 +39,9 @@ before any MukaiVector is built, walls are grouped by the pair, and one
 Fraction is made per wall, for its record.
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
-so its completeness is a proof.
+so its completeness is a proof.  Its scan is in integers too: the
+buckets are keyed by radius^2 as a coprime pair, and one Fraction is
+made per record.
 """
 
 from __future__ import annotations
@@ -438,38 +440,48 @@ def _candidate_rank_bound(m: int, y_min: Fraction, p: SurfaceParams) -> Optional
 
 def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfaceParams) -> dict:
     """{radius_sq: [classes]} for the torsion destabilizer search, w
-    sign-normalized with w.c > 0.
+    sign-normalized with w.c > 0, radius_sq a coprime integer pair
+    (num, den) with den > 0.
 
     Every wall of w is centered at e = k/(2dm), and at its apex a
     destabilizing class must take an intermediate imaginary part:
     0 < c - r*e < m.  For each rank that window holds m consecutive
     values of c, and the s-interval is exactly what a^2 >= -2 and
     radius^2 > y_min^2 allow, so the scan is finite and misses no wall
-    with a destabilizer of |rank| <= r_max.
+    with a destabilizer of |rank| <= r_max.  With y_min = yn/yd, a^2 >= -2
+    reads r*s <= d*c^2 + 1, and radius^2 > y_min^2 reads s > cut for r > 0
+    and s < cut for r < 0, where cut = (r*cut_r + c*cut_c) / cut_den; the
+    wall has radius^2 = (k^2*r + 4dm(ms - ck)) / (4d^2m^2r).  All of it is
+    integer floor and ceiling division.
     """
     m, k, d = w.c, w.s, p.d
-    center = Fraction(k, 2 * d * m)
-    t_min = y_min * y_min - center * center
-    buckets: dict[Fraction, list[MukaiVector]] = {}
+    yn, yd = y_min.numerator, y_min.denominator
+    cut_r = 4 * d * d * m * m * yn * yn - k * k * yd * yd
+    cut_c = 4 * d * m * k * yd * yd
+    cut_den = 4 * d * m * m * yd * yd
+    buckets: dict[tuple[int, int], list[MukaiVector]] = {}
     for r in range(-r_max, r_max + 1):
         if r == 0:
             continue
-        window = r * center
-        for c in range(math.floor(window) + 1, math.ceil(window + m)):
-            square_cap = Fraction(d * c * c + 1, r)  # from a^2 >= -2: s <= cap (r>0) / s >= cap (r<0)
-            radius_cut = Fraction(t_min * d * r * m + c * k, m)
+        window = r * k // (2 * d * m)  # floor(r*e)
+        for c in range(window + 1, window + m + (r * k % (2 * d * m) != 0)):
+            square_cap = d * c * c + 1
+            radius_cut = r * cut_r + c * cut_c
             if r > 0:
-                s_lo, s_hi = math.floor(radius_cut) + 1, math.floor(square_cap)
+                s_lo, s_hi = radius_cut // cut_den + 1, square_cap // r
             else:
-                s_lo, s_hi = math.ceil(square_cap), math.ceil(radius_cut) - 1
+                s_lo, s_hi = -(-square_cap // r), -(-radius_cut // cut_den) - 1
             for s in range(s_lo, s_hi + 1):
-                a = MukaiVector(r, c, s)
-                if not a.is_primitive():
+                if math.gcd(r, c, s) != 1:
                     continue
-                radius_sq = center * center + Fraction(m * s - c * k, d * r * m)
-                assert radius_sq > y_min * y_min
+                num, den = k * k * r + 4 * d * m * (m * s - c * k), 4 * d * d * m * m * r
+                if r < 0:
+                    num, den = -num, -den
+                g = math.gcd(num, den)
+                a = MukaiVector(r, c, s)
+                assert num * yd * yd > yn * yn * den  # radius^2 > y_min^2
                 assert wall_discriminant(w, a, p) > 0
-                buckets.setdefault(radius_sq, []).append(a)
+                buckets.setdefault((num // g, den // g), []).append(a)
     return buckets
 
 
@@ -507,7 +519,7 @@ def candidate_walls(
     if proven is None and bounds.r_max is None:
         raise ValueError("a candidate search with y_min = 0 has no rank bound; give r_max (--rmax)")
     r_max = min(b for b in (proven, bounds.r_max) if b is not None)
-    buckets = _candidate_buckets(w, r_max, bounds.y_min, p)
+    buckets = {Fraction(*key): classes for key, classes in _candidate_buckets(w, r_max, bounds.y_min, p).items()}
     complete = r_max == proven
     records = []
     for radius_sq in sorted(buckets, reverse=True):

@@ -16,6 +16,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import frozen
 from k3walls import MukaiVector, mukai_pairing, mukai_square, report
@@ -162,6 +163,80 @@ def test_walls_json_fields():
     assert first["curve"] == {"kind": "vertical_line", "x0": {"num": 0, "den": 1}}
     assert first["type"] == "divisorial"
     assert payload["surface"] == {"d": 1}
+
+
+# ---------------------------------------------------------------------------
+# render_json against json.dumps(indent=2)
+
+_json_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€😀') | st.characters(), max_size=8
+)
+_json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | _json_texts,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_json_texts, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_json_trees)
+@example({"": [[], {}, [{}], {"a": [[]]}]})
+def test_render_json_is_json_dumps_indent_2(tree):
+    assert report.render_json(tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (["walls", "--n", "10"], lambda p: p["walls"][0]["type"] == "divisorial"),
+        (["transport", "--n", "10", "--m", "3"], lambda p: p["m"] == 3 and p["source_vector"] == [1, 0, -9]),
+        (["walls", "--vector", "0,3,-1", "--candidates"], lambda p: p["walls"][0]["type"] == "candidate"),
+        (["path", "--n", "10", "--x0", "0"], lambda p: p["on_wall"] == [{"num": 0, "den": 1}]),
+        (["decompose", "--n", "10", "--gamma", "4/13"], lambda p: any("error" in e for e in p["decompositions"])),
+    ],
+)
+def test_render_json_on_every_payload_kind(argv, check, monkeypatch):
+    """The payload the command hands to render_json, against json.dumps."""
+    seen = []
+    real = report.render_json
+    monkeypatch.setattr(report, "render_json", lambda payload: seen.append(payload) or real(payload))
+    code, out, _ = run_cli([*argv, "--format", "json"], monkeypatch=monkeypatch)
+    assert code == 0
+    (payload,) = seen
+    assert check(payload)
+    assert out == json.dumps(payload, indent=2) + "\n"
+
+
+def test_render_json_literals_and_other_types():
+    assert report.render_json({"a": True, "b": [False, None, 1]}) == (
+        '{\n  "a": true,\n  "b": [\n    false,\n    null,\n    1\n  ]\n}\n'
+    )
+    with pytest.raises(TypeError):
+        report.render_json({"x": [0.5]})
+
+
+# ---------------------------------------------------------------------------
+# equation strings against the Fraction formula
+
+
+def _fraction_expanded_circle(center, radius_sq):
+    b, c = -2 * center, radius_sq - center * center
+    if b == 0:
+        lhs = "x^2 + y^2"
+    else:
+        term = f"{abs(b)}x" if b.denominator == 1 else f"{abs(b)} x"
+        lhs = f"x^2 {'+' if b > 0 else '-'} {term} + y^2"
+    return f"{lhs} = {c}"
+
+
+@given(st.fractions(max_denominator=10**6), st.fractions(min_value=0, max_denominator=10**6))
+@example(Fraction(0), Fraction(5))  # b = 0
+@example(Fraction(3, 2), Fraction(1))  # integer b
+@example(Fraction(-7), Fraction(1, 4))  # integer b, negative c
+@example(Fraction(2, 3), Fraction(4, 9))  # c = 0
+@example(Fraction(5, 6), Fraction(1, 9))  # negative c
+def test_expanded_circle_equation(center, radius_sq):
+    curve = {"kind": "semicircle", "center": report.frac_json(center), "radius_sq": report.frac_json(radius_sq)}
+    assert report.curve_equation(curve, [1, 0, -9]) == _fraction_expanded_circle(center, radius_sq)
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@ that decides walls, crossings and stability.
 The wall search (walls.py) and the wall-crossing decompositions
 (crossing.py) stay in integers and Fractions throughout.  In charge.py a
 float appears only in the display members listed in CHARGE_DISPLAY.
+The integer kernels of walls.py build no Fraction at all, and no module
+calls json.dumps with an indent.
 """
 
 import ast
@@ -16,27 +18,43 @@ SRC = Path(k3walls.__file__).parent
 CHARGE_DISPLAY = {"StabilityPoint.y", "ComplexValue.im", "ComplexValue.re_float", "phase"}
 
 
-def _float_calls(source: str) -> list[tuple[str, int]]:
-    """(enclosing qualified name, line) of every float(...), math.sqrt(...)
-    or bare sqrt(...) call in source."""
+def _calls(source: str, matches) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every call node in source for
+    which matches(node) holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call):
-            func = node.func
-            if (
-                (isinstance(func, ast.Name) and func.id in ("float", "sqrt"))
-                or (isinstance(func, ast.Attribute) and func.attr == "sqrt"
-                    and isinstance(func.value, ast.Name) and func.value.id == "math")
-            ):
-                found.append((scope, node.lineno))
+        if isinstance(node, ast.Call) and matches(node):
+            found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _is_float_call(call: ast.Call) -> bool:
+    """float(...), math.sqrt(...) or bare sqrt(...)."""
+    func = call.func
+    return (isinstance(func, ast.Name) and func.id in ("float", "sqrt")) or (
+        isinstance(func, ast.Attribute) and func.attr == "sqrt"
+        and isinstance(func.value, ast.Name) and func.value.id == "math"
+    )
+
+
+def _is_fraction_call(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+
+
+def _is_indented_dumps(call: ast.Call) -> bool:
+    """json.dumps(..., indent=...), which runs json's pure-Python encoder."""
+    func = call.func
+    return (
+        isinstance(func, ast.Attribute) and func.attr == "dumps"
+        and any(kw.arg == "indent" for kw in call.keywords)
+    )
 
 
 def test_guard_sees_float_calls():
@@ -47,19 +65,51 @@ def test_guard_sees_float_calls():
         "class C:\n    def g(self):\n        return math.sqrt(2) + sqrt(3)\n"
         "def h(x):\n    return math.isqrt(x) + x.sqrt_free\n"
     )
-    assert _float_calls(source) == [("f", 4), ("C.g", 7), ("C.g", 7)]
+    assert _calls(source, _is_float_call) == [("f", 4), ("C.g", 7), ("C.g", 7)]
 
 
 def test_wall_search_and_crossings_have_no_float_calls():
     for name in ("walls.py", "crossing.py"):
-        assert _float_calls((SRC / name).read_text()) == [], name
+        assert _calls((SRC / name).read_text(), _is_float_call) == [], name
 
 
 def test_charge_floats_only_in_display_members():
-    calls = _float_calls((SRC / "charge.py").read_text())
+    calls = _calls((SRC / "charge.py").read_text(), _is_float_call)
     assert [(scope, line) for scope, line in calls if scope not in CHARGE_DISPLAY] == []
     # every allow-listed member exists: a stale entry fails here
     for name in CHARGE_DISPLAY:
         target = charge
         for part in name.split("."):
             target = getattr(target, part)
+
+
+# the integer kernels of a wall table build no Fraction, and json output
+# does not go through the pure-Python encoder
+INTEGER_KERNELS = {"_slope_classes", "_candidate_buckets"}
+
+
+def test_guard_sees_fraction_and_indented_dumps_calls():
+    source = (
+        "import json\n"
+        "from fractions import Fraction\n"
+        "def _slope_classes(n):\n    return [Fraction(1, n)]\n"
+        "def _candidate_buckets(w):\n    return {Fraction(w): json.dumps(w, indent=2)}\n"
+        "def other(x):\n    return Fraction(x), json.dumps(x), json.dumps(x, sort_keys=True)\n"
+    )
+    assert [c for c in _calls(source, _is_fraction_call) if c[0] in INTEGER_KERNELS] == [
+        ("_slope_classes", 4),
+        ("_candidate_buckets", 6),
+    ]
+    assert _calls(source, _is_indented_dumps) == [("_candidate_buckets", 6)]
+
+
+def test_integer_kernels_build_no_fraction():
+    calls = _calls((SRC / "walls.py").read_text(), _is_fraction_call)
+    assert [c for c in calls if c[0] in INTEGER_KERNELS] == []
+    tree = ast.parse((SRC / "walls.py").read_text())
+    assert INTEGER_KERNELS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+def test_no_indented_json_dumps():
+    for path in sorted(SRC.glob("*.py")):
+        assert _calls(path.read_text(), _is_indented_dumps) == [], path.name

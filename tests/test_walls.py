@@ -368,16 +368,16 @@ def test_degree_two_surface_walls():
 # candidate rank bound, against a brute-force scan
 
 
-def _candidate_radii(vec, ranks, y_min, d):
-    """Radii^2 of the walls of w = (0, m, k), m > 0, with a destabilizer
-    of rank in `ranks`, straight from the definition: a primitive,
-    a^2 >= -2, 0 < c - r*e < m at the center e, and radius^2 > y_min^2
-    from the 2x2 minors of (w, a).  For each (r, c) both a^2 >= -2 and
-    the radius cut are linear in s, so s is scanned between the two
-    limits."""
+def _candidate_classes(vec, ranks, y_min, d):
+    """{radius^2: [classes]} of the walls of w = (0, m, k), m > 0, with a
+    destabilizer of rank in `ranks`, straight from the definition: a
+    primitive, a^2 >= -2, 0 < c - r*e < m at the center e, and
+    radius^2 > y_min^2 from the 2x2 minors of (w, a).  For each (r, c)
+    both a^2 >= -2 and the radius cut are linear in s, so s is scanned
+    between the two limits."""
     _, m, k = vec
     e = F(k, 2 * d * m)
-    radii = set()
+    classes = {}
     for r in ranks:
         for c in range(math.floor(r * e) + 1, math.ceil(r * e + m)):
             cap = F(d * c * c + 1, r)  # a^2 >= -2 <=> r*s <= d c^2 + 1
@@ -388,31 +388,60 @@ def _candidate_radii(vec, ranks, y_min, d):
                 big_p, big_b, big_c = r * m, r * k, m * s - c * k
                 radius_sq = F(big_b, 2 * d * big_p) ** 2 + F(big_c, d * big_p)
                 if radius_sq > y_min * y_min and MukaiVector(r, c, s).is_primitive():
-                    radii.add(radius_sq)
-    return radii
+                    classes.setdefault(radius_sq, []).append((r, c, s))
+    return classes
 
 
-@pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("y_min", [F(1, 2), F(1), F(3, 2)])
+def _candidate_rows(vec, ranks, y_min, d):
+    """(class, a^2, <v,a>, radius^2) per wall, by descending radius; the
+    class is the one smallest by (|r|, |c|, |s|, sign, tuple), the sign
+    being whether the first nonzero entry is negative."""
+    _, m, k = vec
+
+    def order(a):
+        first = next(x for x in a if x != 0)
+        return (abs(a[0]), abs(a[1]), abs(a[2]), first < 0, a)
+
+    rows = []
+    for radius_sq, classes in sorted(_candidate_classes(vec, ranks, y_min, d).items(), reverse=True):
+        r, c, s = min(classes, key=order)
+        rows.append(((r, c, s), 2 * d * c * c - 2 * r * s, 2 * d * m * c - r * k, radius_sq))
+    return rows
+
+
+def _search_rows(search):
+    return [(rec.a.as_tuple(), rec.a_sq, rec.pairing_va, rec.curve.radius_sq) for rec in search.records]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("y_min", [F(1, 2), F(1), F(3, 2), F(2, 3), F(5, 2)])
 def test_candidate_rank_bound_oracle(d, y_min):
+    """Full rows against the brute force, at the proven bound and at a
+    cap below it."""
     p = SurfaceParams(d=d)
     for m in range(1, 6):
         bound = max(r for r in range(0, 100) if d * r * r * y_min * y_min < d * m * m + 1)
-        for k in range(-3, 4):
+        for k in range(-4, 5):
             vec = (0, m, k)
             inside = [r for r in range(-bound, bound + 1) if r != 0]
             beyond = [r for r in range(bound + 1, 3 * max(bound, 1) + 1)]
-            assert _candidate_radii(vec, beyond + [-r for r in beyond], y_min, d) == set()
+            assert _candidate_classes(vec, beyond + [-r for r in beyond], y_min, d) == {}
             search = candidate_walls(MukaiVector(*vec), SearchBounds(y_min=y_min), p)
             assert search.complete
-            assert {rec.curve.radius_sq for rec in search.records} == _candidate_radii(vec, inside, y_min, d)
+            assert _search_rows(search) == _candidate_rows(vec, inside, y_min, d)
+            if bound > 1:
+                cap = bound - 1
+                capped = candidate_walls(MukaiVector(*vec), SearchBounds(r_max=cap, y_min=y_min), p)
+                assert not capped.complete
+                low = [r for r in range(-cap, cap + 1) if r != 0]
+                assert _search_rows(capped) == _candidate_rows(vec, low, y_min, d)
 
 
 def test_candidate_cap_below_bound_is_incomplete():
     # the proven bound of (0, 3, -1) at y_min = 1 is 3
     capped = candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=1))
     assert not capped.complete
-    assert {rec.curve.radius_sq for rec in capped.records} == _candidate_radii((0, 3, -1), [-1, 1], F(1), 1)
+    assert {rec.curve.radius_sq for rec in capped.records} == set(_candidate_classes((0, 3, -1), [-1, 1], F(1), 1))
     assert candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=3)).complete
 
 
