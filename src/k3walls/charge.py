@@ -30,15 +30,13 @@ to lattice data and is exercised by the property tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, mukai_pairing, mukai_square
+from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
 
 
-@dataclass(frozen=True)
-class StabilityPoint:
+class StabilityPoint(_Value):
     """A point (x, y) of the upper half plane.
 
     x is an exact rational; set x_exact=False when it stands in for an
@@ -47,21 +45,28 @@ class StabilityPoint:
     fallback for display-only points.
     """
 
-    x: Fraction
-    y_sq: Optional[Fraction] = None
-    y_approx: Optional[float] = None
-    x_exact: bool = True
+    __slots__ = ("x", "y_sq", "y_approx", "x_exact")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        if self.y_sq is not None:
-            object.__setattr__(self, "y_sq", Fraction(self.y_sq))
-            if self.y_sq <= 0:
-                raise ValueError(f"stability point needs y > 0, got y^2 = {self.y_sq}")
-        elif self.y_approx is None:
+    def __init__(
+        self,
+        x: Fraction,
+        y_sq: Optional[Fraction] = None,
+        y_approx: Optional[float] = None,
+        x_exact: bool = True,
+    ) -> None:
+        x = Fraction(x)
+        if y_sq is not None:
+            y_sq = Fraction(y_sq)
+            if y_sq <= 0:
+                raise ValueError(f"stability point needs y > 0, got y^2 = {y_sq}")
+        elif y_approx is None:
             raise ValueError("stability point needs y_sq or y_approx")
-        if self.y_approx is not None and self.y_approx <= 0:
-            raise ValueError(f"stability point needs y > 0, got y = {self.y_approx}")
+        if y_approx is not None and y_approx <= 0:
+            raise ValueError(f"stability point needs y > 0, got y = {y_approx}")
+        _setattr(self, "x", x)
+        _setattr(self, "y_sq", y_sq)
+        _setattr(self, "y_approx", y_approx)
+        _setattr(self, "x_exact", x_exact)
 
     @property
     def y_exact(self) -> bool:
@@ -81,13 +86,15 @@ class StabilityPoint:
         return Fraction(self.y_approx) ** 2
 
 
-@dataclass(frozen=True)
-class ComplexValue:
+class ComplexValue(_Value):
     """re + im_coeff * sqrt(y_sq) * i with all three fields rational."""
 
-    re: Fraction
-    im_coeff: Fraction
-    y_sq: Fraction
+    __slots__ = ("re", "im_coeff", "y_sq")
+
+    def __init__(self, re: Fraction, im_coeff: Fraction, y_sq: Fraction) -> None:
+        _setattr(self, "re", re)
+        _setattr(self, "im_coeff", im_coeff)
+        _setattr(self, "y_sq", y_sq)
 
     @property
     def im(self) -> float:
@@ -134,22 +141,28 @@ def phase(z: ComplexValue) -> float:
     return t
 
 
-@dataclass(frozen=True)
-class VerticalLine:
+class VerticalLine(_Value):
     """Wall of the form x = x0."""
 
-    x0: Fraction
+    __slots__ = ("x0",)
+
+    def __init__(self, x0: Fraction) -> None:
+        _setattr(self, "x0", x0)
 
 
-@dataclass(frozen=True)
-class Semicircle:
+class Semicircle(_Value):
     """Wall (x - center_x)^2 + y^2 = radius_sq, y > 0."""
 
-    center_x: Fraction
-    radius_sq: Fraction
+    __slots__ = ("center_x", "radius_sq")
+
+    def __init__(self, center_x: Fraction, radius_sq: Fraction) -> None:
+        _setattr(self, "center_x", center_x)
+        _setattr(self, "radius_sq", radius_sq)
 
 
-WallCurve = Union[VerticalLine, Semicircle]
+# a | union, not typing.Union: typing caches Union[...] for good, which would
+# keep every re-imported generation of these classes alive
+WallCurve = VerticalLine | Semicircle
 
 
 def _wall_minors(v: MukaiVector, a: MukaiVector) -> tuple[int, int, int]:
@@ -211,11 +224,16 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     return Fraction(y_sq_num, rho_sq.denominator * q * q)
 
 
-@dataclass(frozen=True)
-class GeometricCheckResult:
-    status: str  # "ok" | "obstructed" | "inconclusive"
-    witness: Optional[MukaiVector]
-    reason: str
+class GeometricCheckResult(_Value):
+    """status is "ok", "obstructed" or "inconclusive"; witness is the
+    spherical class behind "obstructed", else None."""
+
+    __slots__ = ("status", "witness", "reason")
+
+    def __init__(self, status: str, witness: Optional[MukaiVector], reason: str) -> None:
+        _setattr(self, "status", status)
+        _setattr(self, "witness", witness)
+        _setattr(self, "reason", reason)
 
 
 def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> GeometricCheckResult:

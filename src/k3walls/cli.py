@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -114,12 +113,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _search_vector(args) -> MukaiVector:
+    return hilbert_vector(args.n) if args.n is not None else args.vector
+
+
 def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
     """The wall search of the vector and flags every subcommand shares."""
     p = SurfaceParams(d=args.degree)
-    v = hilbert_vector(args.n) if args.n is not None else args.vector
     bounds = SearchBounds(r_max=args.rmax, y_min=args.ymin)
-    return resolve_walls(v, bounds, p, force_candidates=getattr(args, "candidates", False)), p
+    return resolve_walls(_search_vector(args), bounds, p, force_candidates=getattr(args, "candidates", False)), p
 
 
 def _emit(text: str, args) -> None:
@@ -173,8 +175,11 @@ def cmd_path(args) -> int:
 def cmd_decompose(args) -> int:
     if args.parts_max < 2:
         raise ValueError("--parts-max must be at least 2")
+    v = _search_vector(args)
+    if v.content() > 1:
+        # checked before the search: moduli_dim(v) needs a primitive v
+        raise ValueError(f"decompose needs a primitive vector; {v} is {v.content()} x {v.primitive_part()}")
     search, p = _wall_search(args)
-    v = search.vector
     if args.wall_index is not None:
         if not 0 <= args.wall_index < len(search.records):
             raise ValueError(f"wall index {args.wall_index} out of range; the table has {len(search.records)} rows")
@@ -206,7 +211,7 @@ def cmd_transport(args) -> int:
     search = transport_search(base, args.m, p)
     if args.gamma_min is not None:
         kept = tuple(rec for rec in search.records if rec.gamma is not None and rec.gamma >= args.gamma_min)
-        search = replace(search, records=kept)
+        search = WallSearch(search.vector, kept, search.complete, search.mode, search.n, search.m, search.source_vector)
     payload = report.walls_payload(search, p)
     _emit(report.render("walls", payload, _fmt(args)), args)
     return _complete_status(args, search.complete)

@@ -28,12 +28,11 @@ effective and is reported as an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .charge import Semicircle, StabilityPoint, wall_locus
-from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, mukai_pairing, mukai_square
+from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
 from .walls import WallRecord
 
 
@@ -78,12 +77,14 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     return old_s, old_t
 
 
-@dataclass(frozen=True)
-class SaturatedPlane:
+class SaturatedPlane(_Value):
     """The saturation of span(v, a) inside the lattice, with coordinates."""
 
-    b1: MukaiVector
-    b2: MukaiVector
+    __slots__ = ("b1", "b2")
+
+    def __init__(self, b1: MukaiVector, b2: MukaiVector) -> None:
+        _setattr(self, "b1", b1)
+        _setattr(self, "b2", b2)
 
     def vector(self, x: int, y: int) -> MukaiVector:
         return x * self.b1 + y * self.b2
@@ -216,13 +217,15 @@ def positive_classes(
     return tuple(u for _, u in _levelled_classes(v, w, p)[1])
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(_Value):
     """A multiset of positive classes summing to v, in canonical order
     (descending charge coefficient, ties by component order)."""
 
-    parts: tuple[MukaiVector, ...]
-    wall: WallRecord
+    __slots__ = ("parts", "wall")
+
+    def __init__(self, parts: tuple[MukaiVector, ...], wall: WallRecord) -> None:
+        _setattr(self, "parts", parts)
+        _setattr(self, "wall", wall)
 
 
 def decompositions(
@@ -277,12 +280,22 @@ def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
     return sq + 2
 
 
-@dataclass(frozen=True)
-class DimReport:
-    part_moduli_dims: tuple[int, ...]
-    fiber_dims: tuple[int, ...]
-    stratum_dim: int
-    total_space_dim: int
+class DimReport(_Value):
+    """Moduli and extension-fiber dimensions of one stratum (stratum_dims)."""
+
+    __slots__ = ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim")
+
+    def __init__(
+        self,
+        part_moduli_dims: tuple[int, ...],
+        fiber_dims: tuple[int, ...],
+        stratum_dim: int,
+        total_space_dim: int,
+    ) -> None:
+        _setattr(self, "part_moduli_dims", part_moduli_dims)
+        _setattr(self, "fiber_dims", fiber_dims)
+        _setattr(self, "stratum_dim", stratum_dim)
+        _setattr(self, "total_space_dim", total_space_dim)
 
 
 def stratum_dims(

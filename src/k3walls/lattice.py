@@ -23,36 +23,83 @@ with O(mH).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+_setattr = object.__setattr__
 
 
-@dataclass(frozen=True)
-class SurfaceParams:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass lists its fields, in order, as its __slots__ and sets them
+    in its own __init__ through object.__setattr__.  Instances then act as
+    frozen dataclasses would: compared by class and fields, hashed as the
+    tuple of fields, shown as Name(field=value, ...), closed to assignment
+    and deletion, and pickled or copied by calling the class again.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class SurfaceParams(_Value):
     """Numerical invariants of the polarized K3 surface: H^2 = 2d."""
 
-    d: int = 1
+    __slots__ = ("d",)
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.d, int) or self.d < 1:
-            raise ValueError(f"degree parameter d must be a positive integer, got {self.d!r}")
+    def __init__(self, d: int = 1) -> None:
+        if not isinstance(d, int) or d < 1:
+            raise ValueError(f"degree parameter d must be a positive integer, got {d!r}")
+        _setattr(self, "d", d)
 
 
 DEFAULT_SURFACE = SurfaceParams(1)
 
 
-@dataclass(frozen=True)
-class MukaiVector:
+class MukaiVector(_Value):
     """An integral class (r, c, s) = r + c*H + s*pt."""
 
-    r: int
-    c: int
-    s: int
+    __slots__ = ("r", "c", "s")
 
-    def __post_init__(self) -> None:
-        for name in ("r", "c", "s"):
-            value = getattr(self, name)
-            if not isinstance(value, int):
-                raise ValueError(f"Mukai vector components must be integers, got {name}={value!r}")
+    def __init__(self, r: int, c: int, s: int) -> None:
+        if not (isinstance(r, int) and isinstance(c, int) and isinstance(s, int)):
+            for name, value in (("r", r), ("c", c), ("s", s)):
+                if not isinstance(value, int):
+                    raise ValueError(f"Mukai vector components must be integers, got {name}={value!r}")
+        _setattr(self, "r", r)
+        _setattr(self, "c", c)
+        _setattr(self, "s", s)
+
+    # the hot type: field-wise comparison and hash, written out
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.r == other.r and self.c == other.c and self.s == other.s
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.r, self.c, self.s))
 
     # -- basic group structure ------------------------------------------------
 
@@ -159,8 +206,7 @@ def phi_pullback(u: MukaiVector, m: int, p: SurfaceParams = DEFAULT_SURFACE) -> 
     return spherical_reflect(untwisted, line_bundle_vector(-m, p), p)
 
 
-@dataclass(frozen=True)
-class Autoequivalence:
+class Autoequivalence(_Value):
     """A word in the lattice-acting generators, applied left to right.
 
     Each step is a pair (kind, argument) with kind one of "twist"
@@ -168,7 +214,10 @@ class Autoequivalence:
     "dual_shift" (argument ignored).
     """
 
-    word: tuple[tuple[str, int], ...]
+    __slots__ = ("word",)
+
+    def __init__(self, word: tuple[tuple[str, int], ...]) -> None:
+        _setattr(self, "word", word)
 
     def apply(self, u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> MukaiVector:
         out = u

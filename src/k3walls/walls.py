@@ -47,7 +47,6 @@ made per record.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -56,6 +55,8 @@ from .lattice import (
     DEFAULT_SURFACE,
     MukaiVector,
     SurfaceParams,
+    _setattr,
+    _Value,
     mukai_pairing,
     mukai_square,
     phi_pushforward,
@@ -64,8 +65,7 @@ from .lattice import (
 WALL_TYPES = ("divisorial", "flopping", "boundary_lagrangian", "candidate")
 
 
-@dataclass(frozen=True)
-class WallRecord:
+class WallRecord(_Value):
     """One wall: a representative class, its lattice data, slope and locus.
 
     gamma is None for candidate records (a generic torsion vector has no
@@ -73,45 +73,56 @@ class WallRecord:
     (its numerical locus misses the upper half plane).
     """
 
-    a: MukaiVector
-    a_sq: int
-    pairing_va: int
-    gamma: Optional[Fraction]
-    curve: Optional[WallCurve]
-    wall_type: str
+    __slots__ = ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type")
 
-    def __post_init__(self) -> None:
-        if self.wall_type not in WALL_TYPES:
-            raise ValueError(f"unknown wall type {self.wall_type!r}")
+    def __init__(
+        self,
+        a: MukaiVector,
+        a_sq: int,
+        pairing_va: int,
+        gamma: Optional[Fraction],
+        curve: Optional[WallCurve],
+        wall_type: str,
+    ) -> None:
+        if wall_type not in WALL_TYPES:
+            raise ValueError(f"unknown wall type {wall_type!r}")
+        _setattr(self, "a", a)
+        _setattr(self, "a_sq", a_sq)
+        _setattr(self, "pairing_va", pairing_va)
+        _setattr(self, "gamma", gamma)
+        _setattr(self, "curve", curve)
+        _setattr(self, "wall_type", wall_type)
 
 
-@dataclass(frozen=True)
-class MovableCone:
+class MovableCone(_Value):
     """Slope parametrization of the movable cone of the n-th Hilbert scheme.
 
     Rays are theta(0, -1, 0) + gamma * theta(-1, 0, 1-n); walls live at
     slopes gamma_min <= gamma <= gamma_max.
     """
 
-    n: int
-    gamma_min: Fraction
-    gamma_max: Fraction
+    __slots__ = ("n", "gamma_min", "gamma_max")
+
+    def __init__(self, n: int, gamma_min: Fraction, gamma_max: Fraction) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "gamma_min", gamma_min)
+        _setattr(self, "gamma_max", gamma_max)
 
 
-@dataclass(frozen=True)
-class SearchBounds:
+class SearchBounds(_Value):
     """r_max caps |rank(a)|; None means 4n for a Hilbert or Beauville-Mukai
     search and the proven bound for a candidate search."""
 
-    r_max: Optional[int] = None
-    y_min: Fraction = Fraction(1)
+    __slots__ = ("r_max", "y_min")
 
-    def __post_init__(self) -> None:
-        if self.r_max is not None and self.r_max < 1:
+    def __init__(self, r_max: Optional[int] = None, y_min: Fraction = Fraction(1)) -> None:
+        if r_max is not None and r_max < 1:
             raise ValueError("r_max must be positive")
-        object.__setattr__(self, "y_min", Fraction(self.y_min))
-        if self.y_min < 0:
+        y_min = Fraction(y_min)
+        if y_min < 0:
             raise ValueError("y_min must be non-negative")
+        _setattr(self, "r_max", r_max)
+        _setattr(self, "y_min", y_min)
 
 
 def default_bounds(n: Optional[int] = None) -> SearchBounds:
@@ -119,17 +130,31 @@ def default_bounds(n: Optional[int] = None) -> SearchBounds:
     return SearchBounds(r_max=4 * n if n else None)
 
 
-@dataclass(frozen=True)
-class WallSearch:
-    """Result of a wall enumeration, with its completeness certificate."""
+class WallSearch(_Value):
+    """Result of a wall enumeration, with its completeness certificate.
 
-    vector: MukaiVector
-    records: tuple[WallRecord, ...]
-    complete: bool
-    mode: str  # "hilbert" | "candidate" | "transport"
-    n: Optional[int] = None
-    m: Optional[int] = None
-    source_vector: Optional[MukaiVector] = None
+    mode is "hilbert", "candidate" or "transport".
+    """
+
+    __slots__ = ("vector", "records", "complete", "mode", "n", "m", "source_vector")
+
+    def __init__(
+        self,
+        vector: MukaiVector,
+        records: tuple[WallRecord, ...],
+        complete: bool,
+        mode: str,
+        n: Optional[int] = None,
+        m: Optional[int] = None,
+        source_vector: Optional[MukaiVector] = None,
+    ) -> None:
+        _setattr(self, "vector", vector)
+        _setattr(self, "records", records)
+        _setattr(self, "complete", complete)
+        _setattr(self, "mode", mode)
+        _setattr(self, "n", n)
+        _setattr(self, "m", m)
+        _setattr(self, "source_vector", source_vector)
 
 
 def hilbert_vector(n: int) -> MukaiVector:

@@ -434,6 +434,8 @@ def test_usage_errors_exit_two(argv):
         (["walls", "--vector", "0,2,-1", "--candidates", "--ymin", "0"], "give r_max"),
         # the cone bound is searched first, so a large n answers at once
         (["walls", "--n", "32000", "--rmax", "1"], "no movable-cone boundary class found for n=32000"),
+        # checked before the search, which finds no wall at slope 1/2
+        (["decompose", "--vector", "0,2,-2", "--gamma", "1/2"], "decompose needs a primitive vector; (0, 2, -2) is 2 x (0, 1, -1)"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):
