@@ -92,14 +92,15 @@ class MukaiVector(_Value):
         _setattr(self, "c", c)
         _setattr(self, "s", s)
 
-    # the hot type: field-wise comparison and hash, written out
+    # The decomposition knapsack compares a sum with v at every leaf; the
+    # written-out comparison builds no field tuples.
     def __eq__(self, other):
         if other.__class__ is self.__class__:
             return self.r == other.r and self.c == other.c and self.s == other.s
         return NotImplemented
 
-    def __hash__(self) -> int:
-        return hash((self.r, self.c, self.s))
+    # defining __eq__ clears the inherited hash
+    __hash__ = _Value.__hash__
 
     # -- basic group structure ------------------------------------------------
 

@@ -17,6 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from k3walls import (
     Autoequivalence,
@@ -100,6 +101,18 @@ def test_equal_values_hash_equal(cls, names, args, other_args):
     # the dataclass hash: set and dict orders stay what they were
     assert hash(obj) == hash(_twin(cls, names, obj))
     assert len({obj, cls(*args), cls(*other_args)}) == 2
+
+
+small = st.integers(-2, 2)
+
+
+@given(st.tuples(small, small, small), st.tuples(small, small, small))
+def test_mukai_vector_equality_is_field_wise(a, b):
+    # MukaiVector writes its own __eq__; it must agree with the field tuples
+    u, w = MukaiVector(*a), MukaiVector(*b)
+    assert (u == w) is (a == b)
+    assert (u != w) is (a != b)
+    assert hash(u) == hash(a)
 
 
 @pytest.mark.parametrize("cls,names,args,other_args", CASES, ids=IDS)
