@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
 
@@ -50,8 +49,8 @@ class StabilityPoint(_Value):
     def __init__(
         self,
         x: Fraction,
-        y_sq: Optional[Fraction] = None,
-        y_approx: Optional[float] = None,
+        y_sq: Fraction | None = None,
+        y_approx: float | None = None,
         x_exact: bool = True,
     ) -> None:
         x = Fraction(x)
@@ -230,7 +229,7 @@ class GeometricCheckResult(_Value):
 
     __slots__ = ("status", "witness", "reason")
 
-    def __init__(self, status: str, witness: Optional[MukaiVector], reason: str) -> None:
+    def __init__(self, status: str, witness: MukaiVector | None, reason: str) -> None:
         _setattr(self, "status", status)
         _setattr(self, "witness", witness)
         _setattr(self, "reason", reason)

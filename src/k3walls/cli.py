@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import report
 from .charge import DEGENERATE, path_intersection
@@ -260,7 +259,7 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()

@@ -28,8 +28,8 @@ effective and is reported as an error.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Sequence
 
 from .charge import Semicircle, StabilityPoint, wall_locus
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square

@@ -20,7 +20,6 @@ import os
 from fractions import Fraction
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _json_str
-from typing import Optional
 
 import csv
 
@@ -60,7 +59,7 @@ def frac_str(q) -> str:
     return _ratio_str(q.numerator, q.denominator)
 
 
-def curve_json(curve) -> Optional[dict]:
+def curve_json(curve) -> dict | None:
     if curve is None:
         return None
     if isinstance(curve, VerticalLine):
@@ -174,7 +173,7 @@ def _centered_circle(center, radius_sq) -> str:
     return f"{lhs} = {frac_str(radius_sq)}"
 
 
-def curve_equation(curve: Optional[dict], vector: list) -> str:
+def curve_equation(curve: dict | None, vector: list) -> str:
     """Render a curve the way the tables write it: expanded circles for
     positive-rank base vectors, centered ones for torsion."""
     if curve is None:
@@ -323,7 +322,7 @@ def _csv(rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _curve_cells(curve: Optional[dict]) -> list[str]:
+def _curve_cells(curve: dict | None) -> list[str]:
     """curve_kind, center_x, radius_sq, x0 columns."""
     if curve is None:
         return ["", "", "", ""]

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
 
 from .report import frac_str
 
@@ -116,8 +115,8 @@ def _legend_label(wall: dict) -> str:
 
 def render_figure(
     payload: dict,
-    x_range: Optional[tuple[float, float]] = None,
-    y_range: Optional[tuple[float, float]] = None,
+    x_range: tuple[float, float] | None = None,
+    y_range: tuple[float, float] | None = None,
     y_marker: Fraction = Fraction(1),
     precision: int = 6,
 ) -> str:

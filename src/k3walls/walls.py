@@ -23,32 +23,41 @@ curve.
 
 The Hilbert search works up to |rank(a)| <= 2 * r_max (default
 r_max = 4n) and is flagged incomplete when the walls within r_max and
-within 2 * r_max differ.  It first finds gamma_max from the divisorial
-clauses alone (a few points per rank), so a cap too small to reach the
-cone boundary raises at once.  It then lists the clause classes in one
-scan of lattice points (r, c, s), rank first: writing
+within 2 * r_max differ.  When d(n-1) = t^2 is a square, every clause
+factors over the integers, (X - 2tc)(X + 2tc) = <v,a>^2 - 2(n-1)a^2
+with X = 2(n-1)r - <v,a>, which bounds the rank of every class that
+can make a wall by R*, about (n + 5)/4 (_scan_rank).  The scans stop
+at min(2 * r_max, R*), and with r_max >= R* complete is a proof;
+otherwise it is still the doubling check.  The search first finds
+gamma_max from the divisorial clauses alone (a few points per rank), so
+a cap too small to reach the cone boundary raises at once.  It then
+lists the clause classes in one scan of lattice points (r, c, s), rank
+first: writing
 s = r(n-1) - <v,a>, every clause reads d*c^2 = r*s + a^2/2, so each rank
 leaves a window of about sqrt(n) values of c (two isqrt calls), each c
 leaves the s with r*s within (n-1)/4 + 1 of d*c^2 (at most one once
 |r| > (n-1)/4 + 1), and a closed-form test of (a^2, <v,a>) against the
 clauses keeps or drops the point.  A search at rank bound R thus visits
-about R*sqrt(n) points instead of passing over the ranks once per clause
+about R sqrt(n) points instead of passing over the ranks once per clause
 (about n^2/4 clauses).  Slopes are coprime integer pairs throughout the
 scan: a class outside [0, gamma_max] is dropped by cross-multiplication
-before any MukaiVector is built, walls are grouped by the pair, and one
-Fraction is made per wall, for its record.
+before the primitivity gcd (of the two signs of c, only the one giving
+a slope >= 0 is tested), walls are grouped by the pair and ordered by an
+exact integer key (_sorted_pairs), and one Fraction is made per wall,
+for its record.
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
 so its completeness is a proof.  Its scan is in integers too: the
-buckets are keyed by radius^2 as a coprime pair, and one Fraction is
-made per record.
+buckets are keyed by radius^2 as a coprime pair and ordered by the same
+integer key, and each record's semicircle is built from that key and
+the common center.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .charge import Semicircle, WallCurve, wall_discriminant, wall_locus
 from .lattice import (
@@ -80,8 +89,8 @@ class WallRecord(_Value):
         a: MukaiVector,
         a_sq: int,
         pairing_va: int,
-        gamma: Optional[Fraction],
-        curve: Optional[WallCurve],
+        gamma: Fraction | None,
+        curve: WallCurve | None,
         wall_type: str,
     ) -> None:
         if wall_type not in WALL_TYPES:
@@ -115,7 +124,7 @@ class SearchBounds(_Value):
 
     __slots__ = ("r_max", "y_min")
 
-    def __init__(self, r_max: Optional[int] = None, y_min: Fraction = Fraction(1)) -> None:
+    def __init__(self, r_max: int | None = None, y_min: Fraction = Fraction(1)) -> None:
         if r_max is not None and r_max < 1:
             raise ValueError("r_max must be positive")
         y_min = Fraction(y_min)
@@ -125,7 +134,7 @@ class SearchBounds(_Value):
         _setattr(self, "y_min", y_min)
 
 
-def default_bounds(n: Optional[int] = None) -> SearchBounds:
+def default_bounds(n: int | None = None) -> SearchBounds:
     """The stock search box: r_max = 4n for S^[n], no cap without n."""
     return SearchBounds(r_max=4 * n if n else None)
 
@@ -144,9 +153,9 @@ class WallSearch(_Value):
         records: tuple[WallRecord, ...],
         complete: bool,
         mode: str,
-        n: Optional[int] = None,
-        m: Optional[int] = None,
-        source_vector: Optional[MukaiVector] = None,
+        n: int | None = None,
+        m: int | None = None,
+        source_vector: MukaiVector | None = None,
     ) -> None:
         _setattr(self, "vector", vector)
         _setattr(self, "records", records)
@@ -163,7 +172,7 @@ def hilbert_vector(n: int) -> MukaiVector:
     return MukaiVector(1, 0, 1 - n)
 
 
-def hilbert_n_of(v: MukaiVector) -> Optional[int]:
+def hilbert_n_of(v: MukaiVector) -> int | None:
     """n with v = (1, 0, 1-n), if the vector has that shape."""
     if v.r == 1 and v.c == 0 and v.s <= -1:
         return 1 - v.s
@@ -196,7 +205,7 @@ def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) ->
 # criterion enumeration for v = (1, 0, 1-n)
 
 
-def _clause_type(n: int, a_sq: int, k: int) -> Optional[bool]:
+def _clause_type(n: int, a_sq: int, k: int) -> bool | None:
     """True when (a^2, <v,a>) = (a_sq, k) satisfies a divisorial clause of
     the wall criterion, False for a flopping clause, None for neither."""
     if (a_sq, k) in ((-2, 0), (0, 1), (0, 2)):
@@ -217,7 +226,7 @@ def _representative_key(a: MukaiVector) -> tuple:
     return (abs(a.r), abs(a.c), abs(a.s), first_nonzero <= 0, a.as_tuple())
 
 
-def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
+def _lagrangian_class(n: int, p: SurfaceParams) -> MukaiVector | None:
     """Primitive isotropic a with <v,a> = 0, when one exists: a = +-(1, -m, n-1)
     with d*m^2 = n - 1.  Returned in the sign (-1, m, 1-n)."""
     if (n - 1) % p.d != 0:
@@ -229,12 +238,37 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> Optional[MukaiVector]:
     return MukaiVector(-1, m, 1 - n)
 
 
+def _scan_rank(n: int, r_max: int, p: SurfaceParams) -> int:
+    """The rank bound of a clause scan meant to reach r_max: r_max itself,
+    or the proven bound R* when d(n-1) = t^2 and R* is smaller.
+
+    In that split case X = 2(n-1)r - <v,a> and N = <v,a>^2 - 2(n-1)a^2
+    turn every clause into (X - 2tc)(X + 2tc) = N.  For N != 0 both
+    factors divide N, so |X| <= (|N| + 1)/2, and |N| <= k_max^2 + 4(n-1)
+    over all clauses: every such class has |r| <= R*.  A class with
+    N = 0 has X = -+2tc, so slope +-d/t exactly, and an empty wall (N is
+    the numerator of its radius^2): it makes no record, but its slope
+    takes part in the doubling check.  The cut at R* >= 1 changes
+    neither.  Every divisorial class has c = 0 here (for a^2 = -2,
+    (n-1)r^2 - dc^2 = 1 forces c = 0 when d(n-1) is a square), so
+    gamma_max is the slope d/t of the Lagrangian class (-1, m, 1-n) when
+    n - 1 = dm^2, and the N = 0 classes of that slope include members
+    of rank +-1; otherwise no cone boundary is found at any bound.
+    """
+    t_sq = p.d * (n - 1)
+    if math.isqrt(t_sq) ** 2 != t_sq:
+        return r_max
+    k_max = max(n - 1, 2)
+    n_max = k_max * k_max + 4 * (n - 1)
+    return min(r_max, ((n_max + 1) // 2 + k_max) // (2 * (n - 1)))
+
+
 def _slope_classes(
     n: int,
     r_max: int,
     p: SurfaceParams,
     divisorial_only: bool = False,
-    gamma_max: Optional[tuple[int, int]] = None,
+    gamma_max: tuple[int, int] | None = None,
 ) -> list:
     """(class, divisorial clause, slope) for every clause class with |r| <= r_max,
     the slope a coprime pair (num, den) as _slope gives it.
@@ -248,14 +282,18 @@ def _slope_classes(
     come from exact floor and ceiling division (at most one once
     |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
 
-    With gamma_max = (P, Q) the scan keeps only slopes in [0, P/Q], decided
-    by _in_cone before any MukaiVector is built; as the slope is
-    -2dc / (r(n-1) + s), 2d|c| <= (P/Q)(2|r|(n-1) + k_max) caps |c| per rank.
+    With gamma_max = (P, Q) the scan keeps only slopes in [0, P/Q].  The
+    slope of (r, +-c, s) is -+2dc / den with den = r(n-1) + s, so one
+    sign of c gives a slope >= 0, and 2dcQ <= P|den| decides it before
+    the primitivity gcd and _slope; as |den| <= 2|r|(n-1) + k_max, this
+    also caps c per rank.
     """
     d = p.d
     # the largest <v,a> and a^2/2 of any clause kept
     k_max, half_max = (2, 0) if divisorial_only else (max(n - 1, 2), max(n - 2, 0) // 4)
     v = hilbert_vector(n)
+    if gamma_max is not None:
+        two_d_q = 2 * d * gamma_max[1]
     out = []
     for r in range(-r_max, r_max + 1):
         s_top = r * (n - 1)  # s = s_top - k
@@ -264,7 +302,7 @@ def _slope_classes(
         c_lo = 0 if lo <= 0 else math.isqrt(-(-lo // d) - 1) + 1
         c_hi = math.isqrt(hi // d)
         if gamma_max is not None:
-            c_hi = min(c_hi, gamma_max[0] * (2 * abs(r) * (n - 1) + k_max) // (2 * d * gamma_max[1]))
+            c_hi = min(c_hi, gamma_max[0] * (2 * abs(r) * (n - 1) + k_max) // two_d_q)
         for c in range(c_lo, c_hi + 1):
             q = d * c * c
             if r > 0:
@@ -278,12 +316,20 @@ def _slope_classes(
                 divisorial = _clause_type(n, a_sq, k)
                 if divisorial is None or (divisorial_only and not divisorial):
                     continue
+                if gamma_max is None:
+                    signs = (c,) if c == 0 else (c, -c)
+                else:
+                    # den = 2r(n-1) - k = 0 needs r = k = 0 (or n = 2, k = 2),
+                    # which leaves a^2 = 2dc^2 (or 2dc^2 + 2): no clause
+                    den = r * (n - 1) + s
+                    assert den != 0, f"clause class ({r}, {c}, {s}) has no slope"
+                    if two_d_q * c > gamma_max[0] * abs(den):
+                        continue
+                    signs = (-c,) if den > 0 else (c,)
                 if math.gcd(r, c, s) != 1:
                     continue
-                num, den = _slope(n, r, c, s, d)  # (r, -c, s) has slope (-num, den)
-                for cc, slope in ((c, (num, den)),) if c == 0 else ((c, (num, den)), (-c, (-num, den))):
-                    if gamma_max is not None and not _in_cone(slope, gamma_max):
-                        continue
+                num, den = _slope(n, r, signs[0], s, d)  # the other sign has (-num, den)
+                for cc, slope in zip(signs, ((num, den), (-num, den))):
                     a = MukaiVector(r, cc, s)
                     assert mukai_square(a, p) == a_sq
                     assert mukai_pairing(v, a, p) == k
@@ -291,9 +337,15 @@ def _slope_classes(
     return out
 
 
-def _in_cone(slope: tuple[int, int], gamma_max: tuple[int, int]) -> bool:
-    """0 <= slope <= gamma_max for coprime pairs with positive denominators."""
-    return slope[0] >= 0 and slope[0] * gamma_max[1] <= gamma_max[0] * slope[1]
+def _sorted_pairs(pairs, reverse: bool = False) -> list:
+    """Coprime pairs (num, den), den > 0, in the order of num/den.
+
+    Two such fractions with denominators at most D differ by at least
+    1/D^2, so the integer floor(num * D^2 / den) orders them exactly.
+    """
+    pairs = list(pairs)
+    scale = max((den for _, den in pairs), default=1) ** 2
+    return sorted(pairs, key=lambda pair: pair[0] * scale // pair[1], reverse=reverse)
 
 
 def _cone_bound(n: int, boundary: list, r_max: int, p: SurfaceParams) -> tuple[int, int]:
@@ -308,31 +360,32 @@ def _cone_bound(n: int, boundary: list, r_max: int, p: SurfaceParams) -> tuple[i
         raise ValueError(
             f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
         )
-    return min(slopes, key=lambda slope: Fraction(*slope))
+    return _sorted_pairs(slopes)[0]
 
 
-def movable_cone(n: int, bounds: Optional[SearchBounds] = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
+def movable_cone(n: int, bounds: SearchBounds | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
     """Boundary slopes of the movable cone, searched within bounds."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    gamma_max = _cone_bound(n, _slope_classes(n, r_max, p, divisorial_only=True), r_max, p)
+    boundary = _slope_classes(n, _scan_rank(n, r_max, p), p, divisorial_only=True)
+    gamma_max = _cone_bound(n, boundary, r_max, p)
     return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
 
 
-def _wall_groups(classes: list, r_max: int, gamma_max: tuple[int, int]) -> dict:
+def _wall_groups(classes: list, r_max: int) -> dict:
     """{slope: [(class, divisorial_clause), ...]} for the classes with
-    |r| <= r_max and slope in [0, gamma_max], slopes as coprime pairs."""
+    |r| <= r_max, slopes as coprime pairs."""
     groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
     for a, divisorial, gamma in classes:
-        if abs(a.r) <= r_max and _in_cone(gamma, gamma_max):
+        if abs(a.r) <= r_max:
             groups.setdefault(gamma, []).append((a, divisorial))
     return groups
 
 
 def hilbert_walls(
     n: int,
-    bounds: Optional[SearchBounds] = None,
+    bounds: SearchBounds | None = None,
     p: SurfaceParams = DEFAULT_SURFACE,
 ) -> WallSearch:
     """All walls for v = (1, 0, 1-n), sorted by ascending slope.
@@ -345,17 +398,19 @@ def hilbert_walls(
     """
     v = hilbert_vector(n)
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    boundary = _slope_classes(n, 2 * r_max, p, divisorial_only=True)
+    r_scan = _scan_rank(n, 2 * r_max, p)
+    boundary = _slope_classes(n, r_scan, p, divisorial_only=True)
     gamma_max = _cone_bound(n, boundary, r_max, p)
     gamma_max_2 = _cone_bound(n, boundary, 2 * r_max, p)
-    classes = _slope_classes(n, 2 * r_max, p, gamma_max=gamma_max)
-    groups = _wall_groups(classes, r_max, gamma_max)
-    complete = gamma_max == gamma_max_2 and set(groups) == set(_wall_groups(classes, 2 * r_max, gamma_max))
+    classes = _slope_classes(n, r_scan, p, gamma_max=gamma_max)
+    groups = _wall_groups(classes, r_max)
+    complete = gamma_max == gamma_max_2 and set(groups) == set(_wall_groups(classes, 2 * r_max))
 
     records = []
-    for gamma, classes in groups.items():
-        rep = min((a for a, _ in classes), key=_representative_key)
-        divisorial = any(flag for _, flag in classes)
+    for gamma in _sorted_pairs(groups):
+        members = groups[gamma]
+        rep = min((a for a, _ in members), key=_representative_key)
+        divisorial = any(flag for _, flag in members)
         try:
             curve = wall_locus(v, rep, p)
         except ValueError:
@@ -373,7 +428,6 @@ def hilbert_walls(
                 wall_type="divisorial" if divisorial else "flopping",
             )
         )
-    records.sort(key=lambda rec: rec.gamma)
     lag = _lagrangian_class(n, p)
     if lag is not None:
         gamma = _slope(n, lag.r, lag.c, lag.s, p.d)
@@ -449,7 +503,7 @@ def transport_search(base: WallSearch, m: int, p: SurfaceParams = DEFAULT_SURFAC
 # candidate superset for torsion vectors
 
 
-def _candidate_rank_bound(m: int, y_min: Fraction, p: SurfaceParams) -> Optional[int]:
+def _candidate_rank_bound(m: int, y_min: Fraction, p: SurfaceParams) -> int | None:
     """Largest |r| with d*r^2*y_min^2 < d*m^2 + 1, None when y_min = 0.
 
     At the apex of a wall of w = (0, m, k) with radius R > y_min and
@@ -512,7 +566,7 @@ def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfacePa
 
 def candidate_walls(
     v: MukaiVector,
-    bounds: Optional[SearchBounds] = None,
+    bounds: SearchBounds | None = None,
     p: SurfaceParams = DEFAULT_SURFACE,
 ) -> WallSearch:
     """Superset of the walls of a rank-zero vector, sorted by descending radius.
@@ -544,13 +598,13 @@ def candidate_walls(
     if proven is None and bounds.r_max is None:
         raise ValueError("a candidate search with y_min = 0 has no rank bound; give r_max (--rmax)")
     r_max = min(b for b in (proven, bounds.r_max) if b is not None)
-    buckets = {Fraction(*key): classes for key, classes in _candidate_buckets(w, r_max, bounds.y_min, p).items()}
+    buckets = _candidate_buckets(w, r_max, bounds.y_min, p)
     complete = r_max == proven
+    center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
-    for radius_sq in sorted(buckets, reverse=True):
+    for radius_sq in _sorted_pairs(buckets, reverse=True):
         rep = min(buckets[radius_sq], key=_representative_key)
-        curve = wall_locus(v, rep, p)
-        assert isinstance(curve, Semicircle) and curve.radius_sq == radius_sq
+        curve = Semicircle(center, Fraction(*radius_sq))
         records.append(
             WallRecord(
                 a=rep,
@@ -568,7 +622,7 @@ def candidate_walls(
 # dispatch: the best available wall list for a vector
 
 
-def beauville_mukai_partner(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> Optional[tuple[int, int]]:
+def beauville_mukai_partner(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> tuple[int, int] | None:
     """(n, m) with v = Phi_m(1, 0, 1-n), for vectors of the shape (0, m, -1)."""
     if v.r == 0 and v.c >= 1 and v.s == -1:
         m = v.c
@@ -578,7 +632,7 @@ def beauville_mukai_partner(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) 
 
 def resolve_walls(
     v: MukaiVector,
-    bounds: Optional[SearchBounds] = None,
+    bounds: SearchBounds | None = None,
     p: SurfaceParams = DEFAULT_SURFACE,
     force_candidates: bool = False,
 ) -> WallSearch:

@@ -197,9 +197,10 @@ def _run_isolated(code: str) -> str:
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    """Nor typing: the package writes its annotations without it."""
     out = _run_isolated(
         "import k3walls.cli, sys; "
-        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'typing') if m in sys.modules))"
     )
     assert out.strip() == "[]"
 

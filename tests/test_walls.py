@@ -177,6 +177,81 @@ def test_slope_classes_match_brute_force(d):
                     assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == slopes[a.as_tuple()]
 
 
+def _split_rank_bound(n):
+    """R* = (floor((N_max + 1)/2) + k_max) // (2(n-1)), N_max = k_max^2 + 4(n-1)."""
+    k_max = max(n - 1, 2)
+    return ((k_max * k_max + 4 * (n - 1) + 1) // 2 + k_max) // (2 * (n - 1))
+
+
+def _divisors(m):
+    """The positive and negative divisors of m != 0."""
+    m = abs(m)
+    small = [e for e in range(1, math.isqrt(m) + 1) if m % e == 0]
+    positive = set(small) | {m // e for e in small}
+    return sorted(positive | {-e for e in positive})
+
+
+def _split_clause_classes(n, d, t):
+    """{(r, c, s): divisorial} for every primitive class of a clause with
+    N = <v,a>^2 - 2(n-1)a^2 != 0, solved clause by clause: with
+    X = 2(n-1)r - <v,a> the clause reads (X - 2tc)(X + 2tc) = N, so each
+    divisor e of N gives X = (e + N/e)/2 and c = (N/e - e)/(4t), when
+    these and r = (X + <v,a>)/(2(n-1)) are integers.  Also checks that
+    each clause with N = 0 has a primitive class of rank 1."""
+    found = {}
+    for (a_sq, k), divisorial in _clause_list(n).items():
+        big_n = k * k - 2 * (n - 1) * a_sq
+        if big_n == 0:
+            # X = -2tc: 2(n-1)r + 2tc = k, so c = (k - 2(n-1))/(2t) at r = 1
+            assert k % (2 * t) == 0, (n, d, a_sq, k)
+            r, c, s = 1, (k - 2 * (n - 1)) // (2 * t), (n - 1) - k
+            assert 2 * d * c * c - 2 * r * s == a_sq
+            continue
+        for e in _divisors(big_n):
+            f = big_n // e
+            if (e + f) % 2 or (f - e) % (4 * t) or ((e + f) // 2 + k) % (2 * (n - 1)):
+                continue
+            r, c = ((e + f) // 2 + k) // (2 * (n - 1)), (f - e) // (4 * t)
+            s = r * (n - 1) - k
+            assert 2 * d * c * c - 2 * r * s == a_sq
+            if math.gcd(r, c, s) == 1:
+                found[(r, c, s)] = divisorial
+    return found
+
+
+def test_split_rank_bound_oracle():
+    """When d(n-1) = t^2, the table equals the one built from an
+    independent solution of every clause by the factorisations of N.
+
+    Every class with N != 0 has |r| <= R*.  Its wall has slope
+    -2dc / (r(n-1) + s) and is empty unless N > 0 (N is the numerator of
+    its radius^2).  The classes with N = 0 all have slope +-d/t, and
+    d/t = 1/m is the cone boundary, where the table ends with the
+    Lagrangian row."""
+    cases = [(n, d) for d in (1, 2, 3) for n in range(2, 121) if math.isqrt(d * (n - 1)) ** 2 == d * (n - 1)]
+    assert len(cases) == 23
+    for n, d in cases:
+        t, m = math.isqrt(d * (n - 1)), math.isqrt((n - 1) // d)
+        classes = _split_clause_classes(n, d, t)
+        assert all(abs(r) <= _split_rank_bound(n) for r, _, _ in classes), (n, d)
+        slopes = {a: F(-2 * d * a[1], a[0] * (n - 1) + a[2]) for a in classes}
+        gamma_max = min([F(1, m)] + [slopes[a] for a, flag in classes.items() if flag and slopes[a] > 0])
+        groups = {}
+        for (r, c, s), divisorial in classes.items():
+            k = r * (n - 1) - s
+            a_sq = 2 * d * c * c - 2 * r * s
+            if k * k - 2 * (n - 1) * a_sq > 0 and 0 <= slopes[(r, c, s)] <= gamma_max:
+                groups.setdefault(slopes[(r, c, s)], []).append(((r, c, s), divisorial))
+        expected = []
+        for gamma in sorted(groups):
+            rep = min((a for a, _ in groups[gamma]), key=lambda a: (*map(abs, a), next(x for x in a if x) < 0, a))
+            expected.append((gamma, rep, "divisorial" if any(flag for _, flag in groups[gamma]) else "flopping"))
+        expected.append((F(1, m), (-1, m, 1 - n), "boundary_lagrangian"))
+        search = hilbert_walls(n, None, SurfaceParams(d))
+        assert [(rec.gamma, rec.a.as_tuple(), rec.wall_type) for rec in search.records] == expected, (n, d)
+        assert search.complete
+
+
 def test_doubling_stabilization():
     for n in (2, 3, 4, 8, 10):
         base = hilbert_walls(n)

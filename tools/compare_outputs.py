@@ -1,0 +1,129 @@
+"""Compare the outputs of two k3walls source trees, case by case.
+
+    python3 tools/compare_outputs.py OTHER_ROOT [ROOT]
+
+runs the same cases against OTHER_ROOT/src and ROOT/src (default: the
+checkout holding this script), each in its own subprocess, and prints
+per group how many cases it compared and the labels of any that differ.
+It exits 1 when a case differs.  A case is compared by the sha256 of
+its output; a ValueError counts as output, by its message.
+
+- hilbert: repr of hilbert_walls(n) and of movable_cone(n) with
+  r_max in {None, n, 3}, for d = 1 with n <= 200, d = 2 with n <= 120
+  and d = 3 with n <= 79 (1,185 searches: at n = 3 the last two caps
+  coincide);
+- candidate: repr of candidate_walls((0, m, k)) for m = 1..9,
+  k = -6..6, d = 1..3, y_min in {1, 1/2, 3/2, 2/3} and r_max in
+  {None, 3} (2,808 searches);
+- wall_tables: the text, csv, json and svg of every op of the benchmark
+  workload `wall_tables` at seed 1, with its path hits (116 ops), run
+  by the benchmark's own op code from bench/workloads.py of ROOT.
+
+`--digests SRC` prints the digests of one tree, one case a line; the
+comparison runs it twice.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+HILBERT_NS = {1: 200, 2: 120, 3: 79}
+SEED = 1
+
+
+def _digest(thunk) -> str:
+    try:
+        out = repr(thunk())
+    except ValueError as exc:
+        out = f"ValueError: {exc}"
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def digests(bench_dir: Path):
+    """(group, label, sha256) for every case, against the k3walls on sys.path."""
+    from k3walls import charge, lattice, report, svgfig, walls
+
+    for d, n_top in HILBERT_NS.items():
+        p = lattice.SurfaceParams(d)
+        for n in range(2, n_top + 1):
+            for r_max in dict.fromkeys((None, n, 3)):
+                bounds = walls.SearchBounds(r_max=r_max)
+                label = f"n={n} d={d} r_max={r_max}"
+                yield "hilbert", label, _digest(lambda: walls.hilbert_walls(n, bounds, p))
+                yield "hilbert", f"cone {label}", _digest(lambda: walls.movable_cone(n, bounds, p))
+    for d in (1, 2, 3):
+        p = lattice.SurfaceParams(d)
+        for m in range(1, 10):
+            for k in range(-6, 7):
+                v = lattice.MukaiVector(0, m, k)
+                for y_min in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)):
+                    for r_max in (None, 3):
+                        bounds = walls.SearchBounds(r_max=r_max, y_min=y_min)
+                        label = f"{v} d={d} y_min={y_min} r_max={r_max}"
+                        yield "candidate", label, _digest(lambda: walls.candidate_walls(v, bounds, p))
+
+    sys.path.insert(0, str(bench_dir))
+    import workloads as wl
+    from types import SimpleNamespace
+
+    k3 = SimpleNamespace(charge=charge, lattice=lattice, report=report, svgfig=svgfig, walls=walls)
+    tables = wl.WallTables()
+    for op in tables.plan(random.Random(SEED)):
+        try:
+            res = tables.run(k3, op)
+        except wl.DomainError as exc:
+            res = exc.args[0]
+        out = (res.error, res.text, res.csv, res.json, res.svg, res.hits)
+        yield "wall_tables", op.label, hashlib.sha256(repr(out).encode()).hexdigest()
+
+
+def _run_digests(root: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env.pop("K3WALLS_FORMAT", None)
+    proc = subprocess.run(
+        [sys.executable, __file__, "--digests", str(root / "src")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    out: dict = {}
+    for line in proc.stdout.splitlines():
+        group, label, sha = line.split("\t")
+        out[(group, label)] = sha
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--digests"]:
+        import k3walls
+
+        if not Path(k3walls.__file__).resolve().is_relative_to(Path(argv[1]).resolve()):
+            raise SystemExit(f"k3walls imported from {k3walls.__file__}, not from {argv[1]}")
+        for case in digests(ROOT / "bench"):
+            print("\t".join(case))
+        return 0
+    if len(argv) not in (1, 2):
+        raise SystemExit(__doc__)
+    other = _run_digests(Path(argv[0]).resolve())
+    mine = _run_digests(Path(argv[1]).resolve() if len(argv) == 2 else ROOT)
+    if other.keys() != mine.keys():
+        print("the two trees ran different cases")
+        return 1
+    differ = 0
+    for group in dict.fromkeys(group for group, _ in mine):
+        labels = [label for g, label in mine if g == group]
+        bad = [label for label in labels if mine[(group, label)] != other[(group, label)]]
+        differ += len(bad)
+        print(f"{group}: {len(labels)} cases, {len(bad)} differ")
+        for label in bad:
+            print(f"  differs: {label}")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
