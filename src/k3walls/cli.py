@@ -68,7 +68,7 @@ def _add_common(sub: argparse.ArgumentParser, vector_needed: bool = True) -> Non
         group.add_argument("--n", type=int, help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
         group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
     sub.add_argument("--degree", type=int, default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
-    sub.add_argument("--rmax", type=int, help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, the proven bound for candidates)")
+    sub.add_argument("--rmax", type=int, help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
     sub.add_argument("--ymin", type=_fraction, default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")
     sub.add_argument("--format", choices=report.FORMATS, help="output format (default from K3WALLS_FORMAT, else text)")
     sub.add_argument("--precision", type=int, default=6, help="digits for float display (default 6)")

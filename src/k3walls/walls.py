@@ -16,33 +16,31 @@ in the movable cone (coordinates along theta(0,-1,0) and theta(-1,0,1-n)),
 where gamma_max is the smallest positive slope of a divisorial class or
 of an isotropic class orthogonal to v.  The boundary slope itself is a
 wall when a divisorial class realizes it (n = 8 ends in one); when
-n - 1 is d times a perfect square the boundary instead comes from an
+d(n-1) is a perfect square the boundary instead comes from an
 isotropic class with <v,a> = 0 (the Lagrangian fibration), whose
 numerical wall misses the upper half plane, so that record carries no
 curve.
 
-The Hilbert search works up to |rank(a)| <= 2 * r_max (default
-r_max = 4n) and is flagged incomplete when the walls within r_max and
-within 2 * r_max differ.  When d(n-1) = t^2 is a square, every clause
-factors over the integers, (X - 2tc)(X + 2tc) = <v,a>^2 - 2(n-1)a^2
-with X = 2(n-1)r - <v,a>, which bounds the rank of every class that
-can make a wall by R*, about (n + 5)/4 (_scan_rank).  The scans stop
-at min(2 * r_max, R*), and with r_max >= R* complete is a proof;
-otherwise it is still the doubling check.  The search first finds
-gamma_max from the divisorial clauses alone (a few points per rank), so
-a cap too small to reach the cone boundary raises at once.  It then
-lists the clause classes in one scan of lattice points (r, c, s), rank
-first: writing
-s = r(n-1) - <v,a>, every clause reads d*c^2 = r*s + a^2/2, so each rank
-leaves a window of about sqrt(n) values of c (two isqrt calls), each c
-leaves the s with r*s within (n-1)/4 + 1 of d*c^2 (at most one once
-|r| > (n-1)/4 + 1), and a closed-form test of (a^2, <v,a>) against the
-clauses keeps or drops the point.  A search at rank bound R thus visits
-about R sqrt(n) points instead of passing over the ranks once per clause
-(about n^2/4 clauses).  Slopes are coprime integer pairs throughout the
-scan: a class outside [0, gamma_max] is dropped by cross-multiplication
-before the primitivity gcd (of the two signs of c, only the one giving
-a slope >= 0 is tested), walls are grouped by the pair and ordered by an
+The Hilbert search first finds gamma_max from the divisorial clauses
+alone (a few points per rank) up to |rank(a)| <= 2 * r_max (default
+r_max = 4n), so a cap too small to reach the cone boundary raises at
+once.  With X = 2(n-1)r - <v,a> every clause reads
+X^2 - 4d(n-1)c^2 = <v,a>^2 - 2(n-1)a^2, which bounds the rank of every
+class with a slope in [0, gamma_max] by R* (_cone_rank).  When
+R* <= 2 * r_max the search scans to R* and complete is a proof;
+otherwise it lists the walls within r_max and is flagged incomplete.
+It lists the clause classes in one scan of lattice points (r, c, s),
+rank first: writing s = r(n-1) - <v,a>, every clause reads
+d*c^2 = r*s + a^2/2, so each rank leaves a window of about sqrt(n)
+values of c (two isqrt calls), each c leaves the s with r*s within
+(n-1)/4 + 1 of d*c^2 (at most one once |r| > (n-1)/4 + 1), and a
+closed-form test of (a^2, <v,a>) against the clauses keeps or drops the
+point.  A search at rank bound R thus visits about R sqrt(n) points
+instead of passing over the ranks once per clause (about n^2/4
+clauses).  Slopes are coprime integer pairs throughout the scan: a
+class outside [0, gamma_max] is dropped by cross-multiplication before
+the primitivity gcd (of the two signs of c, only the one giving a
+slope >= 0 is tested), walls are grouped by the pair and ordered by an
 exact integer key (_sorted_pairs), and one Fraction is made per wall,
 for its record.
 
@@ -120,7 +118,9 @@ class MovableCone(_Value):
 
 class SearchBounds(_Value):
     """r_max caps |rank(a)|; None means 4n for a Hilbert or Beauville-Mukai
-    search and the proven bound for a candidate search."""
+    search (which lists the walls within r_max, and certifies them when
+    its proven bound is at most 2 * r_max) and the proven bound for a
+    candidate search."""
 
     __slots__ = ("r_max", "y_min")
 
@@ -227,40 +227,15 @@ def _representative_key(a: MukaiVector) -> tuple:
 
 
 def _lagrangian_class(n: int, p: SurfaceParams) -> MukaiVector | None:
-    """Primitive isotropic a with <v,a> = 0, when one exists: a = +-(1, -m, n-1)
-    with d*m^2 = n - 1.  Returned in the sign (-1, m, 1-n)."""
-    if (n - 1) % p.d != 0:
-        return None
-    m_sq = (n - 1) // p.d
-    m = math.isqrt(m_sq)
-    if m * m != m_sq or m == 0:
-        return None
-    return MukaiVector(-1, m, 1 - n)
-
-
-def _scan_rank(n: int, r_max: int, p: SurfaceParams) -> int:
-    """The rank bound of a clause scan meant to reach r_max: r_max itself,
-    or the proven bound R* when d(n-1) = t^2 and R* is smaller.
-
-    In that split case X = 2(n-1)r - <v,a> and N = <v,a>^2 - 2(n-1)a^2
-    turn every clause into (X - 2tc)(X + 2tc) = N.  For N != 0 both
-    factors divide N, so |X| <= (|N| + 1)/2, and |N| <= k_max^2 + 4(n-1)
-    over all clauses: every such class has |r| <= R*.  A class with
-    N = 0 has X = -+2tc, so slope +-d/t exactly, and an empty wall (N is
-    the numerator of its radius^2): it makes no record, but its slope
-    takes part in the doubling check.  The cut at R* >= 1 changes
-    neither.  Every divisorial class has c = 0 here (for a^2 = -2,
-    (n-1)r^2 - dc^2 = 1 forces c = 0 when d(n-1) is a square), so
-    gamma_max is the slope d/t of the Lagrangian class (-1, m, 1-n) when
-    n - 1 = dm^2, and the N = 0 classes of that slope include members
-    of rank +-1; otherwise no cone boundary is found at any bound.
-    """
+    """Primitive isotropic a with <v,a> = 0, when d(n-1) = t^2 is a square:
+    +-(t, -(n-1), t(n-1)) / gcd(t, n-1), of slope d/t.  Returned with
+    negative rank ((-1, m, 1-n) when n - 1 = dm^2)."""
     t_sq = p.d * (n - 1)
-    if math.isqrt(t_sq) ** 2 != t_sq:
-        return r_max
-    k_max = max(n - 1, 2)
-    n_max = k_max * k_max + 4 * (n - 1)
-    return min(r_max, ((n_max + 1) // 2 + k_max) // (2 * (n - 1)))
+    t = math.isqrt(t_sq)
+    if t * t != t_sq:
+        return None
+    g = math.gcd(t, n - 1)
+    return MukaiVector(-t // g, (n - 1) // g, -t * (n - 1) // g)
 
 
 def _slope_classes(
@@ -348,19 +323,44 @@ def _sorted_pairs(pairs, reverse: bool = False) -> list:
     return sorted(pairs, key=lambda pair: pair[0] * scale // pair[1], reverse=reverse)
 
 
-def _cone_bound(n: int, boundary: list, r_max: int, p: SurfaceParams) -> tuple[int, int]:
-    """gamma_max as a coprime pair: the smallest positive slope of a
-    divisorial class with |r| <= r_max (from the divisorial-only scan
-    boundary) or of the Lagrangian class."""
-    slopes = [gamma for a, _, gamma in boundary if abs(a.r) <= r_max and gamma[0] > 0]
+def _cone_rank(n: int, r_max: int, reach: int, p: SurfaceParams) -> tuple[tuple[int, int], int]:
+    """(gamma_max, R*): the cone boundary slope as a coprime pair, and a
+    rank beyond which no clause class has a slope in [0, gamma_max].
+
+    With X = 2(n-1)r - <v,a>, the denominator of the slope, and
+    N = <v,a>^2 - 2(n-1)a^2, every class has X^2 - 4d(n-1)c^2 = N, so
+    gamma^2 = (d/(n-1))(1 - N/X^2); over all clauses N <= N_max =
+    k_max^2 + 4(n-1), and r = (X + <v,a>)/(2(n-1)) with 0 <= <v,a> <= k_max.
+
+    When d(n-1) = t^2 the clause factors, (X - 2tc)(X + 2tc) = N, so a
+    class with N != 0 has |X| <= (|N| + 1)/2.  A class with N = 0 has
+    slope +-d/t and an empty wall (N is the numerator of its radius^2).
+    Every divisorial class has c = 0 here, so gamma_max = d/t, the slope
+    of the Lagrangian class.
+
+    Otherwise gamma_max = P/Q is the smallest positive divisorial slope
+    with |r| <= reach; ValueError when none has |r| <= r_max.  Every
+    divisorial N is positive, so delta = dQ^2 - (n-1)P^2 > 0, and
+    gamma <= P/Q reads X^2 delta <= N dQ^2: classes with N <= 0 lie
+    above gamma_max and the rest have X^2 <= N_max dQ^2 / delta.  When
+    R* <= reach, no divisorial class beyond the scan is below P/Q
+    either (its N <= N_max), so gamma_max is proven.
+    """
+    d = p.d
+    k_max = max(n - 1, 2)
+    n_max = k_max * k_max + 4 * (n - 1)
     lag = _lagrangian_class(n, p)
     if lag is not None:
-        slopes.append(_slope(n, lag.r, lag.c, lag.s, p.d))
-    if not slopes:
+        return _slope(n, lag.r, lag.c, lag.s, d), ((n_max + 1) // 2 + k_max) // (2 * (n - 1))
+    boundary = _slope_classes(n, reach, p, divisorial_only=True)
+    boundary = [(gamma, abs(a.r)) for a, _, gamma in boundary if gamma[0] > 0]
+    if not any(r <= r_max for _, r in boundary):
         raise ValueError(
             f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
         )
-    return _sorted_pairs(slopes)[0]
+    big_p, big_q = gamma_max = _sorted_pairs(gamma for gamma, _ in boundary)[0]
+    delta = d * big_q * big_q - (n - 1) * big_p * big_p
+    return gamma_max, (math.isqrt(n_max * d * big_q * big_q // delta) + k_max) // (2 * (n - 1))
 
 
 def movable_cone(n: int, bounds: SearchBounds | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
@@ -368,19 +368,8 @@ def movable_cone(n: int, bounds: SearchBounds | None = None, p: SurfaceParams = 
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    boundary = _slope_classes(n, _scan_rank(n, r_max, p), p, divisorial_only=True)
-    gamma_max = _cone_bound(n, boundary, r_max, p)
+    gamma_max, _ = _cone_rank(n, r_max, r_max, p)
     return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
-
-
-def _wall_groups(classes: list, r_max: int) -> dict:
-    """{slope: [(class, divisorial_clause), ...]} for the classes with
-    |r| <= r_max, slopes as coprime pairs."""
-    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
-    for a, divisorial, gamma in classes:
-        if abs(a.r) <= r_max:
-            groups.setdefault(gamma, []).append((a, divisorial))
-    return groups
 
 
 def hilbert_walls(
@@ -393,18 +382,16 @@ def hilbert_walls(
     Walls sharing a slope are deduplicated; the representative class
     minimizes (|r|, |c|, |s|) with positive leading coordinate breaking
     exact ties.  A divisorial clause anywhere on the wall marks the whole
-    wall divisorial.  The Lagrangian boundary record, when n-1 is a
-    perfect square times d, is appended last with no curve.
+    wall divisorial.  The Lagrangian boundary record, when d(n-1) is a
+    perfect square, is appended last with no curve.
     """
     v = hilbert_vector(n)
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    r_scan = _scan_rank(n, 2 * r_max, p)
-    boundary = _slope_classes(n, r_scan, p, divisorial_only=True)
-    gamma_max = _cone_bound(n, boundary, r_max, p)
-    gamma_max_2 = _cone_bound(n, boundary, 2 * r_max, p)
-    classes = _slope_classes(n, r_scan, p, gamma_max=gamma_max)
-    groups = _wall_groups(classes, r_max)
-    complete = gamma_max == gamma_max_2 and set(groups) == set(_wall_groups(classes, 2 * r_max))
+    gamma_max, rank = _cone_rank(n, r_max, 2 * r_max, p)
+    complete = rank <= 2 * r_max
+    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
+    for a, divisorial, gamma in _slope_classes(n, rank if complete else r_max, p, gamma_max=gamma_max):
+        groups.setdefault(gamma, []).append((a, divisorial))
 
     records = []
     for gamma in _sorted_pairs(groups):
@@ -430,8 +417,6 @@ def hilbert_walls(
         )
     lag = _lagrangian_class(n, p)
     if lag is not None:
-        gamma = _slope(n, lag.r, lag.c, lag.s, p.d)
-        assert gamma == gamma_max, "Lagrangian boundary must realize the cone boundary"
         records.append(
             WallRecord(
                 a=lag,

@@ -454,6 +454,27 @@ def test_strict_complete_exit_three():
     assert "complete: no" in out
 
 
+def test_strict_complete_needs_the_proven_rank_bound():
+    """S^[16] at d = 2 has the proven bound R* = 136 > 2 * 64, so the
+    default --rmax cannot certify it; --rmax 68 certifies the same rows."""
+    code, out, _ = run_cli(["walls", "--n", "16", "--degree", "2", "--strict-complete"])
+    assert code == 3
+    assert out.endswith("complete: no\n")
+    code, certified, _ = run_cli(["walls", "--n", "16", "--degree", "2", "--rmax", "68", "--strict-complete"])
+    assert code == 0
+    assert certified == out.replace("complete: no\n", "complete: yes\n")
+
+
+def test_split_degree_four_ends_in_rank_two_lagrangian_row():
+    """d = 4, n = 10: d(n-1) = 36 is a square but n - 1 is not 4m^2, so the
+    cone ends at slope 2/3 in the isotropic class (-2, 3, -18)."""
+    code, out, _ = run_cli(["walls", "--n", "10", "--degree", "4"])
+    assert code == 0
+    *_, last, status = out.splitlines()
+    assert last.split() == ["2/3", "(-2,", "3,", "-18)", "0", "0", "-", "boundary_lagrangian"]
+    assert status == "complete: yes"
+
+
 def test_candidate_cap_below_bound_exits_three():
     # the proven rank bound of (0, 2, -1) at --ymin 1 is 2
     code, out, _ = run_cli(["walls", "--vector", "0,2,-1", "--candidates", "--rmax", "1", "--strict-complete"])

@@ -128,7 +128,8 @@ def test_clause_type_matches_clause_list():
 
 def _brute_clause_classes(n, r_max, d):
     """{((r, c, s), divisorial)} for the primitive clause classes with
-    |r| <= r_max, by a plain scan of r, k = <v,a> and c."""
+    |r| <= r_max, by a plain scan of r, k = <v,a> and c, where
+    -2 <= a^2 = 2dc^2 - 2rs <= sq_max bounds |c| from both sides."""
     k_max = max(n - 1, 2)
     sq_max = max(sq for sq in range(-2, n) for k in range(k_max + 1) if _criterion_clause(n, sq, k) is not None)
     found = set()
@@ -137,8 +138,9 @@ def _brute_clause_classes(n, r_max, d):
             s = r * (n - 1) - k
             if 2 * r * s + sq_max < 0:
                 continue
+            c_min = math.isqrt(max(2 * r * s - 2, 0) // (2 * d))
             c_max = math.isqrt((2 * r * s + sq_max) // (2 * d)) + 1
-            for c in range(-c_max, c_max + 1):
+            for c in [*range(-c_max, -c_min + 1), *range(max(c_min, 1), c_max + 1)]:
                 sq = 2 * d * c * c - 2 * r * s  # a^2 for a = (r, c, s); <v,a> = k
                 if not -2 <= sq <= sq_max:
                     continue
@@ -191,16 +193,18 @@ def _divisors(m):
     return sorted(positive | {-e for e in positive})
 
 
-def _split_clause_classes(n, d, t):
+def _split_clause_classes(n, d, t, rank_one=True):
     """{(r, c, s): divisorial} for every primitive class of a clause with
     N = <v,a>^2 - 2(n-1)a^2 != 0, solved clause by clause: with
     X = 2(n-1)r - <v,a> the clause reads (X - 2tc)(X + 2tc) = N, so each
     divisor e of N gives X = (e + N/e)/2 and c = (N/e - e)/(4t), when
-    these and r = (X + <v,a>)/(2(n-1)) are integers.  Also checks that
-    each clause with N = 0 has a primitive class of rank 1."""
+    these and r = (X + <v,a>)/(2(n-1)) are integers.  With rank_one, also
+    checks that each clause with N = 0 has a primitive class of rank 1."""
     found = {}
     for (a_sq, k), divisorial in _clause_list(n).items():
         big_n = k * k - 2 * (n - 1) * a_sq
+        if big_n == 0 and not rank_one:
+            continue
         if big_n == 0:
             # X = -2tc: 2(n-1)r + 2tc = k, so c = (k - 2(n-1))/(2t) at r = 1
             assert k % (2 * t) == 0, (n, d, a_sq, k)
@@ -250,6 +254,117 @@ def test_split_rank_bound_oracle():
         search = hilbert_walls(n, None, SurfaceParams(d))
         assert [(rec.gamma, rec.a.as_tuple(), rec.wall_type) for rec in search.records] == expected, (n, d)
         assert search.complete
+
+
+def _oracle_rows(n, d, classes, gamma_max):
+    """(gamma, representative, type) of every wall of the classes
+    {(r, c, s): divisorial} with slope in [0, gamma_max] and a nonempty
+    locus (N > 0), ascending in gamma."""
+    groups = {}
+    for (r, c, s), divisorial in classes.items():
+        k = r * (n - 1) - s
+        slope = F(-2 * d * c, r * (n - 1) + s)
+        if k * k - 2 * (n - 1) * (2 * d * c * c - 2 * r * s) > 0 and 0 <= slope <= gamma_max:
+            groups.setdefault(slope, []).append(((r, c, s), divisorial))
+    rows = []
+    for gamma in sorted(groups):
+        rep = min((a for a, _ in groups[gamma]), key=lambda a: (*map(abs, a), next(x for x in a if x) < 0, a))
+        rows.append((gamma, rep, "divisorial" if any(flag for _, flag in groups[gamma]) else "flopping"))
+    return rows
+
+
+def test_split_lagrangian_class_oracle():
+    """When d is not squarefree, d(n-1) = t^2 can hold with n - 1 not d
+    times a square; the Lagrangian class orthogonal to v then has rank
+    above one ((-2, 3, -18) for d = 4, n = 10).  The table equals the one
+    built from the factorisations of N, and ends in the isotropic class
+    with <v,a> = 0 of least rank, found by a scan of r."""
+    cases = [
+        (n, d) for d in (4, 8, 9, 12, 18, 25) for n in range(2, 61) if math.isqrt(d * (n - 1)) ** 2 == d * (n - 1)
+    ]
+    assert len(cases) == 35
+    ranks = set()
+    for n, d in cases:
+        t = math.isqrt(d * (n - 1))
+        # a = (-r, c, -r(n-1)) has <v,a> = 0, and a^2 = 0 reads d c^2 = (n-1) r^2
+        r = next(r for r in range(1, t + 1) if math.isqrt((n - 1) * r * r // d) ** 2 * d == (n - 1) * r * r)
+        c = math.isqrt((n - 1) * r * r // d)
+        ranks.add(r)
+        classes = _split_clause_classes(n, d, t, rank_one=False)
+        assert all(abs(a[0]) <= _split_rank_bound(n) for a in classes), (n, d)
+        boundary = F(d * c, r * (n - 1))
+        slopes = [F(-2 * d * a[1], a[0] * (n - 1) + a[2]) for a, flag in classes.items() if flag]
+        gamma_max = min([boundary] + [slope for slope in slopes if slope > 0])
+        assert gamma_max == boundary == F(d, t)
+        expected = _oracle_rows(n, d, classes, gamma_max) + [(boundary, (-r, c, -r * (n - 1)), "boundary_lagrangian")]
+        search = hilbert_walls(n, None, SurfaceParams(d))
+        assert [(rec.gamma, rec.a.as_tuple(), rec.wall_type) for rec in search.records] == expected, (n, d)
+        assert search.complete
+        assert movable_cone(n, None, SurfaceParams(d)).gamma_max == gamma_max
+    assert ranks == {1, 2, 3, 5}
+
+
+def _nonsplit_rank_bound(n, d, gamma_max):
+    """R* = (isqrt(N_max d Q^2 // delta) + k_max) // (2(n-1)) for gamma_max = P/Q,
+    delta = dQ^2 - (n-1)P^2, N_max = k_max^2 + 4(n-1)."""
+    k_max = max(n - 1, 2)
+    big_p, big_q = gamma_max.numerator, gamma_max.denominator
+    delta = d * big_q * big_q - (n - 1) * big_p * big_p
+    return (math.isqrt((k_max * k_max + 4 * (n - 1)) * d * big_q * big_q // delta) + k_max) // (2 * (n - 1))
+
+
+def test_nonsplit_rank_bound_oracle():
+    """When d(n-1) is not a square, every table reported complete equals
+    the one built from a brute-force clause scan to 3R* + 10, where R* is
+    the bound of gamma_max = P/Q: with X = 2(n-1)r - <v,a> and
+    N = <v,a>^2 - 2(n-1)a^2, every class has gamma^2 = (d/(n-1))(1 - N/X^2),
+    so gamma <= P/Q reads X^2 (dQ^2 - (n-1)P^2) <= N dQ^2.  No class with a
+    slope in [0, gamma_max] has |r| > R*, and the search certifies from
+    r_max = ceil(R*/2) on, and not below it."""
+    checked = 0
+    for d in (1, 2, 3):
+        p = SurfaceParams(d)
+        for n in range(2, 31):
+            if math.isqrt(d * (n - 1)) ** 2 == d * (n - 1):
+                continue
+            try:
+                search = hilbert_walls(n, None, p)
+            except ValueError:
+                continue
+            if not search.complete:
+                continue
+            checked += 1
+            rank = _nonsplit_rank_bound(n, d, search.records[-1].gamma)
+            classes = dict(_brute_clause_classes(n, 3 * rank + 10, d))
+            slopes = {}
+            for (r, c, s) in classes:
+                k, x = r * (n - 1) - s, r * (n - 1) + s
+                big_n = k * k - 2 * (n - 1) * (2 * d * c * c - 2 * r * s)
+                slopes[(r, c, s)] = F(-2 * d * c, x)
+                assert slopes[(r, c, s)] ** 2 == F(d, n - 1) * (1 - F(big_n, x * x)), (n, d, r, c, s)
+            gamma_max = min(slopes[a] for a, flag in classes.items() if flag and slopes[a] > 0)
+            assert gamma_max == search.records[-1].gamma, (n, d)
+            assert all(abs(a[0]) <= rank for a in classes if 0 <= slopes[a] <= gamma_max), (n, d)
+            expected = _oracle_rows(n, d, classes, gamma_max)
+            assert [(rec.gamma, rec.a.as_tuple(), rec.wall_type) for rec in search.records] == expected, (n, d)
+            at_threshold = hilbert_walls(n, SearchBounds(r_max=(rank + 1) // 2), p)
+            assert at_threshold.complete and at_threshold.records == search.records, (n, d)
+            try:
+                below = hilbert_walls(n, SearchBounds(r_max=(rank + 1) // 2 - 1), p).complete
+            except ValueError:  # no cone boundary class within that r_max
+                below = False
+            assert not below, (n, d)
+    assert checked == 63
+
+
+def test_certificate_threshold():
+    """hilbert_walls(13) has R* = 56: r_max = 27 cannot certify (56 > 54),
+    r_max = 28 certifies the 29 walls of the default table."""
+    default = hilbert_walls(13)
+    assert default.complete and len(default.records) == 29
+    assert not hilbert_walls(13, SearchBounds(r_max=27)).complete
+    at_28 = hilbert_walls(13, SearchBounds(r_max=28))
+    assert at_28.complete and at_28.records == default.records
 
 
 def test_doubling_stabilization():

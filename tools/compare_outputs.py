@@ -12,6 +12,9 @@ its output; a ValueError counts as output, by its message.
   r_max in {None, n, 3}, for d = 1 with n <= 200, d = 2 with n <= 120
   and d = 3 with n <= 79 (1,185 searches: at n = 3 the last two caps
   coincide);
+- split: repr of hilbert_walls(n) and of movable_cone(n) with r_max None,
+  for d in {4, 8, 9, 12} and every n <= 100 with d(n-1) a square (d not
+  squarefree, so the Lagrangian class can have rank above one);
 - candidate: repr of candidate_walls((0, m, k)) for m = 1..9,
   k = -6..6, d = 1..3, y_min in {1, 1/2, 3/2, 2/3} and r_max in
   {None, 3} (2,808 searches);
@@ -26,6 +29,7 @@ comparison runs it twice.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -35,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HILBERT_NS = {1: 200, 2: 120, 3: 79}
+SPLIT_DS, SPLIT_N = (4, 8, 9, 12), 100
 SEED = 1
 
 
@@ -58,6 +63,12 @@ def digests(bench_dir: Path):
                 label = f"n={n} d={d} r_max={r_max}"
                 yield "hilbert", label, _digest(lambda: walls.hilbert_walls(n, bounds, p))
                 yield "hilbert", f"cone {label}", _digest(lambda: walls.movable_cone(n, bounds, p))
+    for d in SPLIT_DS:
+        p = lattice.SurfaceParams(d)
+        for n in range(2, SPLIT_N + 1):
+            if math.isqrt(d * (n - 1)) ** 2 == d * (n - 1):
+                yield "split", f"n={n} d={d}", _digest(lambda: walls.hilbert_walls(n, None, p))
+                yield "split", f"cone n={n} d={d}", _digest(lambda: walls.movable_cone(n, None, p))
     for d in (1, 2, 3):
         p = lattice.SurfaceParams(d)
         for m in range(1, 10):
