@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction
+from functools import cache
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _json_str
 
@@ -207,14 +208,13 @@ def _walls_title(payload: dict) -> str:
 
 
 def _table(rows: list[tuple], header: tuple) -> str:
-    widths = [len(h) for h in header]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in (header, *rows):
-        lines.append("  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row)).rstrip())
-    return "\n".join(lines)
+    """Columns two spaces apart, each as wide as its longest cell, padded
+    column by column."""
+    columns = []
+    for column in zip(header, *rows):
+        width = max(map(len, column))
+        columns.append([cell.ljust(width) for cell in column])
+    return "\n".join([line.rstrip() for line in map("  ".join, zip(*columns))])
 
 
 def _gamma_str(gamma) -> str:
@@ -390,10 +390,63 @@ def _json(value, newline: str) -> str:
     raise TypeError(f"Object of type {kind.__name__} is not a payload value")
 
 
+# A wall record of record_json's shape is written from one template per
+# indent and shape.  _json makes each template from a record of that shape
+# whose leaves are holes, so the two writers cannot disagree; a value of
+# any other shape goes to _json whole.
+_RATIONAL = ("num", "den")
+_RECORD = ("gamma", "a", "a_sq", "pairing", "curve", "type")
+_CURVES = {"vertical_line": ("kind", "x0"), "semicircle": ("kind", "center", "radius_sq")}
+
+
+@cache
+def _record_template(newline: str, has_gamma: bool, kind: str | None) -> str:
+    q = dict.fromkeys(_RATIONAL, "\0")
+    curve = None if kind is None else {**dict.fromkeys(_CURVES[kind], q), "kind": kind}
+    holes = (q if has_gamma else None, ["\0"] * 3, "\0", "\0", curve, "\0")
+    return _json(dict(zip(_RECORD, holes)), newline).replace(_json_str("\0"), "%s")
+
+
+def _record_json(wall, newline: str) -> str:
+    """wall as _json(wall, newline) writes it."""
+    if type(wall) is not dict or tuple(wall) != _RECORD:
+        return _json(wall, newline)
+    gamma, a, a_sq, pairing, curve, wall_type = wall.values()
+    if curve is None:
+        kind, rationals = None, []
+    elif type(curve) is dict and type(kind := curve.get("kind")) is str and tuple(curve) == _CURVES.get(kind):
+        rationals = [*curve.values()][1:]
+    else:
+        return _json(wall, newline)
+    if gamma is not None:
+        rationals.insert(0, gamma)
+    if type(a) is not list or len(a) != 3 or type(wall_type) is not str:
+        return _json(wall, newline)
+    leaves = []
+    for q in rationals:
+        if type(q) is not dict or tuple(q) != _RATIONAL:
+            return _json(wall, newline)
+        leaves += q.values()
+    k = 0 if gamma is None else 2
+    ints = [*leaves[:k], *a, a_sq, pairing, *leaves[k:]]
+    if set(map(type, ints)) != {int}:
+        return _json(wall, newline)
+    return _record_template(newline, gamma is not None, kind) % (*ints, _json_str(wall_type))
+
+
 def render_json(payload: dict) -> str:
     """json.dumps(payload, indent=2) + "\n", written without the pure-Python
     encoder that json falls back to when given an indent."""
-    return _json(payload, "\n") + "\n"
+    if type(payload) is not dict or not payload:
+        return _json(payload, "\n") + "\n"
+    items = []
+    for key, value in payload.items():
+        if key == "walls" and type(value) is list and value:
+            text = "[\n    " + ",\n    ".join([_record_json(w, "\n    ") for w in value]) + "\n  ]"
+        else:
+            text = (_record_json if key == "wall" else _json)(value, "\n  ")
+        items.append(_json_str(key) + ": " + text)
+    return "{\n  " + ",\n  ".join(items) + "\n}\n"
 
 
 _TEXT = {"walls": render_walls_text, "path": render_path_text, "decompose": render_decompose_text}

@@ -69,12 +69,12 @@ def _above_marker(wall: dict, marker_sq: Fraction) -> bool:
 
 
 def default_ranges(walls: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    xs: list[float] = [0.0]
-    top = max(1.0, y_marker)
-    for wall in walls:
-        lo, hi, peak = _curve_extent(wall["curve"])
-        xs.extend((lo, hi))
-        top = max(top, peak)
+    return _fitted_ranges([_curve_extent(wall["curve"]) for wall in walls], y_marker)
+
+
+def _fitted_ranges(extents: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
+    xs = [0.0, *(x for lo, hi, _ in extents for x in (lo, hi))]
+    top = max(1.0, y_marker, *(peak for _, _, peak in extents))
     if len(xs) == 1:
         xs = [-2.0, 2.0]
     pad = max(0.5, 0.05 * (max(xs) - min(xs)))
@@ -89,14 +89,13 @@ class _Canvas:
             raise ValueError("figure ranges must be increasing intervals")
         if not (math.isfinite(self.x1 - self.x0) and math.isfinite(self.y1 - self.y0)):
             raise ValueError("figure ranges must have a finite width")
-        self.precision = precision
+        # every value written is an int, an int margin plus a float, or a
+        # product of non-negative floats, so none is -0.0
+        self.fmt = f"%.{precision}f".__mod__
         self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
         self.sx = self.plot_w / (self.x1 - self.x0)
         self.sy = self.plot_h / (self.y1 - self.y0)
-
-    def fmt(self, value: float) -> str:
-        return f"{value + 0.0:.{self.precision}f}"
 
     def px(self, x: float) -> str:
         return self.fmt(MARGIN_LEFT + (x - self.x0) * self.sx)
@@ -121,8 +120,10 @@ def render_figure(
     precision: int = 6,
 ) -> str:
     marker = float(y_marker)
-    walls = [wall for wall in payload["walls"] if _above_marker(wall, y_marker * y_marker)]
-    auto_x, auto_y = default_ranges(walls, marker)
+    marker_sq = y_marker * y_marker
+    walls = [wall for wall in payload["walls"] if _above_marker(wall, marker_sq)]
+    extents = [_curve_extent(wall["curve"]) for wall in walls]
+    auto_x, auto_y = _fitted_ranges(extents, marker)
     cv = _Canvas(x_range or auto_x, y_range or auto_y, precision)
 
     title = f"Walls for v = ({', '.join(str(c) for c in payload['vector'])}), d = {payload['surface']['d']}"
@@ -179,43 +180,34 @@ def render_figure(
             f'dominant-baseline="middle" fill="#555555">y = {frac_str(y_marker)}</text>'
         )
 
-    drawn: list[tuple[str, str]] = []
-    for wall in walls:
-        curve = wall["curve"]
-        lo, hi, _ = _curve_extent(curve)
+    # one arc or line per wall that reaches into the x window, and one
+    # swatch per drawn wall in the legend in the right margin
+    fmt, px, sx, sy = cv.fmt, cv.px, cv.sx, cv.sy
+    lx = WIDTH - MARGIN_RIGHT + 14
+    swatch_x1, swatch_x2, label_x = fmt(lx), fmt(lx + 22), fmt(lx + 28)
+    legend: list[str] = []
+    for wall, (lo, hi, _) in zip(walls, extents):
         if hi < cv.x0 or lo > cv.x1:
             continue
-        color = PALETTE[len(drawn) % len(PALETTE)]
-        if curve["kind"] == "vertical_line":
-            wx = cv.px(lo)
+        color = PALETTE[len(legend) % len(PALETTE)]
+        if wall["curve"]["kind"] == "vertical_line":
+            wx = px(lo)
             out.append(
                 f'<line x1="{wx}" y1="{bottom}" x2="{wx}" y2="{top}" stroke="{color}" '
                 f'stroke-width="1.5" stroke-dasharray="2,3" clip-path="url(#plot)"/>'
             )
         else:
             radius = (hi - lo) / 2.0
-            x1 = cv.px(lo)
-            x2 = cv.px(hi)
-            rx = cv.fmt(radius * cv.sx)
-            ry = cv.fmt(radius * cv.sy)
             out.append(
-                f'<path d="M {x1} {bottom} A {rx} {ry} 0 0 1 {x2} {bottom}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5" clip-path="url(#plot)"/>'
+                f'<path d="M {px(lo)} {bottom} A {fmt(radius * sx)} {fmt(radius * sy)} 0 0 1 {px(hi)} {bottom}" '
+                f'fill="none" stroke="{color}" stroke-width="1.5" clip-path="url(#plot)"/>'
             )
-        drawn.append((_legend_label(wall), color))
-
-    # legend in the right margin, one swatch per drawn wall
-    lx = WIDTH - MARGIN_RIGHT + 14
-    for i, (label, color) in enumerate(drawn):
-        ly = MARGIN_TOP + 10 + 18 * i
-        out.append(
-            f'<line x1="{cv.fmt(lx)}" y1="{cv.fmt(ly)}" x2="{cv.fmt(lx + 22)}" y2="{cv.fmt(ly)}" '
-            f'stroke="{color}" stroke-width="2"/>'
+        ly = MARGIN_TOP + 10 + 18 * len(legend)
+        legend.append(
+            f'<line x1="{swatch_x1}" y1="{fmt(ly)}" x2="{swatch_x2}" y2="{fmt(ly)}" stroke="{color}" stroke-width="2"/>\n'
+            f'<text x="{label_x}" y="{fmt(ly + 4)}" font-family="monospace" '
+            f'font-size="11" fill="#000000">{_legend_label(wall)}</text>'
         )
-        out.append(
-            f'<text x="{cv.fmt(lx + 28)}" y="{cv.fmt(ly + 4)}" font-family="monospace" '
-            f'font-size="11" fill="#000000">{label}</text>'
-        )
-
+    out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"

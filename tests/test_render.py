@@ -1,0 +1,317 @@
+"""Renderer oracles: wall records in json, figure geometry in svg and the
+layout of the text tables, each against a formula of its own.
+
+- render_json is compared with json.dumps(payload, indent=2) on payloads
+  whose walls are records of record_json's shape, and on records one
+  change away from it (a key missing, added or moved, a leaf of another
+  type), which must give the json.dumps bytes or the TypeError that a
+  non-payload value raises.
+- Each figure is parsed, and its drawn walls, their coordinates and the
+  legend are recomputed from the payload's exact rationals and the float
+  formulas of the canvas.
+- report._table is checked for column positions, widths and trailing
+  whitespace on generated cells.
+"""
+
+import io
+import json
+import math
+import xml.etree.ElementTree as ET
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from k3walls import report
+from k3walls.cli import main
+
+# ---------------------------------------------------------------------------
+# render_json on wall records against json.dumps(indent=2)
+
+_ints = st.integers() | st.integers(min_value=2**63) | st.integers(max_value=-(2**63))
+_rationals = st.builds(lambda num, den: {"num": num, "den": den}, _ints, _ints)
+_curves = (
+    st.none()
+    | st.builds(lambda x0: {"kind": "vertical_line", "x0": x0}, _rationals)
+    | st.builds(lambda c, r: {"kind": "semicircle", "center": c, "radius_sq": r}, _rationals, _rationals)
+)
+_types = st.sampled_from(["divisorial", "flopping", "fake", "candidate"]) | st.text(max_size=4)
+_records = st.builds(
+    lambda gamma, a, a_sq, pairing, curve, wall_type: {
+        "gamma": gamma, "a": a, "a_sq": a_sq, "pairing": pairing, "curve": curve, "type": wall_type,
+    },
+    st.none() | _rationals,
+    st.lists(_ints, min_size=3, max_size=3),
+    _ints,
+    _ints,
+    _curves,
+    _types,
+)
+_odd_leaves = st.floats(allow_nan=False) | st.booleans() | st.none() | st.text(max_size=2) | st.just([])
+
+
+def _leaf_paths(value, path=()):
+    """The paths to every leaf (a non-dict, non-list value, or an empty one)."""
+    items = value.items() if type(value) is dict else enumerate(value) if type(value) is list else ()
+    paths = [p for key, item in items for p in _leaf_paths(item, (*path, key))]
+    return paths or [path]
+
+
+def _dicts(value, path=()):
+    """The paths to every dict inside value, value itself included."""
+    if type(value) is dict:
+        return [path, *(p for key, item in value.items() for p in _dicts(item, (*path, key)))]
+    if type(value) is list:
+        return [p for i, item in enumerate(value) for p in _dicts(item, (*path, i))]
+    return []
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def _near_records(draw):
+    """A wall record, or one changed in one place: a dict with a key
+    dropped, added or moved last, or a leaf of another type."""
+    record = draw(_records)
+    change = draw(st.sampled_from(["none", "drop", "extra", "move", "leaf"]))
+    if change == "leaf":
+        *parent, key = draw(st.sampled_from(_leaf_paths(record)))
+        _at(record, parent)[key] = draw(_odd_leaves)
+    elif change != "none":
+        target = _at(record, draw(st.sampled_from(_dicts(record))))
+        key = draw(st.sampled_from(sorted(target)))
+        if change == "drop":
+            del target[key]
+        elif change == "extra":
+            target[draw(st.sampled_from(["extra", "kind", "num"]))] = draw(_ints)
+        else:
+            target[key] = target.pop(key)
+    return record
+
+
+_wall_lists = st.lists(_near_records(), max_size=5)
+_vectors = st.lists(_ints, min_size=3, max_size=3)
+_decompositions = st.lists(
+    st.builds(
+        lambda parts, dims, error: {"parts": parts, "error": error}
+        if error
+        else {"parts": parts, "moduli_dims": dims, "fiber_dims": dims, "stratum_dim": sum(dims)},
+        st.lists(_vectors, min_size=2, max_size=3),
+        st.lists(_ints, max_size=3),
+        st.sampled_from(["", "not effective"]),
+    ),
+    max_size=3,
+)
+_payloads = st.one_of(
+    st.builds(  # walls and candidate tables
+        lambda d, v, ws, ok: {"surface": {"d": d}, "vector": v, "walls": ws, "complete": ok},
+        _ints, _vectors, _wall_lists, st.booleans(),
+    ),
+    st.builds(  # transported tables
+        lambda d, v, ws, ok, m, src: {
+            "surface": {"d": d}, "vector": v, "walls": ws, "complete": ok, "m": m, "source_vector": src,
+        },
+        _ints, _vectors, _wall_lists, st.booleans(), _ints, _vectors,
+    ),
+    st.builds(  # decompose
+        lambda d, v, wall, parts_max, dim, entries: {
+            "surface": {"d": d}, "vector": v, "wall": wall, "parts_max": parts_max,
+            "total_space_dim": dim, "decompositions": entries,
+        },
+        _ints, _vectors, _near_records(), _ints, _ints, _decompositions,
+    ),
+    st.builds(lambda key, value: {key: value}, st.sampled_from(["walls", "wall"]), _near_records() | _wall_lists),
+)
+
+
+def _holds_float(value) -> bool:
+    if type(value) is dict:
+        return any(_holds_float(item) for item in value.values())
+    if type(value) is list:
+        return any(_holds_float(item) for item in value)
+    return type(value) is float
+
+
+_Q = {"num": 2, "den": 117}
+_SEMICIRCLE = {"kind": "semicircle", "center": {"num": -117, "den": 2}, "radius_sq": {"num": 13213, "den": 4}}
+_LINE = {"kind": "vertical_line", "x0": {"num": 0, "den": 1}}
+
+
+def _wall(**changes):
+    return {"gamma": _Q, "a": [0, 1, -117], "a_sq": 2, "pairing": 117, "curve": _SEMICIRCLE, "type": "flopping",
+            **changes}
+
+
+@settings(deadline=None)
+@given(_payloads)
+@example({"surface": {"d": 1}, "vector": [1, 0, -9], "walls": [], "complete": True})
+@example({"walls": [_wall(), _wall(gamma=None, curve=_LINE), _wall(curve=None, type="fake")]})
+@example({"walls": [_wall(a_sq=2**64 + 1, pairing=-(2**63) - 1, type="candidate")]})
+@example({"wall": _wall(curve={"x0": _Q})})  # no kind
+@example({"wall": _wall(curve={"kind": "vertical_line", "center": _Q})})  # the keys of another kind
+@example({"wall": _wall(curve={"kind": "semicircle", "radius_sq": _Q, "center": _Q})})
+@example({"walls": [_wall(gamma={"den": 117, "num": 2})]})
+@example({"walls": [_wall(gamma={"num": 2, "den": 117, "extra": 0})]})
+@example({"walls": [_wall(a=[0, 1])]})
+@example({"walls": [_wall(a_sq=True, pairing=False)]})
+@example({"walls": [_wall(gamma={"num": 0.5, "den": 1})]})
+@example({"walls": [{**_wall(), "extra": 1}]})
+@example({"walls": [{key: value for key, value in reversed(_wall().items())}]})
+@example({"walls": [{key: value for key, value in _wall().items() if key != "a"}]})
+@example({"walls": {"gamma": None}})
+def test_render_json_wall_records_against_json_dumps(payload):
+    if _holds_float(payload):
+        with pytest.raises(TypeError):
+            report.render_json(payload)
+    else:
+        assert report.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# figure geometry against the payload's exact rationals
+
+
+def _run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code == 0, err.getvalue()
+    return out.getvalue()
+
+
+def _q(rational) -> Fraction:
+    return Fraction(rational["num"], rational["den"])
+
+
+def _meets_window(curve, lo: Fraction, hi: Fraction) -> bool:
+    """Does the curve meet the strip lo <= x <= hi?  For a semicircle,
+    center + radius >= lo and center - radius <= hi, squared exactly."""
+    if curve["kind"] == "vertical_line":
+        return lo <= _q(curve["x0"]) <= hi
+    center, radius_sq = _q(curve["center"]), _q(curve["radius_sq"])
+    return (lo - center <= 0 or radius_sq >= (lo - center) ** 2) and (
+        center - hi <= 0 or radius_sq >= (center - hi) ** 2
+    )
+
+
+def _float_extent(curve):
+    if curve["kind"] == "vertical_line":
+        x = curve["x0"]["num"] / curve["x0"]["den"]
+        return x, x, 0.0
+    center = curve["center"]["num"] / curve["center"]["den"]
+    radius = math.sqrt(curve["radius_sq"]["num"] / curve["radius_sq"]["den"])
+    return center - radius, center + radius, radius
+
+
+def _label(wall) -> str:
+    if wall["gamma"] is not None:
+        return f"gamma = {_q(wall['gamma'])}"
+    if wall["curve"]["kind"] == "semicircle":
+        return f"r^2 = {_q(wall['curve']['radius_sq'])}"
+    return "wall"
+
+
+@pytest.mark.parametrize(
+    "argv, y_marker, precision, xrange, clipped",
+    [
+        (["--n", "20"], Fraction(1), 6, None, False),
+        (["--vector", "0,3,-1", "--ymin", "1/2"], Fraction(1, 2), 6, None, False),
+        (["--n", "10", "--precision", "3"], Fraction(1), 3, (-6.0, 1.0), False),
+        (["--n", "10"], Fraction(1), 6, (-1.2, 1.0), True),
+        (["--n", "10", "--ymin", "7/8"], Fraction(7, 8), 6, None, False),  # a wall of radius 7/8 stays out
+    ],
+    ids=["n20", "bm_ymin_half", "n10_precision3_window", "n10_clipped", "n10_radius_at_marker"],
+)
+def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, clipped):
+    """The drawn walls are the walls above the marker that meet the x
+    window, each at the coordinates of the canvas formulas, in payload
+    order, with one legend entry each in its colour."""
+    window = [] if xrange is None else [f"--xrange={xrange[0]},{xrange[1]}"]
+    root = ET.fromstring(_run(["figure", *argv, *window]))
+    payload = json.loads(_run(["walls", *argv, "--format", "json"]))
+
+    def fmt(value: float) -> str:
+        return f"{value:.{precision}f}"
+
+    above = [
+        w for w in payload["walls"]
+        if w["curve"] is not None
+        and (w["curve"]["kind"] == "vertical_line" or _q(w["curve"]["radius_sq"]) > y_marker**2)
+    ]
+    extents = [_float_extent(w["curve"]) for w in above]
+    if xrange is None:  # the fitted window: every wall and 0, padded by 5%
+        xs = [0.0, *(x for lo, hi, _ in extents for x in (lo, hi))]
+        pad = max(0.5, 0.05 * (max(xs) - min(xs)))
+        xrange = (min(xs) - pad, max(xs) + pad)
+    y_top = max([1.0, float(y_marker), *(peak for _, _, peak in extents)]) + 0.5
+    x0, x1 = xrange
+    sx, sy = 560 / (x1 - x0), 402 / y_top
+    bottom, top = fmt(34 + y_top * sy), fmt(34.0)
+
+    drawn = [w for w in above if _meets_window(w["curve"], Fraction(x0), Fraction(x1))]
+    expected = []
+    for wall in drawn:
+        lo, hi, radius = _float_extent(wall["curve"])
+        if wall["curve"]["kind"] == "vertical_line":
+            expected.append(("line", fmt(60 + (lo - x0) * sx), bottom, top))
+        else:
+            expected.append(("M", fmt(60 + (lo - x0) * sx), bottom, "A", fmt(radius * sx), fmt(radius * sy),
+                             "0", "0", "1", fmt(60 + (hi - x0) * sx), bottom))
+
+    ns = "{http://www.w3.org/2000/svg}"
+    walls_drawn = [el for el in root if el.get("clip-path") == "url(#plot)"]
+    found = []
+    for el in walls_drawn:
+        if el.tag == f"{ns}line":
+            assert el.get("x1") == el.get("x2")
+            found.append(("line", el.get("x1"), el.get("y1"), el.get("y2")))
+        else:
+            assert el.tag == f"{ns}path"
+            found.append(tuple(el.get("d").split()))
+    assert found == expected
+    assert 0 < len(drawn) and (len(drawn) < len(above)) == clipped
+
+    legend_x = fmt(800 - 180 + 14 + 28)
+    labels = [el.text for el in root.iter(f"{ns}text") if el.get("x") == legend_x]
+    assert labels == [_label(w) for w in drawn]
+    swatches = [el.get("stroke") for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
+    assert swatches == [el.get("stroke") for el in walls_drawn]
+
+
+# ---------------------------------------------------------------------------
+# text table layout
+
+_cells = st.text(st.sampled_from("ab -é€/^"), max_size=6).map(str.rstrip)
+
+
+@st.composite
+def _tables(draw):
+    columns = draw(st.integers(1, 5))
+    header = tuple(draw(st.lists(_cells, min_size=columns, max_size=columns)))
+    rows = draw(st.lists(st.tuples(*[_cells] * columns), max_size=6))
+    return header, rows
+
+
+@given(_tables())
+@example((("gamma", "a"), []))
+@example((("x", "", "y"), [("", "", ""), ("long cell", "", "z")]))
+def test_table_layout(table):
+    header, rows = table
+    text = report._table(rows, header)
+    lines = text.split("\n")
+    assert len(lines) == 1 + len(rows)
+    widths = [max(len(cell) for cell in column) for column in zip(header, *rows)]
+    starts = [sum(widths[:i]) + 2 * i for i in range(len(widths))]
+    for line, row in zip(lines, [header, *rows]):
+        assert line == line.rstrip()
+        padded = line.ljust(starts[-1] + widths[-1])
+        for start, width, cell in zip(starts, widths, row):
+            assert padded[start:start + width] == cell.ljust(width)
+        for start in starts[1:]:
+            assert padded[start - 2:start] == "  "
+        assert len(padded) == starts[-1] + widths[-1]

@@ -20,7 +20,14 @@ its output; a ValueError counts as output, by its message.
   {None, 3} (2,808 searches);
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
-  by the benchmark's own op code from bench/workloads.py of ROOT.
+  by the benchmark's own op code from bench/workloads.py of ROOT;
+- render: renderings that wall_tables never makes, as the CLI writes them
+  (exit code, stdout and stderr of main in process): `path` at 25 x0
+  and `decompose` of every wall, in text, csv and json, for the two
+  vectors of the golden commands, (1, 0, -9) and (0, 3, -1); `figure` of
+  those and of n = 20 at --precision 3, at --ymin 1/2 and with an
+  explicit --xrange; and the text, csv, json and svg of hilbert_walls(n)
+  for d = 2 and 3, n = 100..120.
 
 `--digests SRC` prints the digests of one tree, one case a line; the
 comparison runs it twice.
@@ -29,11 +36,13 @@ comparison runs it twice.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
@@ -41,6 +50,8 @@ ROOT = Path(__file__).resolve().parent.parent
 HILBERT_NS = {1: 200, 2: 120, 3: 79}
 SPLIT_DS, SPLIT_N = (4, 8, 9, 12), 100
 SEED = 1
+GOLDEN_VECTORS = {"(1, 0, -9)": ["--n", "10"], "(0, 3, -1)": ["--vector", "0,3,-1"]}
+RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
 
 
 def _digest(thunk) -> str:
@@ -49,6 +60,29 @@ def _digest(thunk) -> str:
     except ValueError as exc:
         out = f"ValueError: {exc}"
     return hashlib.sha256(out.encode()).hexdigest()
+
+
+def _cli(argv: list[str]):
+    """(exit code, stdout, stderr) of the k3walls command, run in process."""
+    from k3walls.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _render_commands():
+    for vector in GOLDEN_VECTORS.values():
+        for fmt in ("text", "csv", "json"):
+            for k in range(-12, 13):
+                x0 = f"{k}/2" if vector[0] == "--n" else f"{k}/12"
+                yield ["path", *vector, f"--x0={x0}", "--format", fmt]
+            for i in range(12):
+                yield ["decompose", *vector, "--wall-index", str(i), "--format", fmt]
+    for vector in (*GOLDEN_VECTORS.values(), ["--n", "20"]):
+        for options in (["--precision", "3"], ["--ymin", "1/2"], ["--xrange=-6,1"], ["--xrange=-2.5,0.25", "--precision", "2"]):
+            yield ["figure", *vector, *options]
 
 
 def digests(bench_dir: Path):
@@ -79,6 +113,18 @@ def digests(bench_dir: Path):
                         bounds = walls.SearchBounds(r_max=r_max, y_min=y_min)
                         label = f"{v} d={d} y_min={y_min} r_max={r_max}"
                         yield "candidate", label, _digest(lambda: walls.candidate_walls(v, bounds, p))
+
+    for argv in _render_commands():
+        yield "render", " ".join(argv), _digest(lambda: _cli(argv))
+    for d in RENDER_DS:
+        p = lattice.SurfaceParams(d)
+        for n in RENDER_NS:
+            def rendered():
+                payload = report.walls_payload(walls.hilbert_walls(n, None, p), p)
+                return [report.render("walls", payload, fmt) for fmt in ("text", "csv", "json")] + [
+                    svgfig.render_figure(payload)
+                ]
+            yield "render", f"walls n={n} d={d}", _digest(rendered)
 
     sys.path.insert(0, str(bench_dir))
     import workloads as wl
