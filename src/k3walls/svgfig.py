@@ -68,10 +68,6 @@ def _above_marker(wall: dict, marker_sq: Fraction) -> bool:
     return rho_sq["num"] * marker_sq.denominator > marker_sq.numerator * rho_sq["den"]
 
 
-def default_ranges(walls: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
-    return _fitted_ranges([_curve_extent(wall["curve"]) for wall in walls], y_marker)
-
-
 def _fitted_ranges(extents: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
     xs = [0.0, *(x for lo, hi, _ in extents for x in (lo, hi))]
     top = max(1.0, y_marker, *(peak for _, _, peak in extents))

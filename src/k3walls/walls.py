@@ -21,14 +21,13 @@ isotropic class with <v,a> = 0 (the Lagrangian fibration), whose
 numerical wall misses the upper half plane, so that record carries no
 curve.
 
-The Hilbert search first finds gamma_max from the divisorial clauses
-alone (a few points per rank) up to |rank(a)| <= 2 * r_max (default
-r_max = 4n), so a cap too small to reach the cone boundary raises at
-once.  With X = 2(n-1)r - <v,a> every clause reads
+The Hilbert search first computes gamma_max (_cone_rank), and raises at
+once when no divisorial class of rank at most r_max (default 4n) has
+that slope.  With X = 2(n-1)r - <v,a> every clause reads
 X^2 - 4d(n-1)c^2 = <v,a>^2 - 2(n-1)a^2, which bounds the rank of every
-class with a slope in [0, gamma_max] by R* (_cone_rank).  When
-R* <= 2 * r_max the search scans to R* and complete is a proof;
-otherwise it lists the walls within r_max and is flagged incomplete.
+class with a slope in [0, gamma_max] by R*.  When R* <= 2 * r_max the
+search scans to R* and complete is a proof; otherwise it lists the
+walls within r_max and is flagged incomplete.
 It lists the clause classes in one scan of lattice points (r, c, s),
 rank first: writing s = r(n-1) - <v,a>, every clause reads
 d*c^2 = r*s + a^2/2, so each rank leaves a window of about sqrt(n)
@@ -238,15 +237,10 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> MukaiVector | None:
     return MukaiVector(-t // g, (n - 1) // g, -t * (n - 1) // g)
 
 
-def _slope_classes(
-    n: int,
-    r_max: int,
-    p: SurfaceParams,
-    divisorial_only: bool = False,
-    gamma_max: tuple[int, int] | None = None,
-) -> list:
-    """(class, divisorial clause, slope) for every clause class with |r| <= r_max,
-    the slope a coprime pair (num, den) as _slope gives it.
+def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, int]) -> list:
+    """(class, divisorial clause, slope) for every clause class with |r| <= r_max
+    and a slope in [0, gamma_max], the slope a coprime pair (num, den) as
+    _slope gives it and gamma_max = (P, Q) one too.
 
     One scan of lattice points a = (r, c, s), rank first.  With
     k = <v,a> = r(n-1) - s and A = a^2 the clause equation reads
@@ -257,27 +251,23 @@ def _slope_classes(
     come from exact floor and ceiling division (at most one once
     |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
 
-    With gamma_max = (P, Q) the scan keeps only slopes in [0, P/Q].  The
-    slope of (r, +-c, s) is -+2dc / den with den = r(n-1) + s, so one
+    The slope of (r, +-c, s) is -+2dc / den with den = r(n-1) + s, so one
     sign of c gives a slope >= 0, and 2dcQ <= P|den| decides it before
     the primitivity gcd and _slope; as |den| <= 2|r|(n-1) + k_max, this
     also caps c per rank.
     """
     d = p.d
-    # the largest <v,a> and a^2/2 of any clause kept
-    k_max, half_max = (2, 0) if divisorial_only else (max(n - 1, 2), max(n - 2, 0) // 4)
+    # the largest <v,a> and a^2/2 of any clause
+    k_max, half_max = max(n - 1, 2), max(n - 2, 0) // 4
     v = hilbert_vector(n)
-    if gamma_max is not None:
-        two_d_q = 2 * d * gamma_max[1]
+    big_p, two_d_q = gamma_max[0], 2 * d * gamma_max[1]
     out = []
     for r in range(-r_max, r_max + 1):
         s_top = r * (n - 1)  # s = s_top - k
         rs_ends = (r * s_top, r * (s_top - k_max))
         lo, hi = min(rs_ends) - 1, max(rs_ends) + half_max  # bounds on d*c^2
         c_lo = 0 if lo <= 0 else math.isqrt(-(-lo // d) - 1) + 1
-        c_hi = math.isqrt(hi // d)
-        if gamma_max is not None:
-            c_hi = min(c_hi, gamma_max[0] * (2 * abs(r) * (n - 1) + k_max) // two_d_q)
+        c_hi = min(math.isqrt(hi // d), big_p * (2 * abs(r) * (n - 1) + k_max) // two_d_q)
         for c in range(c_lo, c_hi + 1):
             q = d * c * c
             if r > 0:
@@ -289,26 +279,18 @@ def _slope_classes(
             for s in range(max(s_lo, s_top - k_max), min(s_hi, s_top) + 1):
                 a_sq, k = 2 * (q - r * s), s_top - s
                 divisorial = _clause_type(n, a_sq, k)
-                if divisorial is None or (divisorial_only and not divisorial):
+                if divisorial is None:
                     continue
-                if gamma_max is None:
-                    signs = (c,) if c == 0 else (c, -c)
-                else:
-                    # den = 2r(n-1) - k = 0 needs r = k = 0 (or n = 2, k = 2),
-                    # which leaves a^2 = 2dc^2 (or 2dc^2 + 2): no clause
-                    den = r * (n - 1) + s
-                    assert den != 0, f"clause class ({r}, {c}, {s}) has no slope"
-                    if two_d_q * c > gamma_max[0] * abs(den):
-                        continue
-                    signs = (-c,) if den > 0 else (c,)
-                if math.gcd(r, c, s) != 1:
+                # den = 2r(n-1) - k = 0 needs r = k = 0 (or n = 2, k = 2),
+                # which leaves a^2 = 2dc^2 (or 2dc^2 + 2): no clause
+                den = r * (n - 1) + s
+                assert den != 0, f"clause class ({r}, {c}, {s}) has no slope"
+                if two_d_q * c > big_p * abs(den) or math.gcd(r, c, s) != 1:
                     continue
-                num, den = _slope(n, r, signs[0], s, d)  # the other sign has (-num, den)
-                for cc, slope in zip(signs, ((num, den), (-num, den))):
-                    a = MukaiVector(r, cc, s)
-                    assert mukai_square(a, p) == a_sq
-                    assert mukai_pairing(v, a, p) == k
-                    out.append((a, divisorial, slope))
+                a = MukaiVector(r, -c if den > 0 else c, s)
+                assert mukai_square(a, p) == a_sq
+                assert mukai_pairing(v, a, p) == k
+                out.append((a, divisorial, _slope(n, r, a.c, s, d)))
     return out
 
 
@@ -323,7 +305,24 @@ def _sorted_pairs(pairs, reverse: bool = False) -> list:
     return sorted(pairs, key=lambda pair: pair[0] * scale // pair[1], reverse=reverse)
 
 
-def _cone_rank(n: int, r_max: int, reach: int, p: SurfaceParams) -> tuple[tuple[int, int], int]:
+def _pell_unit(big_d: int, x_cap: int) -> tuple[int, int] | None:
+    """The least solution x, y > 0 of x^2 - big_d*y^2 = 1 (big_d > 0 not a
+    square), None when its x exceeds x_cap.  It is a convergent x/y of the
+    continued fraction of sqrt(big_d), walked with integer (P, Q) steps."""
+    a0 = math.isqrt(big_d)
+    m, q, a = 0, 1, a0
+    x, x_prev, y, y_prev = a0, 1, 1, 0
+    while x * x - big_d * y * y != 1:
+        m = a * q - m
+        q = (big_d - m * m) // q
+        a = (a0 + m) // q
+        x, x_prev, y, y_prev = a * x + x_prev, x, a * y + y_prev, y
+        if x > x_cap:
+            return None
+    return x, y
+
+
+def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], int]:
     """(gamma_max, R*): the cone boundary slope as a coprime pair, and a
     rank beyond which no clause class has a slope in [0, gamma_max].
 
@@ -338,13 +337,23 @@ def _cone_rank(n: int, r_max: int, reach: int, p: SurfaceParams) -> tuple[tuple[
     Every divisorial class has c = 0 here, so gamma_max = d/t, the slope
     of the Lagrangian class.
 
-    Otherwise gamma_max = P/Q is the smallest positive divisorial slope
-    with |r| <= reach; ValueError when none has |r| <= r_max.  Every
-    divisorial N is positive, so delta = dQ^2 - (n-1)P^2 > 0, and
-    gamma <= P/Q reads X^2 delta <= N dQ^2: classes with N <= 0 lie
-    above gamma_max and the rest have X^2 <= N_max dQ^2 / delta.  When
-    R* <= reach, no divisorial class beyond the scan is below P/Q
-    either (its N <= N_max), so gamma_max is proven.
+    Otherwise gamma_max, the least positive divisorial slope, comes from
+    the least unit x + y sqrt(D) of x^2 - Dy^2 = 1, D = d(n-1) (Bayer-Macri,
+    Prop. 13.1).  For n > 2 a class with a^2 = -2, <v,a> = 0, that is
+    (n-1)r^2 - dc^2 = 1, exists when the unit is its square,
+    x = 2(n-1)r^2 - 1 and y = 2rc, and then has the least slope dc/((n-1)r).
+    Otherwise the boundary class has a^2 = 0, <v,a> = 2 (twice a class
+    with <v,a> = 1 is one): ((x+1)/(n-1), -y, x-1), up to the signs of x
+    and y, for the least power of the unit with x = +-1 mod n-1, of slope
+    dy/x.  Ranks grow with the unit, so this class, taken primitive and of
+    either sign of x, has the least rank of a divisorial class of
+    positive slope; ValueError when that exceeds r_max.  A class of rank
+    at most r_max has x <= 2(n-1)r_max^2 + 1, where the walks stop.
+
+    Every divisorial N is positive, so with gamma_max = P/Q,
+    delta = dQ^2 - (n-1)P^2 > 0, and gamma <= P/Q reads X^2 delta <= N dQ^2:
+    classes with N <= 0 lie above gamma_max and the rest have
+    X^2 <= N_max dQ^2 / delta.
     """
     d = p.d
     k_max = max(n - 1, 2)
@@ -352,23 +361,36 @@ def _cone_rank(n: int, r_max: int, reach: int, p: SurfaceParams) -> tuple[tuple[
     lag = _lagrangian_class(n, p)
     if lag is not None:
         return _slope(n, lag.r, lag.c, lag.s, d), ((n_max + 1) // 2 + k_max) // (2 * (n - 1))
-    boundary = _slope_classes(n, reach, p, divisorial_only=True)
-    boundary = [(gamma, abs(a.r)) for a, _, gamma in boundary if gamma[0] > 0]
-    if not any(r <= r_max for _, r in boundary):
+    big_d, x_cap = d * (n - 1), 2 * (n - 1) * r_max * r_max + 1
+    unit = _pell_unit(big_d, x_cap)
+    boundary = []  # the boundary classes; none when the walk passed x_cap
+    if unit is not None:
+        x, y = x1, y1 = unit
+        r = math.isqrt((x + 1) // (2 * (n - 1)))
+        c = y // (2 * r) if r else 0
+        if c and (n - 1) * r * r - d * c * c == 1:
+            boundary = [(r, -c, r * (n - 1))]
+        else:
+            while (x + 1) % (n - 1) and (x - 1) % (n - 1) and x <= x_cap:
+                x, y = x * x1 + big_d * y * y1, x * y1 + y * x1
+            boundary = [((e * x + 1) // (n - 1), -e * y, e * x - 1) for e in (1, -1) if (e * x + 1) % (n - 1) == 0]
+    if all(abs(r) > r_max * math.gcd(r, c, s) for r, c, s in boundary):
         raise ValueError(
             f"no movable-cone boundary class found for n={n} within |r| <= {r_max}; increase r_max"
         )
-    big_p, big_q = gamma_max = _sorted_pairs(gamma for gamma, _ in boundary)[0]
+    big_p, big_q = gamma_max = _slope(n, *boundary[0], d)
     delta = d * big_q * big_q - (n - 1) * big_p * big_p
     return gamma_max, (math.isqrt(n_max * d * big_q * big_q // delta) + k_max) // (2 * (n - 1))
 
 
 def movable_cone(n: int, bounds: SearchBounds | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
-    """Boundary slopes of the movable cone, searched within bounds."""
+    """Boundary slopes of the movable cone.  gamma_max is computed (see
+    _cone_rank); the bounds only decide whether a divisorial class of
+    rank at most r_max realizes it, and ValueError when none does."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    gamma_max, _ = _cone_rank(n, r_max, r_max, p)
+    gamma_max, _ = _cone_rank(n, r_max, p)
     return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
 
 
@@ -387,10 +409,10 @@ def hilbert_walls(
     """
     v = hilbert_vector(n)
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    gamma_max, rank = _cone_rank(n, r_max, 2 * r_max, p)
+    gamma_max, rank = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
     groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
-    for a, divisorial, gamma in _slope_classes(n, rank if complete else r_max, p, gamma_max=gamma_max):
+    for a, divisorial, gamma in _slope_classes(n, rank if complete else r_max, p, gamma_max):
         groups.setdefault(gamma, []).append((a, divisorial))
 
     records = []

@@ -85,7 +85,7 @@ def test_charge_floats_only_in_display_members():
 
 # the integer kernels of a wall table build no Fraction, and json output
 # does not go through the pure-Python encoder
-INTEGER_KERNELS = {"_slope_classes", "_candidate_buckets"}
+INTEGER_KERNELS = {"_slope_classes", "_pell_unit", "_cone_rank", "_candidate_buckets"}
 
 
 def test_guard_sees_fraction_and_indented_dumps_calls():

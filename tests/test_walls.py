@@ -1,5 +1,6 @@
 """Wall enumeration: criterion tables, movable cones, transport, candidates."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -150,33 +151,96 @@ def _brute_clause_classes(n, r_max, d):
     return found
 
 
+def _brute_cone_boundary(n, d, r_first):
+    """(least |r|, least slope) of the primitive divisorial classes of
+    positive slope, by a plain scan of |r| = 1, 2, ...: a = (r, c, s) with
+    (a^2, <v,a>) = (-2, 0), (0, 1) or (0, 2) has s = r(n-1) - <v,a> and
+    d c^2 = rs + a^2/2, of slope 2dc / |r(n-1) + s| for c > 0.  The scan
+    gives up with (None, None) when no class has |r| <= r_first.  After
+    the first class it goes on until no class can have a smaller slope:
+    with X = 2(n-1)r - <v,a>, the clause reads
+    X^2 - 4d(n-1)c^2 = N with 0 < N <= 4(n-1), so gamma^2 =
+    (d/(n-1))(1 - N/X^2) >= (d/(n-1))(1 - 4(n-1)/X^2), and |X| >= 2(n-1)|r| - 2."""
+    least_rank = least = None
+    for r in itertools.count(1):
+        if least is None and r > r_first:
+            break
+        x = 2 * (n - 1) * r - 2  # the least |X| at this rank
+        if least is not None and least * least * (n - 1) * x * x <= d * (x * x - 4 * (n - 1)):
+            break
+        for rr in (r, -r):
+            for a_sq, k in ((-2, 0), (0, 1), (0, 2)):
+                s = rr * (n - 1) - k
+                q = rr * s + a_sq // 2
+                if q <= 0 or q % d:
+                    continue
+                c = math.isqrt(q // d)
+                if d * c * c == q and math.gcd(rr, c, s) == 1:
+                    slope = F(2 * d * c, abs(rr * (n - 1) + s))
+                    least_rank, least = least_rank or r, min(least or slope, slope)
+    return least_rank, least
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_slope_classes_match_brute_force(d):
     """The rank-first lattice scan finds exactly the primitive classes of
-    a brute-force scan, with the same divisorial flags and slopes; with a
-    cone bound it keeps exactly the classes of slope in [0, gamma_max],
-    gamma_max taken from the brute-force divisorial classes."""
+    a brute-force scan of slope in [0, gamma_max], with the same
+    divisorial flags and slopes, gamma_max taken from the brute-force
+    divisorial classes of any rank (or the Lagrangian slope d/t when
+    d(n-1) = t^2), also when the cone bound has rank above r_max."""
     p = SurfaceParams(d=d)
     for n in (2, 3, 4, 5, 7, 10, 13, 17, 22, 29, 32, 40):
         oracle = _brute_clause_classes(n, 2 * n, d)
         slopes = {a: F(-2 * d * a[1], a[0] * (n - 1) + a[2]) for a, _ in oracle}
         m = math.isqrt((n - 1) // d)
-        lagrangian = [F(d * m, n - 1)] if d * m * m == n - 1 else []  # slope of (-1, m, 1-n)
+        if d * m * m == n - 1:
+            top = F(d * m, n - 1)  # slope of (-1, m, 1-n)
+        else:
+            _, top = _brute_cone_boundary(n, d, 10**6)  # rank 10,800 at n = 40, d = 3
         for r_max in sorted({1, 3, n, 2 * n}):
-            within = {(a, flag) for a, flag in oracle if abs(a[0]) <= r_max}
-            cases = [(False, None, within), (True, None, {(a, flag) for a, flag in within if flag})]
-            boundary = [slopes[a] for a, flag in within if flag and slopes[a] > 0] + lagrangian
-            if boundary:
-                top = min(boundary)
-                in_cone = {(a, flag) for a, flag in within if 0 <= slopes[a] <= top}
-                cases.append((False, (top.numerator, top.denominator), in_cone))
-            for divisorial_only, gamma_max, expected in cases:
-                scanned = _slope_classes(n, r_max, p, divisorial_only, gamma_max)
-                found = [(a.as_tuple(), flag) for a, flag, _ in scanned]
-                assert len(found) == len(set(found))
-                assert set(found) == expected, (n, r_max, divisorial_only, gamma_max)
-                for a, _, (num, den) in scanned:
-                    assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == slopes[a.as_tuple()]
+            expected = {(a, flag) for a, flag in oracle if abs(a[0]) <= r_max and 0 <= slopes[a] <= top}
+            scanned = _slope_classes(n, r_max, p, (top.numerator, top.denominator))
+            found = [(a.as_tuple(), flag) for a, flag, _ in scanned]
+            assert len(found) == len(set(found))
+            assert set(found) == expected, (n, r_max)
+            for a, _, (num, den) in scanned:
+                assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == slopes[a.as_tuple()]
+
+
+@pytest.mark.parametrize("d", range(1, 31))
+def test_cone_boundary_oracle(d):
+    """movable_cone, for every n <= 60 with d(n-1) not a square, raises
+    exactly when the brute force finds no divisorial class of positive
+    slope with |r| <= r_max, and otherwise returns the least such slope
+    of the brute force.  The range holds the boundary shapes that d <= 3
+    misses:
+
+    - n = 2: a^2 = -2, <v,a> = 0 reads r^2 - dc^2 = 1, the unit equation
+      itself.  For d = 13, 22, 29 its least unit (649, 180), (197, 42),
+      (9801, 1820) is beyond rank 8, so the default search raises; for
+      d = 3 the unit (2, 1) gives the class (-1, 1, -3) of <v,a> = 2 and
+      slope 3/2, not a class of slope 0.
+    - d = 4 (not squarefree): at n = 3 the unit (3, 1) of x^2 - 8y^2 = 1
+      has x + 1 = 2(n-1), but 2r^2 - 4c^2 = 1 has no solution, and the
+      boundary is (-1, 1, -4) of <v,a> = 2, slope 4/3; at n = 11 the unit
+      (19, 3) has x + 1 = 2(n-1) with 10 - 4 = 6 != 1, and the boundary
+      is (2, -3, 18) of <v,a> = 2, slope 12/19, not 2/5.
+    - n - 1 = 2: both x and -x are +-1 mod n-1, and the two classes of a
+      unit have different ranks: at d = 3 the unit (5, 2) gives (3, -2, 4)
+      of rank 3 and (-1, 1, -3) of rank 1, both of slope 6/5."""
+    p = SurfaceParams(d=d)
+    for n in range(2, 61):
+        if math.isqrt(d * (n - 1)) ** 2 == d * (n - 1):
+            continue
+        rank, gamma_max = _brute_cone_boundary(n, d, 4 * n)
+        for r_max in (None, 1, 2, 3, n):
+            cap = r_max or 4 * n
+            if rank is None or rank > cap:
+                message = f"no movable-cone boundary class found for n={n} within \\|r\\| <= {cap}; increase r_max$"
+                with pytest.raises(ValueError, match=message):
+                    movable_cone(n, SearchBounds(r_max=r_max), p)
+            else:
+                assert movable_cone(n, SearchBounds(r_max=r_max), p).gamma_max == gamma_max, (n, r_max)
 
 
 def _split_rank_bound(n):
@@ -384,10 +448,11 @@ def test_small_rmax_reports_incomplete():
 
 
 def test_large_n_without_cone_bound_raises():
-    """The cone bound is searched first, on the divisorial clauses alone,
-    so a rank cap that finds no boundary class raises before the full
-    clause scan (which at n = 32000 would visit millions of points)."""
-    for n in (32000, 100000):
+    """The cone boundary is computed first, by unit walks that stop once
+    no class of rank at most r_max is left, so a rank cap that reaches no
+    boundary class raises before the full clause scan (which at n = 32000
+    would visit millions of points)."""
+    for n in (32000, 100000, 10**9 + 7):
         with pytest.raises(ValueError, match=f"no movable-cone boundary class found for n={n} within "
                                              r"\|r\| <= 1; increase r_max"):
             hilbert_walls(n, SearchBounds(r_max=1))

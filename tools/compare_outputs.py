@@ -12,6 +12,11 @@ its output; a ValueError counts as output, by its message.
   r_max in {None, n, 3}, for d = 1 with n <= 200, d = 2 with n <= 120
   and d = 3 with n <= 79 (1,185 searches: at n = 3 the last two caps
   coincide);
+- cone: repr of movable_cone(n) with r_max in {None, 1, 2, 3, n} for
+  d = 1..30 and n = 2..60, and of hilbert_walls(n) with r_max in
+  {None, 1, 3} for d = 1..30 and n = 2..40 (8,790 and 3,510 searches:
+  at n = 2 and 3 the cap n repeats another; the cone boundary at n = 2,
+  at non-squarefree d and at n - 1 = 2 takes shapes that d <= 3 misses);
 - split: repr of hilbert_walls(n) and of movable_cone(n) with r_max None,
   for d in {4, 8, 9, 12} and every n <= 100 with d(n-1) a square (d not
   squarefree, so the Lagrangian class can have rank above one);
@@ -48,6 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 HILBERT_NS = {1: 200, 2: 120, 3: 79}
+CONE_DS, CONE_NS, CONE_WALL_NS = range(1, 31), range(2, 61), range(2, 41)
 SPLIT_DS, SPLIT_N = (4, 8, 9, 12), 100
 SEED = 1
 GOLDEN_VECTORS = {"(1, 0, -9)": ["--n", "10"], "(0, 3, -1)": ["--vector", "0,3,-1"]}
@@ -97,6 +103,16 @@ def digests(bench_dir: Path):
                 label = f"n={n} d={d} r_max={r_max}"
                 yield "hilbert", label, _digest(lambda: walls.hilbert_walls(n, bounds, p))
                 yield "hilbert", f"cone {label}", _digest(lambda: walls.movable_cone(n, bounds, p))
+    for d in CONE_DS:
+        p = lattice.SurfaceParams(d)
+        for n in CONE_NS:
+            for r_max in dict.fromkeys((None, 1, 2, 3, n)):
+                bounds = walls.SearchBounds(r_max=r_max)
+                yield "cone", f"cone n={n} d={d} r_max={r_max}", _digest(lambda: walls.movable_cone(n, bounds, p))
+        for n in CONE_WALL_NS:
+            for r_max in (None, 1, 3):
+                bounds = walls.SearchBounds(r_max=r_max)
+                yield "cone", f"n={n} d={d} r_max={r_max}", _digest(lambda: walls.hilbert_walls(n, bounds, p))
     for d in SPLIT_DS:
         p = lattice.SurfaceParams(d)
         for n in range(2, SPLIT_N + 1):
