@@ -202,6 +202,15 @@ class _Degenerate:
 DEGENERATE = _Degenerate()
 
 
+def _integer_ratio(x) -> tuple[int, int]:
+    """x in lowest terms, den > 0: an int, a Fraction or anything Fraction
+    accepts."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:  # a str, say
+        return Fraction(x).as_integer_ratio()
+
+
 def path_intersection(curve: WallCurve, x0: Fraction):
     """y^2 where the vertical path x = x0 crosses the wall.
 
@@ -210,17 +219,17 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     wall.  A miss is decided from the sign of the integer numerator of
     radius^2 - (x0 - center)^2; a Fraction is built only for a hit.
     """
-    if not isinstance(x0, Fraction):
-        x0 = Fraction(x0)
+    xn, xd = _integer_ratio(x0)
     if isinstance(curve, VerticalLine):
-        return DEGENERATE if x0 == curve.x0 else None
-    e, rho_sq = curve.center_x, curve.radius_sq
-    q = x0.denominator * e.denominator  # (x0 - e) = offset / q
-    offset = x0.numerator * e.denominator - e.numerator * x0.denominator
-    y_sq_num = rho_sq.numerator * q * q - offset * offset * rho_sq.denominator
+        return DEGENERATE if (xn, xd) == curve.x0.as_integer_ratio() else None
+    en, ed = curve.center_x.as_integer_ratio()
+    rn, rd = curve.radius_sq.as_integer_ratio()
+    q = xd * ed  # (x0 - e) = offset / q
+    offset = xn * ed - en * xd
+    y_sq_num = rn * q * q - offset * offset * rd
     if y_sq_num <= 0:
         return None
-    return Fraction(y_sq_num, rho_sq.denominator * q * q)
+    return Fraction(y_sq_num, rd * q * q)
 
 
 class GeometricCheckResult(_Value):

@@ -7,8 +7,9 @@ text and csv renderers are pure functions of that payload, so
 re-rendering a parsed JSON file reproduces the direct text output byte
 for byte, and render_json writes the bytes of json.dumps(payload,
 indent=2) plus a newline.  The renderers read the {"num", "den"} pairs as
-they are: frac_str relies on them being in lowest terms, and a float is
-num / den, which Python rounds correctly, as float(Fraction) does.
+they are: _ratio_str writes them relying on them being in lowest terms,
+and a float is num / den, which Python rounds correctly, as
+float(Fraction) does.
 Floats appear only where a display column asks for them (the y column
 of path output) and in SVG geometry.
 """
@@ -44,7 +45,8 @@ def default_format() -> str:
 
 def frac_json(q: Fraction) -> dict:
     """q (a Fraction or an int) as a payload rational."""
-    return {"num": q.numerator, "den": q.denominator}
+    num, den = q.as_integer_ratio()
+    return {"num": num, "den": den}
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -171,7 +173,7 @@ def _centered_circle(center, radius_sq) -> str:
         lhs = "x^2 + y^2"
     else:
         lhs = f"(x {'-' if en > 0 else '+'} {_ratio_str(abs(en), ed)})^2 + y^2"
-    return f"{lhs} = {frac_str(radius_sq)}"
+    return f"{lhs} = {_ratio_str(radius_sq['num'], radius_sq['den'])}"
 
 
 def curve_equation(curve: dict | None, vector: list) -> str:
@@ -180,7 +182,8 @@ def curve_equation(curve: dict | None, vector: list) -> str:
     if curve is None:
         return "-"
     if curve["kind"] == "vertical_line":
-        return f"x = {frac_str(curve['x0'])}"
+        x0 = curve["x0"]
+        return f"x = {_ratio_str(x0['num'], x0['den'])}"
     if vector[0] != 0:
         return _expanded_circle(curve["center"], curve["radius_sq"])
     return _centered_circle(curve["center"], curve["radius_sq"])
@@ -217,8 +220,8 @@ def _table(rows: list[tuple], header: tuple) -> str:
     return "\n".join([line.rstrip() for line in map("  ".join, zip(*columns))])
 
 
-def _gamma_str(gamma) -> str:
-    return "-" if gamma is None else frac_str(gamma)
+def _gamma_str(gamma: dict | None) -> str:
+    return "-" if gamma is None else _ratio_str(gamma["num"], gamma["den"])
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,7 @@ def _path_rows(payload: dict) -> list[tuple]:
         (
             _gamma_str(hit["gamma"]),
             hit["a"],
-            frac_str(hit["y_sq"]),
+            _ratio_str(hit["y_sq"]["num"], hit["y_sq"]["den"]),
             f"{math.sqrt(hit['y_sq']['num'] / hit['y_sq']['den']):.{digits}f}",
         )
         for hit in payload["hits"]
@@ -327,8 +330,15 @@ def _curve_cells(curve: dict | None) -> list[str]:
     if curve is None:
         return ["", "", "", ""]
     if curve["kind"] == "semicircle":
-        return [curve["kind"], frac_str(curve["center"]), frac_str(curve["radius_sq"]), ""]
-    return [curve["kind"], "", "", frac_str(curve["x0"])]
+        center, radius_sq = curve["center"], curve["radius_sq"]
+        return [
+            curve["kind"],
+            _ratio_str(center["num"], center["den"]),
+            _ratio_str(radius_sq["num"], radius_sq["den"]),
+            "",
+        ]
+    x0 = curve["x0"]
+    return [curve["kind"], "", "", _ratio_str(x0["num"], x0["den"])]
 
 
 def render_walls_csv(payload: dict) -> str:
@@ -407,30 +417,40 @@ def _record_template(newline: str, has_gamma: bool, kind: str | None) -> str:
     return _json(dict(zip(_RECORD, holes)), newline).replace(_json_str("\0"), "%s")
 
 
+def _int_pair(q) -> tuple[int, int] | None:
+    """(num, den) of q when it is a rational of the payload's shape with int
+    leaves, else None."""
+    if type(q) is dict and tuple(q) == _RATIONAL:
+        num, den = q.values()
+        if type(num) is int and type(den) is int:
+            return num, den
+    return None
+
+
 def _record_json(wall, newline: str) -> str:
     """wall as _json(wall, newline) writes it."""
     if type(wall) is not dict or tuple(wall) != _RECORD:
         return _json(wall, newline)
     gamma, a, a_sq, pairing, curve, wall_type = wall.values()
+    if type(a) is not list or len(a) != 3 or type(wall_type) is not str:
+        return _json(wall, newline)
+    r, c, s = a
+    if not (type(r) is int and type(c) is int and type(s) is int and type(a_sq) is int and type(pairing) is int):
+        return _json(wall, newline)
+    ints = [r, c, s, a_sq, pairing]
     if curve is None:
-        kind, rationals = None, []
+        kind = None
     elif type(curve) is dict and type(kind := curve.get("kind")) is str and tuple(curve) == _CURVES.get(kind):
-        rationals = [*curve.values()][1:]
+        for q in tuple(curve.values())[1:]:
+            if (pair := _int_pair(q)) is None:
+                return _json(wall, newline)
+            ints += pair
     else:
         return _json(wall, newline)
     if gamma is not None:
-        rationals.insert(0, gamma)
-    if type(a) is not list or len(a) != 3 or type(wall_type) is not str:
-        return _json(wall, newline)
-    leaves = []
-    for q in rationals:
-        if type(q) is not dict or tuple(q) != _RATIONAL:
+        if (pair := _int_pair(gamma)) is None:
             return _json(wall, newline)
-        leaves += q.values()
-    k = 0 if gamma is None else 2
-    ints = [*leaves[:k], *a, a_sq, pairing, *leaves[k:]]
-    if set(map(type, ints)) != {int}:
-        return _json(wall, newline)
+        ints[:0] = pair
     return _record_template(newline, gamma is not None, kind) % (*ints, _json_str(wall_type))
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .report import frac_str
+from .report import _ratio_str, frac_str
 
 WIDTH = 800
 HEIGHT = 480
@@ -55,17 +55,17 @@ def _curve_extent(curve: dict) -> tuple[float, float, float]:
     return center - radius, center + radius, radius
 
 
-def _above_marker(wall: dict, marker_sq: Fraction) -> bool:
+def _above_marker(wall: dict, marker_sq: tuple[int, int]) -> bool:
     """Does the wall reach above the marker line?  Vertical lines always
-    do; semicircles need radius^2 > marker^2 (exact cross-multiplication;
-    both denominators are positive)."""
+    do; semicircles need radius^2 > marker^2, marker_sq = (num, den)
+    (exact cross-multiplication; both denominators are positive)."""
     curve = wall["curve"]
     if curve is None:
         return False
     if curve["kind"] == "vertical_line":
         return True
     rho_sq = curve["radius_sq"]
-    return rho_sq["num"] * marker_sq.denominator > marker_sq.numerator * rho_sq["den"]
+    return rho_sq["num"] * marker_sq[1] > marker_sq[0] * rho_sq["den"]
 
 
 def _fitted_ranges(extents: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -101,10 +101,12 @@ class _Canvas:
 
 
 def _legend_label(wall: dict) -> str:
-    if wall["gamma"] is not None:
-        return f"gamma = {frac_str(wall['gamma'])}"
-    if wall["curve"] is not None and wall["curve"]["kind"] == "semicircle":
-        return f"r^2 = {frac_str(wall['curve']['radius_sq'])}"
+    gamma, curve = wall["gamma"], wall["curve"]
+    if gamma is not None:
+        return f"gamma = {_ratio_str(gamma['num'], gamma['den'])}"
+    if curve is not None and curve["kind"] == "semicircle":
+        rho_sq = curve["radius_sq"]
+        return f"r^2 = {_ratio_str(rho_sq['num'], rho_sq['den'])}"
     return "wall"
 
 
@@ -116,7 +118,7 @@ def render_figure(
     precision: int = 6,
 ) -> str:
     marker = float(y_marker)
-    marker_sq = y_marker * y_marker
+    marker_sq = (y_marker * y_marker).as_integer_ratio()
     walls = [wall for wall in payload["walls"] if _above_marker(wall, marker_sq)]
     extents = [_curve_extent(wall["curve"]) for wall in walls]
     auto_x, auto_y = _fitted_ranges(extents, marker)

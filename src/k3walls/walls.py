@@ -38,10 +38,20 @@ point.  A search at rank bound R thus visits about R sqrt(n) points
 instead of passing over the ranks once per clause (about n^2/4
 clauses).  Slopes are coprime integer pairs throughout the scan: a
 class outside [0, gamma_max] is dropped by cross-multiplication before
-the primitivity gcd (of the two signs of c, only the one giving a
+the clause test and the primitivity gcd (of the two signs of c, only the one giving a
 slope >= 0 is tested), walls are grouped by the pair and ordered by an
-exact integer key (_sorted_pairs), and one Fraction is made per wall,
-for its record.
+exact integer key (_sorted_pairs).  The scan hands each class's a^2 and
+<v,a> on to its record.
+
+A Hilbert wall follows from its slope alone (Bayer-Macri, section 13):
+for gamma = P/Q in lowest terms, Q > 0, it is the line x = 0 when P = 0
+and otherwise the semicircle of center -Q/P and radius^2 delta/(dP^2),
+delta = dQ^2 - (n-1)P^2, that is center -1/gamma and radius^2
+1/gamma^2 - (n-1)/d.  When delta <= 0 the plane of (v, a) only touches
+the boundary of the upper half plane and the slope carries no wall: at
+gamma_max this is the Lagrangian boundary.  So hilbert_walls builds each
+curve from the pair, without the minors of a class (transport_walls,
+whose vectors are not Hilbert vectors, keeps wall_locus).
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
 so its completeness is a proof.  Its scan is in integers too: the
@@ -56,7 +66,7 @@ import math
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .charge import Semicircle, WallCurve, wall_discriminant, wall_locus
+from .charge import Semicircle, VerticalLine, WallCurve, wall_discriminant, wall_locus
 from .lattice import (
     DEFAULT_SURFACE,
     MukaiVector,
@@ -238,9 +248,9 @@ def _lagrangian_class(n: int, p: SurfaceParams) -> MukaiVector | None:
 
 
 def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, int]) -> list:
-    """(class, divisorial clause, slope) for every clause class with |r| <= r_max
-    and a slope in [0, gamma_max], the slope a coprime pair (num, den) as
-    _slope gives it and gamma_max = (P, Q) one too.
+    """(class, divisorial clause, slope, a^2, <v,a>) for every clause class
+    with |r| <= r_max and a slope in [0, gamma_max], the slope a coprime
+    pair (num, den) as _slope gives it and gamma_max = (P, Q) one too.
 
     One scan of lattice points a = (r, c, s), rank first.  With
     k = <v,a> = r(n-1) - s and A = a^2 the clause equation reads
@@ -252,15 +262,16 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
     |r| > A_max/2 + 1).  Each point is kept when (A, k) is a clause.
 
     The slope of (r, +-c, s) is -+2dc / den with den = r(n-1) + s, so one
-    sign of c gives a slope >= 0, and 2dcQ <= P|den| decides it before
-    the primitivity gcd and _slope; as |den| <= 2|r|(n-1) + k_max, this
-    also caps c per rank.
+    sign of c gives a slope >= 0, 2dc / |den|, and 2dcQ <= P|den| decides
+    it before the clause test and the primitivity gcd; as
+    |den| <= 2|r|(n-1) + k_max, this also caps c per rank.
     """
     d = p.d
     # the largest <v,a> and a^2/2 of any clause
     k_max, half_max = max(n - 1, 2), max(n - 2, 0) // 4
     v = hilbert_vector(n)
-    big_p, two_d_q = gamma_max[0], 2 * d * gamma_max[1]
+    two_d = 2 * d
+    big_p, two_d_q = gamma_max[0], two_d * gamma_max[1]
     out = []
     for r in range(-r_max, r_max + 1):
         s_top = r * (n - 1)  # s = s_top - k
@@ -277,20 +288,21 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
             else:
                 s_lo, s_hi = s_top - k_max, s_top
             for s in range(max(s_lo, s_top - k_max), min(s_hi, s_top) + 1):
+                den = r * (n - 1) + s
+                if two_d_q * c > big_p * abs(den):
+                    continue
                 a_sq, k = 2 * (q - r * s), s_top - s
                 divisorial = _clause_type(n, a_sq, k)
-                if divisorial is None:
+                if divisorial is None or math.gcd(r, c, s) != 1:
                     continue
                 # den = 2r(n-1) - k = 0 needs r = k = 0 (or n = 2, k = 2),
                 # which leaves a^2 = 2dc^2 (or 2dc^2 + 2): no clause
-                den = r * (n - 1) + s
                 assert den != 0, f"clause class ({r}, {c}, {s}) has no slope"
-                if two_d_q * c > big_p * abs(den) or math.gcd(r, c, s) != 1:
-                    continue
                 a = MukaiVector(r, -c if den > 0 else c, s)
                 assert mukai_square(a, p) == a_sq
                 assert mukai_pairing(v, a, p) == k
-                out.append((a, divisorial, _slope(n, r, a.c, s, d)))
+                g = math.gcd(two_d * c, den)
+                out.append((a, divisorial, (two_d * c // g, abs(den) // g), a_sq, k))
     return out
 
 
@@ -404,37 +416,42 @@ def hilbert_walls(
     Walls sharing a slope are deduplicated; the representative class
     minimizes (|r|, |c|, |s|) with positive leading coordinate breaking
     exact ties.  A divisorial clause anywhere on the wall marks the whole
-    wall divisorial.  The Lagrangian boundary record, when d(n-1) is a
+    wall divisorial.  Each curve follows from the slope alone (see the
+    module docstring).  The Lagrangian boundary record, when d(n-1) is a
     perfect square, is appended last with no curve.
     """
     v = hilbert_vector(n)
+    d = p.d
     r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
     gamma_max, rank = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
-    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool]]] = {}
-    for a, divisorial, gamma in _slope_classes(n, rank if complete else r_max, p, gamma_max):
-        groups.setdefault(gamma, []).append((a, divisorial))
+    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool, int, int]]] = {}
+    for a, divisorial, gamma, a_sq, k in _slope_classes(n, rank if complete else r_max, p, gamma_max):
+        groups.setdefault(gamma, []).append((a, divisorial, a_sq, k))
 
     records = []
     for gamma in _sorted_pairs(groups):
+        big_p, big_q = gamma
+        if big_p == 0:
+            curve = VerticalLine(Fraction(0))
+        else:
+            delta = d * big_q * big_q - (n - 1) * big_p * big_p
+            if delta <= 0:
+                # no wall; at gamma_max, the Lagrangian boundary, appended below
+                continue
+            curve = Semicircle(Fraction(-big_q, big_p), Fraction(delta, d * big_p * big_p))
         members = groups[gamma]
-        rep = min((a for a, _ in members), key=_representative_key)
-        divisorial = any(flag for _, flag in members)
-        try:
-            curve = wall_locus(v, rep, p)
-        except ValueError:
-            # the plane of (v, rep) only touches the boundary of the
-            # upper half plane (radius zero or imaginary): not a wall.
-            # At gamma_max this is the Lagrangian boundary, appended below.
-            continue
+        rep, _, a_sq, k = (
+            members[0] if len(members) == 1 else min(members, key=lambda member: _representative_key(member[0]))
+        )
         records.append(
             WallRecord(
                 a=rep,
-                a_sq=mukai_square(rep, p),
-                pairing_va=mukai_pairing(v, rep, p),
-                gamma=Fraction(*gamma),
+                a_sq=a_sq,
+                pairing_va=k,
+                gamma=Fraction(big_p, big_q),
                 curve=curve,
-                wall_type="divisorial" if divisorial else "flopping",
+                wall_type="divisorial" if any(member[1] for member in members) else "flopping",
             )
         )
     lag = _lagrangian_class(n, p)
@@ -610,7 +627,8 @@ def candidate_walls(
     center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
     for radius_sq in _sorted_pairs(buckets, reverse=True):
-        rep = min(buckets[radius_sq], key=_representative_key)
+        classes = buckets[radius_sq]
+        rep = classes[0] if len(classes) == 1 else min(classes, key=_representative_key)
         curve = Semicircle(center, Fraction(*radius_sq))
         records.append(
             WallRecord(

@@ -4,8 +4,9 @@ that decides walls, crossings and stability.
 The wall search (walls.py) and the wall-crossing decompositions
 (crossing.py) stay in integers and Fractions throughout.  In charge.py a
 float appears only in the display members listed in CHARGE_DISPLAY.
-The integer kernels of walls.py build no Fraction at all, and no module
-calls json.dumps with an indent.
+The integer kernels of walls.py build no Fraction at all, the per-row
+render helpers neither a Fraction nor a frac_str, path_intersection one
+Fraction (its hit), and no module calls json.dumps with an indent.
 """
 
 import ast
@@ -108,6 +109,40 @@ def test_integer_kernels_build_no_fraction():
     assert [c for c in calls if c[0] in INTEGER_KERNELS] == []
     tree = ast.parse((SRC / "walls.py").read_text())
     assert INTEGER_KERNELS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+
+# the per-row render helpers read payload rationals as {"num", "den"} pairs,
+# and path_intersection builds one Fraction: the y^2 of a hit
+ROW_HELPERS = {
+    "report.py": {"_wall_rows", "_curve_cells"},
+    "svgfig.py": {"_legend_label", "_above_marker"},
+}
+
+
+def _is_fraction_or_frac_str_call(call: ast.Call) -> bool:
+    return isinstance(call.func, ast.Name) and call.func.id in ("Fraction", "frac_str")
+
+
+def test_guard_sees_frac_str_calls():
+    source = (
+        "def _wall_rows(payload):\n    return [frac_str(w['gamma']) for w in payload]\n"
+        "def _curve_cells(curve):\n    return [_ratio_str(curve['num'], curve['den'])]\n"
+    )
+    assert _calls(source, _is_fraction_or_frac_str_call) == [("_wall_rows", 2)]
+
+
+def test_row_helpers_build_no_fraction():
+    for name, helpers in ROW_HELPERS.items():
+        source = (SRC / name).read_text()
+        calls = _calls(source, _is_fraction_or_frac_str_call)
+        assert [c for c in calls if c[0] in helpers] == [], name
+        tree = ast.parse(source)
+        assert helpers <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, name
+
+
+def test_path_intersection_builds_one_fraction():
+    calls = _calls((SRC / "charge.py").read_text(), _is_fraction_call)
+    assert [scope for scope, _ in calls if scope == "path_intersection"] == ["path_intersection"]
 
 
 def test_no_indented_json_dumps():

@@ -1,0 +1,125 @@
+"""Autoequivalence invariance: the walls of a vector's image under a twist
+or the dual shift, against the walls of the vector itself.
+
+Tensoring by O(jH) maps u = (r, c, s) to (r, c + rj, s + 2dcj + drj^2),
+and Z_{x,y}(u twisted) = Z_{x-j,y}(u), so every wall moves by x -> x + j
+and keeps its radius.  The dual shift (r, c, s) -> (-r, c, -s) gives
+Z_{x,y}(u dual) = -conj(Z_{-x,y}(u)), so every wall is reflected by
+x -> -x.  These relations compare the code with itself on transformed
+inputs: they add to the independent oracles and do not replace them.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings, strategies as st
+
+from k3walls import (
+    DEGENERATE,
+    MukaiVector,
+    SearchBounds,
+    SurfaceParams,
+    candidate_walls,
+    dual_shift,
+    path_intersection,
+    tensor_twist,
+    wall_locus,
+)
+from k3walls.charge import Semicircle, VerticalLine
+
+_entries = st.integers(-6, 6)
+_vectors = st.builds(MukaiVector, _entries, _entries, _entries)
+_degrees = st.integers(1, 3)
+_shifts = st.integers(-3, 3).filter(bool)
+_x0s = st.integers(-8, 8) | st.fractions(min_value=-8, max_value=8, max_denominator=12)
+
+
+def _moved(curve, shift=0, sign=1):
+    """curve under x -> sign * x + shift."""
+    if isinstance(curve, VerticalLine):
+        return VerticalLine(sign * curve.x0 + shift)
+    return Semicircle(sign * curve.center_x + shift, curve.radius_sq)
+
+
+def _locus(v, a, p):
+    try:
+        return wall_locus(v, a, p)
+    except ValueError:
+        return None
+
+
+@given(_vectors, _vectors, _degrees, _shifts)
+@example(MukaiVector(1, 0, -9), MukaiVector(1, -1, 1), 1, 1)  # a wall of S^[10]
+@example(MukaiVector(1, 0, -9), MukaiVector(0, 0, 1), 1, -2)  # the line x = 0
+@example(MukaiVector(1, 0, -9), MukaiVector(-1, 3, -9), 1, 2)  # misses the half plane
+def test_twist_shifts_wall_locus(v, a, d, j):
+    p = SurfaceParams(d=d)
+    curve = _locus(v, a, p)
+    twisted = _locus(tensor_twist(v, j, p), tensor_twist(a, j, p), p)
+    assert twisted == (None if curve is None else _moved(curve, shift=j))
+
+
+@given(_vectors, _vectors, _degrees)
+@example(MukaiVector(0, 3, -1), MukaiVector(1, 1, 0), 1)
+def test_dual_shift_reflects_wall_locus(v, a, d):
+    p = SurfaceParams(d=d)
+    curve = _locus(v, a, p)
+    reflected = _locus(dual_shift(v), dual_shift(a), p)
+    assert reflected == (None if curve is None else _moved(curve, sign=-1))
+
+
+def _candidate_curves(v, p, y_min):
+    search = candidate_walls(v, SearchBounds(y_min=y_min), p)
+    return [rec.curve for rec in search.records], search.complete
+
+
+_y_mins = st.sampled_from([F(1), F(1, 2), F(3, 2)])
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(-5, 5), _degrees.filter(lambda d: d <= 2), _shifts, _y_mins)
+@example(3, -1, 1, 1, F(1))
+@example(2, 1, 2, -1, F(1))
+def test_twist_shifts_candidate_walls(m, k, d, j, y_min):
+    """(0, m, k) twisted by O(jH) is (0, m, k + 2dmj): the same circles,
+    in the same order, moved by j."""
+    p = SurfaceParams(d=d)
+    v = MukaiVector(0, m, k)
+    curves, complete = _candidate_curves(v, p, y_min)
+    twisted, twisted_complete = _candidate_curves(tensor_twist(v, j, p), p, y_min)
+    assert twisted == [_moved(curve, shift=j) for curve in curves]
+    assert twisted_complete == complete
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 5), st.integers(-5, 5), _y_mins)
+@example(3, -1, F(1))
+def test_dual_shift_reflects_candidate_walls(m, k, y_min):
+    """dual_shift(0, m, k) = (0, m, -k): the same circles, reflected."""
+    p = SurfaceParams(d=1)
+    v = MukaiVector(0, m, k)
+    curves, complete = _candidate_curves(v, p, y_min)
+    reflected, reflected_complete = _candidate_curves(dual_shift(v), p, y_min)
+    assert reflected == [_moved(curve, sign=-1) for curve in curves]
+    assert reflected_complete == complete
+
+
+@given(_vectors, _vectors, _degrees, _shifts, _x0s)
+@example(MukaiVector(1, 0, -9), MukaiVector(0, 0, 1), 1, 1, 0)  # along x = 0: DEGENERATE
+@example(MukaiVector(1, 0, -9), MukaiVector(0, 0, 1), 1, 1, F(1, 2))  # beside it: None
+@example(MukaiVector(1, 0, -9), MukaiVector(1, -1, 1), 1, 2, F(-5))  # the center
+@example(MukaiVector(1, 0, -9), MukaiVector(1, -1, 1), 1, -1, F(-1))  # tangent: None
+@example(MukaiVector(1, 0, -9), MukaiVector(1, -1, 1), 1, 3, -2)  # an int x0
+def test_path_intersection_follows_the_twist(v, a, d, j, x0):
+    """The path x = x0 + j meets the twisted wall at the height where
+    x = x0 meets the wall: the same y^2, DEGENERATE or None."""
+    p = SurfaceParams(d=d)
+    curve = _locus(v, a, p)
+    twisted = _locus(tensor_twist(v, j, p), tensor_twist(a, j, p), p)
+    if curve is None:
+        return
+    expected = path_intersection(curve, x0)
+    got = path_intersection(twisted, x0 + j)
+    if expected is None or expected is DEGENERATE:
+        assert got is expected
+    else:
+        assert type(got) is F and got == expected

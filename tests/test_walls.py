@@ -24,6 +24,7 @@ from k3walls import (
     transport_walls,
     wall_locus,
 )
+from k3walls.charge import Semicircle, VerticalLine
 from k3walls.walls import _clause_type, _slope_classes
 
 F = Fraction
@@ -185,9 +186,10 @@ def _brute_cone_boundary(n, d, r_first):
 def test_slope_classes_match_brute_force(d):
     """The rank-first lattice scan finds exactly the primitive classes of
     a brute-force scan of slope in [0, gamma_max], with the same
-    divisorial flags and slopes, gamma_max taken from the brute-force
-    divisorial classes of any rank (or the Lagrangian slope d/t when
-    d(n-1) = t^2), also when the cone bound has rank above r_max."""
+    divisorial flags and slopes, and with a^2 and <v,a> as the pairing
+    gives them, gamma_max taken from the brute-force divisorial classes of
+    any rank (or the Lagrangian slope d/t when d(n-1) = t^2), also when
+    the cone bound has rank above r_max."""
     p = SurfaceParams(d=d)
     for n in (2, 3, 4, 5, 7, 10, 13, 17, 22, 29, 32, 40):
         oracle = _brute_clause_classes(n, 2 * n, d)
@@ -200,11 +202,55 @@ def test_slope_classes_match_brute_force(d):
         for r_max in sorted({1, 3, n, 2 * n}):
             expected = {(a, flag) for a, flag in oracle if abs(a[0]) <= r_max and 0 <= slopes[a] <= top}
             scanned = _slope_classes(n, r_max, p, (top.numerator, top.denominator))
-            found = [(a.as_tuple(), flag) for a, flag, _ in scanned]
+            found = [(a.as_tuple(), flag) for a, flag, _, _, _ in scanned]
             assert len(found) == len(set(found))
             assert set(found) == expected, (n, r_max)
-            for a, _, (num, den) in scanned:
+            for a, _, (num, den), a_sq, k in scanned:
                 assert den > 0 and math.gcd(num, den) == 1 and F(num, den) == slopes[a.as_tuple()]
+                r, c, s = a.as_tuple()
+                assert (a_sq, k) == (2 * d * c * c - 2 * r * s, r * (n - 1) - s)
+
+
+def _curve_of_slope(n, d, gamma):
+    """The wall of slope gamma in S^[n]: the line x = 0 at gamma = 0, else
+    the semicircle of center -1/gamma and radius^2 = 1/gamma^2 - (n-1)/d,
+    and None when that radius^2 is not positive (no wall)."""
+    if gamma == 0:
+        return VerticalLine(F(0))
+    radius_sq = 1 / gamma**2 - F(n - 1, d)
+    return Semicircle(-1 / gamma, radius_sq) if radius_sq > 0 else None
+
+
+def test_hilbert_curve_follows_from_slope():
+    """The walls of v = (1, 0, 1-n) are fixed by their slope (Bayer-Macri,
+    section 13): every curve of hilbert_walls for d <= 7, n <= 80 is
+    _curve_of_slope of its record's gamma, and wall_locus gives that curve
+    (or raises, where it is None) for every brute-force clause class of
+    slope >= 0, the range (0, gamma_max) included."""
+    for d in range(1, 8):
+        p = SurfaceParams(d=d)
+        for n in range(2, 81):
+            try:
+                search = hilbert_walls(n, None, p)
+            except ValueError:
+                continue  # no cone boundary class within the default r_max
+            for rec in search.records:
+                if rec.wall_type == "boundary_lagrangian":
+                    assert rec.curve is None and _curve_of_slope(n, d, rec.gamma) is None
+                else:
+                    assert rec.curve == _curve_of_slope(n, d, rec.gamma), (n, d, rec)
+        for n in (2, 3, 5, 8, 10, 17, 22, 26, 30):
+            v = hilbert_vector(n)
+            for (r, c, s), _ in _brute_clause_classes(n, 2 * n, d):
+                gamma = F(-2 * d * c, r * (n - 1) + s)
+                if gamma < 0:
+                    continue
+                expected = _curve_of_slope(n, d, gamma)
+                if expected is None:
+                    with pytest.raises(ValueError, match="does not meet"):
+                        wall_locus(v, MukaiVector(r, c, s), p)
+                else:
+                    assert wall_locus(v, MukaiVector(r, c, s), p) == expected, (n, d, (r, c, s))
 
 
 @pytest.mark.parametrize("d", range(1, 31))

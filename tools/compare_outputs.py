@@ -23,6 +23,11 @@ its output; a ValueError counts as output, by its message.
 - candidate: repr of candidate_walls((0, m, k)) for m = 1..9,
   k = -6..6, d = 1..3, y_min in {1, 1/2, 3/2, 2/3} and r_max in
   {None, 3} (2,808 searches);
+- paths: path_intersection on every record of the Hilbert tables
+  (d <= 3, n <= 80) and of the transported tables (0, m, -1), m <= 12,
+  one case per table, at x0 = 0, at each wall's center, at each rational
+  tangency point center +- radius, at the integers -n..1 and at a few
+  non-integers, each integer given both as an int and as a Fraction;
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
   by the benchmark's own op code from bench/workloads.py of ROOT;
@@ -58,6 +63,8 @@ SPLIT_DS, SPLIT_N = (4, 8, 9, 12), 100
 SEED = 1
 GOLDEN_VECTORS = {"(1, 0, -9)": ["--n", "10"], "(0, 3, -1)": ["--vector", "0,3,-1"]}
 RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
+PATH_HILBERT_NS, PATH_TRANSPORT_MS = range(2, 81), range(2, 13)
+PATH_FRACTIONS = (Fraction(1, 2), Fraction(-1, 3), Fraction(-7, 4), Fraction(-25, 6))
 
 
 def _digest(thunk) -> str:
@@ -89,6 +96,34 @@ def _render_commands():
     for vector in (*GOLDEN_VECTORS.values(), ["--n", "20"]):
         for options in (["--precision", "3"], ["--ymin", "1/2"], ["--xrange=-6,1"], ["--xrange=-2.5,0.25", "--precision", "2"]):
             yield ["figure", *vector, *options]
+
+
+def _path_points(search) -> list:
+    """The x0 of the paths group for one table."""
+    n = search.n
+    points = [*range(-n, 2), *PATH_FRACTIONS]
+    for rec in search.records:
+        curve = rec.curve
+        if curve is None:
+            continue
+        if hasattr(curve, "x0"):
+            points.append(curve.x0)
+            continue
+        points.append(curve.center_x)
+        num, den = curve.radius_sq.numerator, curve.radius_sq.denominator
+        if math.isqrt(num) ** 2 == num and math.isqrt(den) ** 2 == den:
+            radius = Fraction(math.isqrt(num), math.isqrt(den))
+            points += [curve.center_x - radius, curve.center_x + radius]
+    return [*dict.fromkeys(points), *(Fraction(k) for k in range(-n, 2))]
+
+
+def _paths(search) -> list:
+    from k3walls import charge
+
+    return [
+        (x0, [charge.path_intersection(rec.curve, x0) for rec in search.records if rec.curve is not None])
+        for x0 in _path_points(search)
+    ]
 
 
 def digests(bench_dir: Path):
@@ -129,6 +164,15 @@ def digests(bench_dir: Path):
                         bounds = walls.SearchBounds(r_max=r_max, y_min=y_min)
                         label = f"{v} d={d} y_min={y_min} r_max={r_max}"
                         yield "candidate", label, _digest(lambda: walls.candidate_walls(v, bounds, p))
+
+    for d in (1, 2, 3):
+        p = lattice.SurfaceParams(d)
+        for n in PATH_HILBERT_NS:
+            yield "paths", f"n={n} d={d}", _digest(lambda: _paths(walls.hilbert_walls(n, None, p)))
+    p = lattice.SurfaceParams(1)
+    for m in PATH_TRANSPORT_MS:
+        label = f"(0, {m}, -1) d=1"
+        yield "paths", label, _digest(lambda: _paths(walls.resolve_walls(lattice.MukaiVector(0, m, -1), None, p)))
 
     for argv in _render_commands():
         yield "render", " ".join(argv), _digest(lambda: _cli(argv))
