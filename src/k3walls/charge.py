@@ -36,53 +36,21 @@ from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Val
 
 
 class StabilityPoint(_Value):
-    """A point (x, y) of the upper half plane.
+    """A point (x, y) of the upper half plane, exact: x and y^2 are
+    rationals.  The float y is for display only."""
 
-    x is an exact rational; set x_exact=False when it stands in for an
-    irrational value (the flag only matters to geometric_check).  y is
-    stored through its square when that is rational, with a float
-    fallback for display-only points.
-    """
+    __slots__ = ("x", "y_sq")
 
-    __slots__ = ("x", "y_sq", "y_approx", "x_exact")
-
-    def __init__(
-        self,
-        x: Fraction,
-        y_sq: Fraction | None = None,
-        y_approx: float | None = None,
-        x_exact: bool = True,
-    ) -> None:
-        x = Fraction(x)
-        if y_sq is not None:
-            y_sq = Fraction(y_sq)
-            if y_sq <= 0:
-                raise ValueError(f"stability point needs y > 0, got y^2 = {y_sq}")
-        elif y_approx is None:
-            raise ValueError("stability point needs y_sq or y_approx")
-        if y_approx is not None and y_approx <= 0:
-            raise ValueError(f"stability point needs y > 0, got y = {y_approx}")
+    def __init__(self, x: Fraction, y_sq: Fraction) -> None:
+        x, y_sq = Fraction(x), Fraction(y_sq)
+        if y_sq <= 0:
+            raise ValueError(f"stability point needs y > 0, got y^2 = {y_sq}")
         _setattr(self, "x", x)
         _setattr(self, "y_sq", y_sq)
-        _setattr(self, "y_approx", y_approx)
-        _setattr(self, "x_exact", x_exact)
-
-    @property
-    def y_exact(self) -> bool:
-        return self.y_sq is not None
 
     @property
     def y(self) -> float:
-        if self.y_sq is not None:
-            return math.sqrt(float(self.y_sq))
-        return float(self.y_approx)
-
-    def y_square(self) -> Fraction:
-        """y^2 as an exact rational; for float-only points, the exact square
-        of the stored float (deterministic, but carries no exactness claim)."""
-        if self.y_sq is not None:
-            return self.y_sq
-        return Fraction(self.y_approx) ** 2
+        return math.sqrt(float(self.y_sq))
 
 
 class ComplexValue(_Value):
@@ -118,7 +86,7 @@ class ComplexValue(_Value):
 def central_charge(u: MukaiVector, pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> ComplexValue:
     """Z(u) at pt, exactly."""
     x = pt.x
-    ysq = pt.y_square()
+    ysq = pt.y_sq
     d = p.d
     re = 2 * d * u.c * x - u.s - u.r * d * (x * x - ysq)
     im_coeff = 2 * d * (u.c - u.r * x)
@@ -233,8 +201,8 @@ def path_intersection(curve: WallCurve, x0: Fraction):
 
 
 class GeometricCheckResult(_Value):
-    """status is "ok", "obstructed" or "inconclusive"; witness is the
-    spherical class behind "obstructed", else None."""
+    """status is "ok" or "obstructed"; witness is the spherical class
+    behind "obstructed", else None."""
 
     __slots__ = ("status", "witness", "reason")
 
@@ -252,20 +220,11 @@ def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> G
     is geometric exactly when no such witness exists.  Writing x = a/q in
     lowest terms, a witness has r = q*t and c = a*t, and spherical means
     r divides d*c^2 + 1, so t divides d*a^2*t^2 + 1: t = 1.  The only
-    candidate is (q, a, (d*a^2 + 1)/q), so the test is exact for rational
-    x and y^2.  It is inconclusive only when x is flagged irrational or
-    y <= 1 is known only as a float.
+    candidate is (q, a, (d*a^2 + 1)/q), and the answer is exact.
     """
-    y_sq = pt.y_square()
-    if pt.y_exact:
-        if y_sq > 1:
-            return GeometricCheckResult("ok", None, "y > 1: no spherical obstruction exists")
-    else:
-        if pt.y_approx > 1.0:
-            return GeometricCheckResult("ok", None, "y > 1 (float): no spherical obstruction exists")
-        return GeometricCheckResult("inconclusive", None, "y <= 1 known only approximately")
-    if not pt.x_exact:
-        return GeometricCheckResult("inconclusive", None, "x is flagged irrational; no integral witness can match it")
+    y_sq = pt.y_sq
+    if y_sq > 1:
+        return GeometricCheckResult("ok", None, "y > 1: no spherical obstruction exists")
     r, c = pt.x.denominator, pt.x.numerator
     num = p.d * c * c + 1
     if num % r == 0 and p.d * r * r * y_sq <= 1:

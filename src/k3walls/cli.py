@@ -62,11 +62,10 @@ def _float_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _add_common(sub: argparse.ArgumentParser, vector_needed: bool = True) -> None:
-    if vector_needed:
-        group = sub.add_mutually_exclusive_group(required=True)
-        group.add_argument("--n", type=int, help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
-        group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    group = sub.add_mutually_exclusive_group(required=True)
+    group.add_argument("--n", type=int, help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
+    group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
     sub.add_argument("--degree", type=int, default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
     sub.add_argument("--rmax", type=int, help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
     sub.add_argument("--ymin", type=_fraction, default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")

@@ -221,11 +221,10 @@ class Decomposition(_Value):
     """A multiset of positive classes summing to v, in canonical order
     (descending charge coefficient, ties by component order)."""
 
-    __slots__ = ("parts", "wall")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts: tuple[MukaiVector, ...], wall: WallRecord) -> None:
+    def __init__(self, parts: tuple[MukaiVector, ...]) -> None:
         _setattr(self, "parts", parts)
-        _setattr(self, "wall", wall)
 
 
 def decompositions(
@@ -259,7 +258,7 @@ def decompositions(
 
     search(0, [], MukaiVector(0, 0, 0), 0)
     results.sort(key=lambda parts: (len(parts), tuple(u.as_tuple() for u in parts)))
-    return tuple(Decomposition(parts=parts, wall=w) for parts in results)
+    return tuple(Decomposition(parts) for parts in results)
 
 
 def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:

@@ -231,8 +231,7 @@ def _clause_type(n: int, a_sq: int, k: int) -> bool | None:
 
 
 def _representative_key(a: MukaiVector) -> tuple:
-    first_nonzero = next((x for x in a.as_tuple() if x != 0), 0)
-    return (abs(a.r), abs(a.c), abs(a.s), first_nonzero <= 0, a.as_tuple())
+    return (abs(a.r), abs(a.c), abs(a.s), (a.r or a.c or a.s) <= 0, a.as_tuple())
 
 
 def _lagrangian_class(n: int, p: SurfaceParams) -> MukaiVector | None:
@@ -441,9 +440,7 @@ def hilbert_walls(
                 continue
             curve = Semicircle(Fraction(-big_q, big_p), Fraction(delta, d * big_p * big_p))
         members = groups[gamma]
-        rep, _, a_sq, k = (
-            members[0] if len(members) == 1 else min(members, key=lambda member: _representative_key(member[0]))
-        )
+        rep, _, a_sq, k = min(members, key=lambda member: _representative_key(member[0]))
         records.append(
             WallRecord(
                 a=rep,
@@ -627,8 +624,7 @@ def candidate_walls(
     center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
     for radius_sq in _sorted_pairs(buckets, reverse=True):
-        classes = buckets[radius_sq]
-        rep = classes[0] if len(classes) == 1 else min(classes, key=_representative_key)
+        rep = min(buckets[radius_sq], key=_representative_key)
         curve = Semicircle(center, Fraction(*radius_sq))
         records.append(
             WallRecord(

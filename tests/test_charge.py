@@ -47,12 +47,9 @@ def test_central_charge_torsion_class():
 def test_stability_point_validation():
     with pytest.raises(ValueError):
         StabilityPoint(F(0), y_sq=F(0))
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         StabilityPoint(F(0))
-    with pytest.raises(ValueError):
-        StabilityPoint(F(0), y_approx=-1.0)
-    pt = StabilityPoint(F(1, 2), y_approx=0.5)
-    assert not pt.y_exact
+    pt = StabilityPoint(F(1, 2), y_sq=F(1, 4))
     assert pt.y == 0.5
 
 
@@ -136,8 +133,6 @@ def test_path_intersection_oracle(center, radius_sq, x0):
 def test_geometric_check_ok_above_one():
     res = geometric_check(StabilityPoint(F(-3), y_sq=F(15)))
     assert res.status == "ok"
-    res = geometric_check(StabilityPoint(F(7), y_approx=1.5))
-    assert res.status == "ok"
 
 
 def test_geometric_check_obstructed_at_integer_x():
@@ -152,11 +147,6 @@ def test_geometric_check_obstructed_at_rational_x():
     res = geometric_check(StabilityPoint(F(1, 2), y_sq=F(1, 5)))
     assert res.status == "obstructed"
     assert res.witness == MukaiVector(2, 1, 1)
-
-
-def test_geometric_check_inconclusive():
-    assert geometric_check(StabilityPoint(F(0), y_sq=F(1, 4), x_exact=False)).status == "inconclusive"
-    assert geometric_check(StabilityPoint(F(0), y_approx=0.5)).status == "inconclusive"
 
 
 def test_geometric_check_ok_without_witness():

@@ -1,9 +1,10 @@
-"""Exactness guard: no float conversion or float square root in the code
-that decides walls, crossings and stability.
+"""Exactness guard: no float conversion, float square root or float
+constant in the code that decides walls, crossings and stability.
 
-The wall search (walls.py) and the wall-crossing decompositions
-(crossing.py) stay in integers and Fractions throughout.  In charge.py a
-float appears only in the display members listed in CHARGE_DISPLAY.
+The wall search (walls.py), the wall-crossing decompositions
+(crossing.py) and the lattice (lattice.py) stay in integers and
+Fractions throughout.  In charge.py a float appears only in the display
+members listed in CHARGE_DISPLAY.
 The integer kernels of walls.py build no Fraction at all, the per-row
 render helpers neither a Fraction nor a frac_str, path_intersection one
 Fraction (its hit), and no module calls json.dumps with an indent.
@@ -19,21 +20,30 @@ SRC = Path(k3walls.__file__).parent
 CHARGE_DISPLAY = {"StabilityPoint.y", "ComplexValue.im", "ComplexValue.re_float", "phase"}
 
 
-def _calls(source: str, matches) -> list[tuple[str, int]]:
-    """(enclosing qualified name, line) of every call node in source for
-    which matches(node) holds."""
+def _nodes(source: str, matches) -> list[tuple[str, int]]:
+    """(enclosing qualified name, line) of every node in source for which
+    matches(node) holds."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        if isinstance(node, ast.Call) and matches(node):
+        if matches(node):
             found.append((scope, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def _calls(source: str, matches) -> list[tuple[str, int]]:
+    """_nodes restricted to the call nodes for which matches(call) holds."""
+    return _nodes(source, lambda node: isinstance(node, ast.Call) and matches(node))
+
+
+def _float_literals(source: str) -> list[tuple[str, int]]:
+    return _nodes(source, lambda node: isinstance(node, ast.Constant) and type(node.value) is float)
 
 
 def _is_float_call(call: ast.Call) -> bool:
@@ -72,6 +82,22 @@ def test_guard_sees_float_calls():
 def test_wall_search_and_crossings_have_no_float_calls():
     for name in ("walls.py", "crossing.py"):
         assert _calls((SRC / name).read_text(), _is_float_call) == [], name
+
+
+def test_guard_sees_float_literals():
+    source = (
+        "def f(y):\n    return y > 1.0\n"
+        "class C:\n    def g(self):\n        return -0.5, 1e3\n"
+        "def h(x):\n    return x > 1, 'y > 1.0', True\n"
+    )
+    assert _float_literals(source) == [("f", 2), ("C.g", 5), ("C.g", 5)]
+
+
+def test_no_float_literals_outside_charge_display():
+    for name in ("walls.py", "crossing.py", "lattice.py"):
+        assert _float_literals((SRC / name).read_text()) == [], name
+    literals = _float_literals((SRC / "charge.py").read_text())
+    assert [(scope, line) for scope, line in literals if scope not in CHARGE_DISPLAY] == []
 
 
 def test_charge_floats_only_in_display_members():

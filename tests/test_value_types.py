@@ -50,13 +50,13 @@ CASES = [
     (SurfaceParams, ("d",), (2,), (3,)),
     (MukaiVector, ("r", "c", "s"), (1, 0, -9), (1, 0, -8)),
     (Autoequivalence, ("word",), ((("reflect_line", -3), ("twist", 3)),), ((("dual_shift", 0),),)),
-    (StabilityPoint, ("x", "y_sq", "y_approx", "x_exact"), (Fraction(-1, 2), Fraction(3), None, True), (0, 1, None, False)),
+    (StabilityPoint, ("x", "y_sq"), (Fraction(-1, 2), Fraction(3)), (0, 1)),
     (ComplexValue, ("re", "im_coeff", "y_sq"), (Fraction(1), Fraction(-2, 3), Fraction(4)), (Fraction(1), Fraction(2, 3), Fraction(4))),
     (VerticalLine, ("x0",), (Fraction(1, 3),), (Fraction(-1, 3),)),
     (Semicircle, ("center_x", "radius_sq"), (Fraction(-5, 2), Fraction(25, 4)), (Fraction(-5, 2), Fraction(9, 4))),
     (GeometricCheckResult, ("status", "witness", "reason"), ("obstructed", MukaiVector(2, 1, 1), "why"), ("ok", None, "why")),
     (SaturatedPlane, ("b1", "b2"), (MukaiVector(1, 0, 0), MukaiVector(0, 1, 0)), (MukaiVector(1, 0, 0), MukaiVector(0, 0, 1))),
-    (Decomposition, ("parts", "wall"), ((A, V - A), RECORD), ((V - A, A), RECORD)),
+    (Decomposition, ("parts",), ((A, V - A),), ((V - A, A),)),
     (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim"), ((0, 12), (7,), 19, 20), ((0, 12), (6,), 18, 20)),
     (WallRecord, ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type"), (A, -2, 7, Fraction(2, 7), CURVE, "flopping"), (A, -2, 7, Fraction(2, 7), None, "flopping")),
     (MovableCone, ("n", "gamma_min", "gamma_max"), (10, Fraction(0), Fraction(1, 3)), (10, Fraction(0), Fraction(2, 7))),
@@ -146,8 +146,6 @@ def test_keyword_construction(cls, names, args, other_args):
 def test_defaults():
     assert SurfaceParams() == SurfaceParams(1)
     assert SearchBounds() == SearchBounds(None, Fraction(1))
-    assert StabilityPoint(0, 1) == StabilityPoint(0, 1, None, True)
-    assert StabilityPoint(0, y_approx=0.5) == StabilityPoint(0, None, 0.5, True)
     search = WallSearch(V, (), True, "hilbert")
     assert (search.n, search.m, search.source_vector) == (None, None, None)
 
@@ -170,8 +168,6 @@ def test_rational_fields_are_normalised():
         (lambda: SurfaceParams(1.0), "degree parameter d must be a positive integer, got 1.0"),
         (lambda: StabilityPoint(0, 0), "stability point needs y > 0, got y^2 = 0"),
         (lambda: StabilityPoint(0, Fraction(-1, 4)), "stability point needs y > 0, got y^2 = -1/4"),
-        (lambda: StabilityPoint(0), "stability point needs y_sq or y_approx"),
-        (lambda: StabilityPoint(0, y_approx=-0.5), "stability point needs y > 0, got y = -0.5"),
         (lambda: SearchBounds(r_max=0), "r_max must be positive"),
         (lambda: SearchBounds(y_min=Fraction(-1, 2)), "y_min must be non-negative"),
         (lambda: WallRecord(A, -2, 7, None, None, "bogus"), "unknown wall type 'bogus'"),

@@ -28,6 +28,12 @@ its output; a ValueError counts as output, by its message.
   one case per table, at x0 = 0, at each wall's center, at each rational
   tangency point center +- radius, at the integers -n..1 and at a few
   non-integers, each integer given both as an int and as a Fraction;
+- charge: repr of geometric_check and of central_charge of four classes
+  at exact points (x, y^2), one case per d = 1..3 and x = a/q with
+  q <= 12 and |x| <= 2, over y^2 at, just below and just above 1/(d q^2)
+  and 1; and the (x, y^2) of wall_base_point on, plus and minus of every
+  semicircular wall of the golden tables (the tables of the 26 golden
+  CLI commands), one case per table;
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
   by the benchmark's own op code from bench/workloads.py of ROOT;
@@ -65,6 +71,15 @@ GOLDEN_VECTORS = {"(1, 0, -9)": ["--n", "10"], "(0, 3, -1)": ["--vector", "0,3,-
 RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
 PATH_HILBERT_NS, PATH_TRANSPORT_MS = range(2, 81), range(2, 13)
 PATH_FRACTIONS = (Fraction(1, 2), Fraction(-1, 3), Fraction(-7, 4), Fraction(-25, 6))
+CHARGE_CLASSES = ((1, 0, -9), (0, 3, -1), (1, -1, 2), (2, 1, 1))
+# (vector, candidates) of the tables behind the golden CLI commands
+GOLDEN_TABLES = (
+    *(((1, 0, 1 - n), False) for n in (2, 3, 4, 8, 10)),
+    ((0, 3, -1), False),
+    ((0, 2, -1), True),
+    ((0, 2, -2), True),
+    ((0, 1, 0), True),
+)
 
 
 def _digest(thunk) -> str:
@@ -126,6 +141,38 @@ def _paths(search) -> list:
     ]
 
 
+def _charges(x, d: int) -> list:
+    """geometric_check and central_charge at x over the y^2 of the charge
+    group."""
+    from k3walls import charge, lattice
+
+    p = lattice.SurfaceParams(d)
+    out = []
+    for base in (Fraction(1, d * x.denominator ** 2), Fraction(1)):
+        for y_sq in (base * Fraction(9, 10), base, base * Fraction(11, 10)):
+            pt = charge.StabilityPoint(x, y_sq=y_sq)
+            zs = [charge.central_charge(lattice.MukaiVector(*u), pt, p) for u in CHARGE_CLASSES]
+            out.append((y_sq, charge.geometric_check(pt, p), zs))
+    return out
+
+
+def _base_points(search) -> list:
+    """(x, y^2) of wall_base_point on each side of every semicircular wall."""
+    from k3walls import crossing
+
+    out = []
+    for rec in search.records:
+        if not hasattr(rec.curve, "radius_sq"):
+            continue
+        for side in ("on", "plus", "minus"):
+            try:
+                pt = crossing.wall_base_point(rec, side)
+                out.append((pt.x, pt.y_sq))
+            except ValueError as exc:
+                out.append(f"ValueError: {exc}")
+    return out
+
+
 def digests(bench_dir: Path):
     """(group, label, sha256) for every case, against the k3walls on sys.path."""
     from k3walls import charge, lattice, report, svgfig, walls
@@ -173,6 +220,14 @@ def digests(bench_dir: Path):
     for m in PATH_TRANSPORT_MS:
         label = f"(0, {m}, -1) d=1"
         yield "paths", label, _digest(lambda: _paths(walls.resolve_walls(lattice.MukaiVector(0, m, -1), None, p)))
+
+    for d in (1, 2, 3):
+        for x in sorted({Fraction(a, q) for q in range(1, 13) for a in range(-2 * q, 2 * q + 1)}):
+            yield "charge", f"x={x} d={d}", _digest(lambda: _charges(x, d))
+    for vector, candidates in GOLDEN_TABLES:
+        v = lattice.MukaiVector(*vector)
+        label = f"base points {v}{' candidates' if candidates else ''}"
+        yield "charge", label, _digest(lambda: _base_points(walls.resolve_walls(v, None, force_candidates=candidates)))
 
     for argv in _render_commands():
         yield "render", " ".join(argv), _digest(lambda: _cli(argv))
