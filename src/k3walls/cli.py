@@ -1,10 +1,10 @@
 """Command line front end.
 
-Subcommands: walls, path, decompose, transport, figure.  Each one builds
-a JSON-able payload and renders it in the requested format (text, csv,
-json; figure emits svg).  Exit codes: 0 success (including empty
-results), 2 usage or domain error, 3 incomplete search under
---strict-complete.
+Subcommands: walls, path, decompose, transport, figure.  Each cmd_*
+returns its output (text, csv or json; figure writes svg) and whether its
+search is complete; main writes the output and exits 0 on success
+(including empty results), 2 on a usage or domain error, 3 on an
+incomplete search under --strict-complete.
 """
 
 from __future__ import annotations
@@ -62,15 +62,28 @@ def _float_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
+def _int_at_least(low: int):
+    """An argparse type: an int no smaller than low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
+    group.add_argument("--n", type=_int_at_least(2), help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
     group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
-    sub.add_argument("--degree", type=int, default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
+    sub.add_argument("--degree", type=_int_at_least(1), default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
     sub.add_argument("--rmax", type=int, help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
     sub.add_argument("--ymin", type=_fraction, default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")
-    sub.add_argument("--format", choices=report.FORMATS, help="output format (default from K3WALLS_FORMAT, else text)")
-    sub.add_argument("--precision", type=int, default=6, help="digits for float display (default 6)")
     sub.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
     sub.add_argument("--strict-complete", action="store_true", help="exit 3 when the search cannot certify completeness")
 
@@ -81,29 +94,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Wall and chamber computations for moduli of sheaves on a degree-two K3 surface.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    # every subcommand takes the common options; --format where it writes
+    # a table, --precision where it writes floats
+    common = argparse.ArgumentParser(add_help=False)
+    _add_common(common)
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--format", choices=report.FORMATS, default="text", help="output format (default text)")
+    floats = argparse.ArgumentParser(add_help=False)
+    floats.add_argument("--precision", type=_int_at_least(1), default=6, help="digits for float display (default 6)")
 
-    walls = subs.add_parser("walls", help="enumerate the walls of a Mukai vector")
-    _add_common(walls)
+    walls = subs.add_parser("walls", parents=[common, table], help="enumerate the walls of a Mukai vector")
+    walls.set_defaults(run=cmd_walls)
     walls.add_argument("--candidates", action="store_true", help="force the candidate superset search")
 
-    path = subs.add_parser("path", help="walls crossed along a vertical path x = x0, descending y")
-    _add_common(path)
+    path = subs.add_parser("path", parents=[common, table, floats], help="walls crossed along a vertical path x = x0, descending y")
+    path.set_defaults(run=cmd_path)
     path.add_argument("--x0", type=_fraction, required=True, help="x coordinate of the path")
 
-    dec = subs.add_parser("decompose", help="semistable decompositions and stratum dimensions at one wall")
-    _add_common(dec)
+    dec = subs.add_parser("decompose", parents=[common, table], help="semistable decompositions and stratum dimensions at one wall")
+    dec.set_defaults(run=cmd_decompose)
     sel = dec.add_mutually_exclusive_group(required=True)
     sel.add_argument("--gamma", type=_fraction, help="slope of the wall to decompose")
     sel.add_argument("--wall-index", type=int, help="0-based row index into the wall table")
-    dec.add_argument("--parts-max", type=int, default=3, help="maximum number of parts (default 3)")
+    dec.add_argument("--parts-max", type=_int_at_least(2), default=3, help="maximum number of parts (default 3)")
 
-    trans = subs.add_parser("transport", help="map a wall table through the autoequivalence Phi_m")
-    _add_common(trans)
+    trans = subs.add_parser("transport", parents=[common, table], help="map a wall table through the autoequivalence Phi_m")
+    trans.set_defaults(run=cmd_transport)
     trans.add_argument("--m", type=int, required=True, help="twist parameter of Phi_m")
     trans.add_argument("--gamma-min", type=_fraction, help="keep rows with slope >= this value")
 
-    fig = subs.add_parser("figure", help="SVG picture of the walls in the upper half plane")
-    _add_common(fig)
+    fig = subs.add_parser("figure", parents=[common, floats], help="SVG picture of the walls in the upper half plane")
+    fig.set_defaults(run=cmd_figure)
     fig.add_argument("--candidates", action="store_true", help="force the candidate superset search")
     fig.add_argument("--xrange", type=_float_pair, help="x window lo,hi (default fits the walls)")
     fig.add_argument("--yrange", type=_float_pair, help="y window lo,hi (default fits the walls)")
@@ -122,35 +143,23 @@ def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
     return resolve_walls(_search_vector(args), bounds, p, force_candidates=getattr(args, "candidates", False)), p
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
+def _emit(text: str, path: str | None) -> None:
+    if path:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise ValueError(f"cannot write {args.output}: {exc.strerror or exc}") from exc
+            raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
 
-def _complete_status(args, complete: bool) -> int:
-    if args.strict_complete and not complete:
-        return EXIT_INCOMPLETE
-    return EXIT_OK
-
-
-def _fmt(args) -> str:
-    return args.format or report.default_format()
-
-
-def cmd_walls(args) -> int:
+def cmd_walls(args) -> tuple[str, bool]:
     search, p = _wall_search(args)
-    payload = report.walls_payload(search, p)
-    _emit(report.render("walls", payload, _fmt(args)), args)
-    return _complete_status(args, search.complete)
+    return report.render("walls", report.walls_payload(search, p), args.format), search.complete
 
 
-def cmd_path(args) -> int:
+def cmd_path(args) -> tuple[str, bool]:
     search, p = _wall_search(args)
     x0 = args.x0
     y_min = args.ymin
@@ -166,13 +175,10 @@ def cmd_path(args) -> int:
             hits.append((rec, y_sq))
     hits.sort(key=lambda item: -item[1])
     payload = report.path_payload(search, x0, hits, sorted(set(on_wall)), y_min, p, args.precision)
-    _emit(report.render("path", payload, _fmt(args)), args)
-    return _complete_status(args, search.complete)
+    return report.render("path", payload, args.format), search.complete
 
 
-def cmd_decompose(args) -> int:
-    if args.parts_max < 2:
-        raise ValueError("--parts-max must be at least 2")
+def cmd_decompose(args) -> tuple[str, bool]:
     v = _search_vector(args)
     if v.content() > 1:
         # checked before the search: moduli_dim(v) needs a primitive v
@@ -200,38 +206,23 @@ def cmd_decompose(args) -> int:
             entry["error"] = str(exc)
         entries.append(entry)
     payload = report.decompose_payload(v, rec, entries, args.parts_max, moduli_dim(v, p), p)
-    _emit(report.render("decompose", payload, _fmt(args)), args)
-    return _complete_status(args, search.complete)
+    return report.render("decompose", payload, args.format), search.complete
 
 
-def cmd_transport(args) -> int:
+def cmd_transport(args) -> tuple[str, bool]:
     base, p = _wall_search(args)
     search = transport_search(base, args.m, p)
     if args.gamma_min is not None:
         kept = tuple(rec for rec in search.records if rec.gamma is not None and rec.gamma >= args.gamma_min)
         search = WallSearch(search.vector, kept, search.complete, search.mode, search.n, search.m, search.source_vector)
-    payload = report.walls_payload(search, p)
-    _emit(report.render("walls", payload, _fmt(args)), args)
-    return _complete_status(args, search.complete)
+    return report.render("walls", report.walls_payload(search, p), args.format), search.complete
 
 
-def cmd_figure(args) -> int:
-    fmt = args.format or "svg"
-    if fmt != "svg":
-        raise ValueError("figure output is svg only")
+def cmd_figure(args) -> tuple[str, bool]:
     search, p = _wall_search(args)
     payload = report.walls_payload(search, p)
-    _emit(render_figure(payload, args.xrange, args.yrange, y_marker=args.ymin, precision=args.precision), args)
-    return _complete_status(args, search.complete)
+    return render_figure(payload, args.xrange, args.yrange, y_marker=args.ymin, precision=args.precision), search.complete
 
-
-_COMMANDS = {
-    "walls": cmd_walls,
-    "path": cmd_path,
-    "decompose": cmd_decompose,
-    "transport": cmd_transport,
-    "figure": cmd_figure,
-}
 
 def _fuse_negative_values(argv: list[str]) -> list[str]:
     """Rewrite ['--x0', '-1/6'] as ['--x0=-1/6'].
@@ -259,21 +250,14 @@ def _fuse_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(_fuse_negative_values(list(argv)))
-    if args.n is not None and args.n < 2:
-        parser.error("--n must be at least 2")
-    if args.precision < 1:
-        parser.error("--precision must be positive")
-    if args.degree < 1:
-        parser.error("--degree must be positive")
+    args = build_parser().parse_args(_fuse_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        return _COMMANDS[args.command](args)
+        text, complete = args.run(args)
+        _emit(text, args.output)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_INCOMPLETE if args.strict_complete and not complete else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ of path output) and in SVG geometry.
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import cache
 from io import StringIO
@@ -29,14 +28,7 @@ from .charge import Semicircle, VerticalLine
 from .lattice import MukaiVector, SurfaceParams
 from .walls import WallRecord, WallSearch
 
-FORMAT_ENV_VAR = "K3WALLS_FORMAT"
-FORMATS = ("text", "csv", "json", "svg")
-
-
-def default_format() -> str:
-    """The table format (text, csv or json) K3WALLS_FORMAT names, else text."""
-    value = os.environ.get(FORMAT_ENV_VAR, "text").strip().lower()
-    return value if value in ("text", "csv", "json") else "text"
+FORMATS = ("text", "csv", "json")
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +191,9 @@ def _walls_title(payload: dict) -> str:
     if "m" in payload:
         src = vector_str(payload["source_vector"])
         return f"Walls transported by Phi_{payload['m']}: v = {src} -> v' = {vec} (d = {d})"
-    walls = payload["walls"]
-    if walls and all(w["type"] == "candidate" for w in walls):
-        return f"Candidate walls for v = {vec} (d = {d})"
     r, c, s = payload["vector"]
     if r == 1 and c == 0 and s <= -1:
         return f"Walls for v = {vec} on S^[{1 - s}] (d = {d})"
-    if walls:
-        return f"Walls for v = {vec} (d = {d})"
     return f"Candidate walls for v = {vec} (d = {d})"
 
 

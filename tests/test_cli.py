@@ -5,6 +5,7 @@ running the paired command and redirecting stdout, but only after
 checking the change is intentional.
 """
 
+import argparse
 import ast
 import csv
 import io
@@ -20,7 +21,7 @@ from hypothesis import example, given, strategies as st
 
 import frozen
 from k3walls import MukaiVector, mukai_pairing, mukai_square, report
-from k3walls.cli import _fuse_negative_values, main
+from k3walls.cli import _fuse_negative_values, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -56,11 +57,7 @@ GOLDEN_COMMANDS = {
 }
 
 
-def run_cli(argv, env=None, monkeypatch=None):
-    if monkeypatch is not None:
-        monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
-        for key, value in (env or {}).items():
-            monkeypatch.setenv(key, value)
+def run_cli(argv):
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         code = main(argv)
@@ -68,23 +65,43 @@ def run_cli(argv, env=None, monkeypatch=None):
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
-def test_golden_transcripts(name, monkeypatch):
-    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+def test_golden_transcripts(name):
     code, out, err = run_cli(GOLDEN_COMMANDS[name])
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_output_is_deterministic(monkeypatch):
-    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+def _option_variables() -> dict:
+    """K3WALLS_<OPTION> for every option of every subcommand: json for
+    --format, the one option with choices, and 2 for the others."""
+    (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {
+        "K3WALLS_" + flag[2:].replace("-", "_").upper(): "json" if action.choices else "2"
+        for sub in subs.choices.values()
+        for action in sub._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_COMMANDS))
+def test_output_depends_on_argv_alone(name, monkeypatch):
+    """No option takes its value from the environment: with a variable
+    named after each option set (the format one to json), every golden
+    command still writes its golden bytes."""
+    for key, value in _option_variables().items():
+        monkeypatch.setenv(key, value)
+    assert run_cli(GOLDEN_COMMANDS[name]) == (0, (GOLDEN / name).read_text(encoding="utf-8"), "")
+
+
+def test_output_is_deterministic():
     first = run_cli(["walls", "--n", "10", "--format", "json"])
     second = run_cli(["walls", "--n", "10", "--format", "json"])
     assert first == second
 
 
-def test_json_payload_round_trips_to_text(monkeypatch):
-    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+def test_json_payload_round_trips_to_text():
     _, raw, _ = run_cli(["walls", "--n", "10", "--format", "json"])
     payload = json.loads(raw)
     text = report.render("walls", payload, "text")
@@ -199,7 +216,7 @@ def test_render_json_on_every_payload_kind(argv, check, monkeypatch):
     seen = []
     real = report.render_json
     monkeypatch.setattr(report, "render_json", lambda payload: seen.append(payload) or real(payload))
-    code, out, _ = run_cli([*argv, "--format", "json"], monkeypatch=monkeypatch)
+    code, out, _ = run_cli([*argv, "--format", "json"])
     assert code == 0
     (payload,) = seen
     assert check(payload)
@@ -255,8 +272,7 @@ def test_frac_str_on_payload_rationals_ints_and_fractions():
         assert report.frac_str({"num": k, "den": 1}) == str(k)
 
 
-def test_output_flag_writes_file(tmp_path, monkeypatch):
-    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+def test_output_flag_writes_file(tmp_path):
     target = tmp_path / "walls.txt"
     code, out, _ = run_cli(["walls", "--n", "10", "--output", str(target)])
     assert code == 0
@@ -273,44 +289,6 @@ def test_output_to_missing_directory_exits_two(tmp_path):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}: ")
     assert not target.parent.exists()
-
-
-def test_format_env_variable(monkeypatch):
-    code, out, _ = run_cli(
-        ["walls", "--n", "10"], env={report.FORMAT_ENV_VAR: "json"}, monkeypatch=monkeypatch
-    )
-    assert code == 0
-    assert json.loads(out)["vector"] == [1, 0, -9]
-
-
-def test_format_flag_overrides_env(monkeypatch):
-    code, out, _ = run_cli(
-        ["walls", "--n", "10", "--format", "text"],
-        env={report.FORMAT_ENV_VAR: "json"},
-        monkeypatch=monkeypatch,
-    )
-    assert code == 0
-    assert out.startswith("Walls for v = (1, 0, -9)")
-
-
-def test_unknown_env_format_falls_back_to_text(monkeypatch):
-    code, out, _ = run_cli(
-        ["walls", "--n", "10"], env={report.FORMAT_ENV_VAR: "bogus"}, monkeypatch=monkeypatch
-    )
-    assert code == 0
-    assert out.startswith("Walls for v = (1, 0, -9)")
-
-
-def test_svg_env_format_falls_back_to_text(monkeypatch):
-    # svg is figure's format only; as a table default it means text
-    code, out, _ = run_cli(
-        ["walls", "--n", "4"], env={report.FORMAT_ENV_VAR: "svg"}, monkeypatch=monkeypatch
-    )
-    assert code == 0
-    assert out.startswith("Walls for v = (1, 0, -3)")
-    code, _, err = run_cli(["walls", "--n", "4", "--format", "svg"], monkeypatch=monkeypatch)
-    assert code == 2
-    assert "format 'svg' is not valid for walls output" in err
 
 
 # ---------------------------------------------------------------------------
@@ -383,12 +361,6 @@ def test_figure_rejects_infinite_window_width(window):
     assert "finite width" in err
 
 
-def test_figure_rejects_non_svg_format():
-    code, _, err = run_cli(["figure", "--n", "10", "--format", "csv"])
-    assert code == 2
-    assert "svg only" in err
-
-
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -414,6 +386,15 @@ def test_empty_result_still_exits_zero():
         ["transport", "--n", "10"],
         ["walls", "--n", "10", "--ymin", "one"],
         ["figure", "--n", "10", "--xrange", "0,1e400"],
+        # each option only on the subcommands that use it
+        ["walls", "--n", "10", "--format", "svg"],
+        ["figure", "--n", "10", "--format", "svg"],
+        ["walls", "--n", "10", "--precision", "3"],
+        ["transport", "--n", "10", "--m", "3", "--precision", "3"],
+        ["decompose", "--n", "10", "--gamma", "2/11", "--precision", "3"],
+        ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "1"],
+        # checked before the search, which fails for n = 22
+        ["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"],
     ],
 )
 def test_usage_errors_exit_two(argv):
@@ -427,10 +408,7 @@ def test_usage_errors_exit_two(argv):
     [
         (["decompose", "--n", "10", "--gamma", "1/2"], "available slopes"),
         (["decompose", "--n", "10", "--wall-index", "99"], "out of range"),
-        (["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "1"], "at least 2"),
         (["decompose", "--n", "10", "--gamma", "1/3"], "semicircular"),
-        # checked before the search, which fails for n = 22
-        (["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"], "--parts-max must be at least 2"),
         (["walls", "--vector", "0,2,-1", "--candidates", "--ymin", "0"], "give r_max"),
         # the cone bound is searched first, so a large n answers at once
         (["walls", "--n", "32000", "--rmax", "1"], "no movable-cone boundary class found for n=32000"),
@@ -493,8 +471,7 @@ def test_negative_vector_reaches_the_search():
     assert "no wall enumeration" in err
 
 
-def test_negative_zero_vector_component(monkeypatch):
-    monkeypatch.delenv(report.FORMAT_ENV_VAR, raising=False)
+def test_negative_zero_vector_component():
     code, out, _ = run_cli(["walls", "--vector", "-0,3,-1"])
     assert code == 0
     assert out == run_cli(["walls", "--vector", "0,3,-1"])[1]

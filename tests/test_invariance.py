@@ -3,7 +3,8 @@ or the dual shift, against the walls of the vector itself.
 
 Tensoring by O(jH) maps u = (r, c, s) to (r, c + rj, s + 2dcj + drj^2),
 and Z_{x,y}(u twisted) = Z_{x-j,y}(u), so every wall moves by x -> x + j
-and keeps its radius.  The dual shift (r, c, s) -> (-r, c, -s) gives
+and keeps its radius, and the classes that decompose v along it twist
+with it.  The dual shift (r, c, s) -> (-r, c, -s) gives
 Z_{x,y}(u dual) = -conj(Z_{-x,y}(u)), so every wall is reflected by
 x -> -x.  These relations compare the code with itself on transformed
 inputs: they add to the independent oracles and do not replace them.
@@ -18,9 +19,13 @@ from k3walls import (
     MukaiVector,
     SearchBounds,
     SurfaceParams,
+    WallRecord,
     candidate_walls,
+    decompositions,
     dual_shift,
+    hilbert_walls,
     path_intersection,
+    stratum_dims,
     tensor_twist,
     wall_locus,
 )
@@ -123,3 +128,41 @@ def test_path_intersection_follows_the_twist(v, a, d, j, x0):
         assert got is expected
     else:
         assert type(got) is F and got == expected
+
+
+def _stratum(parts, v, p):
+    """Dimensions of the stratum of parts, or its error up to the part it names."""
+    try:
+        dims = stratum_dims(parts, v, p)
+    except ValueError as exc:
+        return str(exc).split(" at part")[0]
+    return dims.part_moduli_dims, dims.fiber_dims, dims.stratum_dim
+
+
+def test_twist_carries_decompositions():
+    """Twist v and a semicircular Hilbert wall of class a by O(jH): the
+    wall of (T_j v, T_j a) has the decompositions of v at the wall, each
+    part twisted and in the same order, and every stratum keeps its
+    dimensions or its error.  d = 1, 2, n <= 20, j in {1, -1, 2}."""
+    cases = 0
+    for d in (1, 2):
+        p = SurfaceParams(d=d)
+        for n in range(2, 21):
+            search = hilbert_walls(n, None, p)
+            v = search.vector
+            for w in search.records:
+                if not isinstance(w.curve, Semicircle):
+                    continue
+                decs = decompositions(v, w, 3, p)
+                for j in (1, -1, 2):
+                    tv, ta = tensor_twist(v, j, p), tensor_twist(w.a, j, p)
+                    tw = WallRecord(ta, w.a_sq, w.pairing_va, w.gamma, wall_locus(tv, ta, p), w.wall_type)
+                    twisted = decompositions(tv, tw, 3, p)
+                    assert [dec.parts for dec in twisted] == [
+                        tuple(tensor_twist(u, j, p) for u in dec.parts) for dec in decs
+                    ]
+                    assert [_stratum(dec.parts, tv, p) for dec in twisted] == [
+                        _stratum(dec.parts, v, p) for dec in decs
+                    ]
+                    cases += 1
+    assert cases > 1000

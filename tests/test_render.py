@@ -221,7 +221,7 @@ def _label(wall) -> str:
     [
         (["--n", "20"], Fraction(1), 6, None, False),
         (["--vector", "0,3,-1", "--ymin", "1/2"], Fraction(1, 2), 6, None, False),
-        (["--n", "10", "--precision", "3"], Fraction(1), 3, (-6.0, 1.0), False),
+        (["--n", "10"], Fraction(1), 3, (-6.0, 1.0), False),
         (["--n", "10"], Fraction(1), 6, (-1.2, 1.0), True),
         (["--n", "10", "--ymin", "7/8"], Fraction(7, 8), 6, None, False),  # a wall of radius 7/8 stays out
     ],
@@ -232,7 +232,7 @@ def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, 
     window, each at the coordinates of the canvas formulas, in payload
     order, with one legend entry each in its colour."""
     window = [] if xrange is None else [f"--xrange={xrange[0]},{xrange[1]}"]
-    root = ET.fromstring(_run(["figure", *argv, *window]))
+    root = ET.fromstring(_run(["figure", *argv, *window, "--precision", str(precision)]))
     payload = json.loads(_run(["walls", *argv, "--format", "json"]))
 
     def fmt(value: float) -> str:

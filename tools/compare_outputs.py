@@ -43,7 +43,15 @@ its output; a ValueError counts as output, by its message.
   vectors of the golden commands, (1, 0, -9) and (0, 3, -1); `figure` of
   those and of n = 20 at --precision 3, at --ymin 1/2 and with an
   explicit --xrange; and the text, csv, json and svg of hilbert_walls(n)
-  for d = 2 and 3, n = 100..120.
+  for d = 2 and 3, n = 100..120;
+- cli: what main writes for the argv of the golden commands
+  (GOLDEN_COMMANDS) and of the exit-code tests of tests/test_cli.py
+  (test_usage_errors_exit_two, test_domain_errors_exit_two_with_message),
+  and for the option bounds at their edges (CLI_BOUNDS), all read from
+  ROOT: the exit code, stdout and stderr, or for a usage error (argparse's
+  SystemExit) its code and the last line of stderr, the error itself.  The
+  usage synopsis above that line lists the options of the subcommand, so
+  it is left out.
 
 `--digests SRC` prints the digests of one tree, one case a line; the
 comparison runs it twice.
@@ -51,6 +59,7 @@ comparison runs it twice.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import io
 import math
@@ -72,6 +81,17 @@ RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
 PATH_HILBERT_NS, PATH_TRANSPORT_MS = range(2, 81), range(2, 13)
 PATH_FRACTIONS = (Fraction(1, 2), Fraction(-1, 3), Fraction(-7, 4), Fraction(-25, 6))
 CHARGE_CLASSES = ((1, 0, -9), (0, 3, -1), (1, -1, 2), (2, 1, 1))
+CLI_TESTS = ROOT / "tests" / "test_cli.py"
+CLI_EXIT_TESTS = ("test_usage_errors_exit_two", "test_domain_errors_exit_two_with_message")
+# the bounded options at and below their bounds, and ints that do not
+# parse, where the tests above do not have them
+CLI_BOUNDS = (
+    ["walls", "--n", "x"], ["walls", "--n", "10", "--degree", "1"],
+    ["path", "--n", "10", "--x0", "0", "--precision", "1"], ["path", "--n", "10", "--x0", "0", "--precision", "0"],
+    ["figure", "--n", "10", "--precision", "1"], ["figure", "--n", "10", "--precision", "0"],
+    ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "2"],
+    ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "x"],
+)
 # (vector, candidates) of the tables behind the golden CLI commands
 GOLDEN_TABLES = (
     *(((1, 0, 1 - n), False) for n in (2, 3, 4, 8, 10)),
@@ -91,13 +111,31 @@ def _digest(thunk) -> str:
 
 
 def _cli(argv: list[str]):
-    """(exit code, stdout, stderr) of the k3walls command, run in process."""
+    """(exit code, stdout, stderr) of the k3walls command, run in process;
+    for a usage error, (exit code, last line of stderr)."""
     from k3walls.cli import main
 
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(argv)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:
+        return exc.code, err.getvalue().splitlines()[-1]
     return code, out.getvalue(), err.getvalue()
+
+
+def _cli_commands():
+    """The argv of the cli group, from the tests of ROOT."""
+    body = ast.parse(CLI_TESTS.read_text(encoding="utf-8")).body
+    for node in body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "GOLDEN_COMMANDS" for t in node.targets):
+            yield from ast.literal_eval(node.value).values()
+    for node in body:
+        if isinstance(node, ast.FunctionDef) and node.name in CLI_EXIT_TESTS:
+            (mark,) = node.decorator_list
+            for case in ast.literal_eval(mark.args[1]):
+                yield case[0] if isinstance(case, tuple) else case
+    yield from CLI_BOUNDS
 
 
 def _render_commands():
@@ -240,6 +278,9 @@ def digests(bench_dir: Path):
                     svgfig.render_figure(payload)
                 ]
             yield "render", f"walls n={n} d={d}", _digest(rendered)
+
+    for argv in _cli_commands():
+        yield "cli", " ".join(argv), _digest(lambda: _cli(argv))
 
     sys.path.insert(0, str(bench_dir))
     import workloads as wl
