@@ -14,6 +14,14 @@ v, so its levels sum to N: the search is an exact integer knapsack that
 prunes once the levels pass N and keeps a full sum when the parts add
 up to v.
 
+The plane has a unimodular basis (bez, k0) with bez on level 1 and k0
+spanning level 0.  In it the class u = j*bez + t*k0 has
+u^2 + 2 = a2*t^2 + j*b*t + j^2*c + 2, with a2 = k0^2, b = 2<bez, k0>
+and c = bez^2, so level j's discriminant is disc(j) = j^2*D + E with
+D = b^2 - 4*a2*c = -4 det Q (Q the form of the plane) and E = -8*a2.  Both are positive on a wall:
+its plane is hyperbolic (det Q < 0), and the kernel of the charge at
+the apex, spanned by k0, is negative definite (a2 < 0).
+
 Dimension bookkeeping for a decomposition u_1, ..., u_t (ordered by
 descending lambda):
 
@@ -148,7 +156,9 @@ def _has_stable_locus(u: MukaiVector, p: SurfaceParams) -> bool:
 
 def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[int, list[tuple[int, MukaiVector]]]:
     """(N, [(j, u), ...]): the positive classes u of the wall with
-    lambda(u) = j/N, sorted by descending j, ties by (r, c, s)."""
+    lambda(u) = j/N, sorted by descending j, ties by (r, c, s).  Level j's
+    interval of t comes from disc(j) = j^2*D + E, with D > 0 (hyperbolic
+    plane) and E > 0 (negative definite kernel) checked once per wall."""
     if w.curve is None or not isinstance(w.curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
     if wall_locus(v, w.a, p) != w.curve:
@@ -166,36 +176,24 @@ def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[
     level_count = sign * l_v // g
     p1, p2 = p1 // g, p2 // g
 
-    # direction of constant lambda, and the quadratic form on coordinates
-    k0 = (p2, -p1)
-    q11 = mukai_pairing(plane.b1, plane.b1, p)
-    q12 = mukai_pairing(plane.b1, plane.b2, p)
-    q22 = mukai_pairing(plane.b2, plane.b2, p)
-
-    def q_form(x: int, y: int) -> int:
-        return q11 * x * x + 2 * q12 * x * y + q22 * y * y
-
-    def q_pair(x1: int, y1: int, x2: int, y2: int) -> int:
-        return q11 * x1 * x2 + q12 * (x1 * y2 + x2 * y1) + q22 * y1 * y2
-
-    a2 = q_form(*k0)
+    bez = plane.vector(*_bezout(p1, p2))  # on level 1
+    k0 = plane.vector(p2, -p1)  # spans level 0
+    a2 = mukai_square(k0, p)
     if a2 >= 0:
         raise ValueError("the wall kernel is not negative definite; not a wall of geometric stability")
+    b, c = 2 * mukai_pairing(bez, k0, p), mukai_square(bez, p)
+    D, E = b * b - 4 * a2 * c, -8 * a2
+    if D <= 0:
+        raise ValueError("the wall plane is not hyperbolic; not a wall of geometric stability")
 
-    bez1, bez2 = _bezout(p1, p2)  # bez1*p1 + bez2*p2 = 1
+    two_abs_a = -2 * a2
     found: list[tuple[int, MukaiVector]] = []
     for j in range(1, level_count):
-        base = (bez1 * j, bez2 * j)  # on level j
-        b2_ = 2 * q_pair(*base, *k0)
-        c2_ = q_form(*base) + 2
-        disc = b2_ * b2_ - 4 * a2 * c2_
-        if disc < 0:
-            continue
-        # a2 < 0, so u^2 >= -2 on this level reads (2*a2*t + b2_)^2 <= disc
-        root = math.isqrt(disc)
-        for t in range(-((root - b2_) // (-2 * a2)), (b2_ + root) // (-2 * a2) + 1):
-            x, y = base[0] + t * k0[0], base[1] + t * k0[1]
-            u = plane.vector(x, y)
+        b_j = j * b
+        # a2 < 0, so u^2 >= -2 on this level reads (2*a2*t + b_j)^2 <= j^2*D + E
+        root = math.isqrt(D * j * j + E)
+        for t in range(-((root - b_j) // two_abs_a), (b_j + root) // two_abs_a + 1):
+            u = j * bez + t * k0
             if u.is_zero() or not _has_stable_locus(u, p):
                 continue
             assert sign * (den * u.c - num * u.r) == j * g

@@ -395,6 +395,8 @@ def test_empty_result_still_exits_zero():
         ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "1"],
         # checked before the search, which fails for n = 22
         ["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"],
+        ["walls", "--n", "10", "--rmax", "0"],
+        ["walls", "--n", "10", "--rmax", "-3"],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import frozen
 from k3walls import (
     MukaiVector,
+    SearchBounds,
     central_charge,
     decompositions,
     ext_dim,
@@ -401,12 +402,18 @@ def _rank_scan_classes(v, w):
     return found
 
 
-@pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737))])
+# S^[56] lists its wall at 90070/667977 (667,977 charge levels, the
+# discriminant of the last one between 2^52 and 2^53) from the smallest
+# certified cap, r_max = 4,102 (R* = 8,203).
+RANK_SCAN_BOUNDS = {56: SearchBounds(r_max=4102)}
+
+
+@pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737)), (56, F(90070, 667977))])
 def test_positive_classes_rank_scan_oracle(n, gamma):
     # Walls with thousands of charge levels, whose classes have plane
     # coordinates in the millions.
     v = MukaiVector(1, 0, 1 - n)
-    w = _record(hilbert_walls(n), gamma)
+    w = _record(hilbert_walls(n, RANK_SCAN_BOUNDS.get(n)), gamma)
     oracle = _rank_scan_classes(v, w)
     assert oracle
     assert set(positive_classes(v, w)) == oracle

@@ -34,6 +34,12 @@ its output; a ValueError counts as output, by its message.
   and 1; and the (x, y^2) of wall_base_point on, plus and minus of every
   semicircular wall of the golden tables (the tables of the 26 golden
   CLI commands), one case per table;
+- crossing: repr of positive_classes(v, w), and of decompositions(v, w,
+  parts_max=4) with the stratum_dims or error message of each, for every
+  semicircular wall w of the tables that the benchmark workload
+  `wall_crossings` decomposes (d = 1: S^[n] for n = 12..40 step 4, and
+  (0, m, -1) for m = 3, 4, 5) and of S^[n] for n = 2..20 at d = 2, one
+  case each per wall;
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
   by the benchmark's own op code from bench/workloads.py of ROOT;
@@ -81,6 +87,12 @@ RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
 PATH_HILBERT_NS, PATH_TRANSPORT_MS = range(2, 81), range(2, 13)
 PATH_FRACTIONS = (Fraction(1, 2), Fraction(-1, 3), Fraction(-7, 4), Fraction(-25, 6))
 CHARGE_CLASSES = ((1, 0, -9), (0, 3, -1), (1, -1, 2), (2, 1, 1))
+# (vector, d) of the tables whose walls the crossing group decomposes
+CROSSING_TABLES = (
+    *(((1, 0, 1 - n), 1) for n in range(12, 41, 4)),
+    *(((0, m, -1), 1) for m in (3, 4, 5)),
+    *(((1, 0, 1 - n), 2) for n in range(2, 21)),
+)
 CLI_TESTS = ROOT / "tests" / "test_cli.py"
 CLI_EXIT_TESTS = ("test_usage_errors_exit_two", "test_domain_errors_exit_two_with_message")
 # the bounded options at and below their bounds, and ints that do not
@@ -91,6 +103,7 @@ CLI_BOUNDS = (
     ["figure", "--n", "10", "--precision", "1"], ["figure", "--n", "10", "--precision", "0"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "2"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "x"],
+    ["path", "--n", "10", "--x0", "0", "--rmax", "1"], ["path", "--n", "10", "--x0", "0", "--rmax", "0"],
 )
 # (vector, candidates) of the tables behind the golden CLI commands
 GOLDEN_TABLES = (
@@ -211,9 +224,22 @@ def _base_points(search) -> list:
     return out
 
 
+def _strata(v, rec, p) -> list:
+    """Each decomposition of the crossing group with its stratum_dims."""
+    from k3walls import crossing
+
+    out = []
+    for dec in crossing.decompositions(v, rec, parts_max=4, p=p):
+        try:
+            out.append((dec, crossing.stratum_dims(dec.parts, v, p)))
+        except ValueError as exc:
+            out.append((dec, f"ValueError: {exc}"))
+    return out
+
+
 def digests(bench_dir: Path):
     """(group, label, sha256) for every case, against the k3walls on sys.path."""
-    from k3walls import charge, lattice, report, svgfig, walls
+    from k3walls import charge, crossing, lattice, report, svgfig, walls
 
     for d, n_top in HILBERT_NS.items():
         p = lattice.SurfaceParams(d)
@@ -281,6 +307,16 @@ def digests(bench_dir: Path):
 
     for argv in _cli_commands():
         yield "cli", " ".join(argv), _digest(lambda: _cli(argv))
+
+    for vector, d in CROSSING_TABLES:
+        p = lattice.SurfaceParams(d)
+        v = lattice.MukaiVector(*vector)
+        for rec in walls.resolve_walls(v, None, p).records:
+            if not hasattr(rec.curve, "radius_sq"):
+                continue
+            label = f"{v} d={d} gamma={rec.gamma}"
+            yield "crossing", f"classes {label}", _digest(lambda: crossing.positive_classes(v, rec, p))
+            yield "crossing", f"decompositions {label}", _digest(lambda: _strata(v, rec, p))
 
     sys.path.insert(0, str(bench_dir))
     import workloads as wl
