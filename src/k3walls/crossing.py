@@ -8,19 +8,27 @@ L(u) = den*c_u - num*r_u.  L maps the plane onto g*Z, so lambda takes
 the values j/N with N = L(v)/g and integer levels j.  The "positive
 classes" of the wall are those u with u^2 >= -2 and 0 < j < N whose
 stable locus is nonempty (u primitive, or a multiple of a class of
-positive square); on each level u^2 >= -2 cuts out an interval of one
-line.  A decomposition of v is a multiset of positive classes summing to
-v, so its levels sum to N: the search is an exact integer knapsack that
-prunes once the levels pass N and keeps a full sum when the parts add
-up to v.
+positive square).  A decomposition of v is a multiset of positive classes
+summing to v, so its levels sum to N: the search is an exact integer
+knapsack that prunes once the levels pass N and keeps a full sum when
+the parts add up to v.
 
 The plane has a unimodular basis (bez, k0) with bez on level 1 and k0
 spanning level 0.  In it the class u = j*bez + t*k0 has
 u^2 + 2 = a2*t^2 + j*b*t + j^2*c + 2, with a2 = k0^2, b = 2<bez, k0>
-and c = bez^2, so level j's discriminant is disc(j) = j^2*D + E with
+and c = bez^2, so u^2 >= -2 reads e^2 <= j^2*D + E for e = 2*a2*t + b*j,
 D = b^2 - 4*a2*c = -4 det Q (Q the form of the plane) and E = -8*a2.  Both are positive on a wall:
 its plane is hyperbolic (det Q < 0), and the kernel of the charge at
 the apex, spanned by k0, is negative definite (a2 < 0).
+
+The classes are found line by line, not level by level.  With
+v = N*bez + t_v*k0, beta = N*t - t_v*j is constant on the lines parallel
+to v and divisible by h = gcd(N, t_v); line beta meets level j only when
+j*(t_v/h) = -beta/h (mod N/h), so at most h of its points have 0 < j < N,
+one for primitive v.  As 2*a2*beta = N*e - kappa*j (kappa = N*b + 2*a2*t_v)
+and sqrt(j^2*D + E) is convex, beta is extreme at j = 0 or j = N.  The
+j = 0 end spans N*sqrt(8/|a2|) <= 2N lines (a2 <= -2: the lattice is
+even); the rest grow with the region's area, not with the N - 1 levels.
 
 Dimension bookkeeping for a decomposition u_1, ..., u_t (ordered by
 descending lambda):
@@ -156,9 +164,9 @@ def _has_stable_locus(u: MukaiVector, p: SurfaceParams) -> bool:
 
 def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[int, list[tuple[int, MukaiVector]]]:
     """(N, [(j, u), ...]): the positive classes u of the wall with
-    lambda(u) = j/N, sorted by descending j, ties by (r, c, s).  Level j's
-    interval of t comes from disc(j) = j^2*D + E, with D > 0 (hyperbolic
-    plane) and E > 0 (negative definite kernel) checked once per wall."""
+    lambda(u) = j/N, sorted by descending j, ties by (r, c, s): one step per
+    line beta = N*t - t_v*j between its j = 0 and j = N bounds (2N + O(area)),
+    each with at most h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
     if w.curve is None or not isinstance(w.curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
     if wall_locus(v, w.a, p) != w.curve:
@@ -186,15 +194,22 @@ def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[
     if D <= 0:
         raise ValueError("the wall plane is not hyperbolic; not a wall of geometric stability")
 
-    two_abs_a = -2 * a2
+    t_v = (2 * mukai_pairing(v, k0, p) - level_count * b) // (2 * a2)  # v = N*bez + t_v*k0
+    h = math.gcd(level_count, t_v)
+    step, t_h = level_count // h, t_v // h
+    kappa, inv = level_count * b + 2 * a2 * t_v, pow(t_h, -1, step)
+    r0 = (math.isqrt(E) + 1) * level_count
+    rn = (math.isqrt(level_count * level_count * D + E) + 1) * level_count
+    lo, hi = min(-r0, -kappa * level_count - rn), max(r0, -kappa * level_count + rn)  # 2*a2*beta; q = beta/h
+    two_abs_ah = -2 * a2 * h
     found: list[tuple[int, MukaiVector]] = []
-    for j in range(1, level_count):
-        b_j = j * b
-        # a2 < 0, so u^2 >= -2 on this level reads (2*a2*t + b_j)^2 <= j^2*D + E
-        root = math.isqrt(D * j * j + E)
-        for t in range(-((root - b_j) // two_abs_a), (b_j + root) // two_abs_a + 1):
+    for q in range(-(hi // two_abs_ah), -lo // two_abs_ah + 1):
+        for j in range(-q * inv % step or step, level_count, step):
+            t = (q + t_h * j) // step
+            if a2 * t * t + b * j * t + c * j * j < -2:
+                continue
             u = j * bez + t * k0
-            if u.is_zero() or not _has_stable_locus(u, p):
+            if not _has_stable_locus(u, p):
                 continue
             assert sign * (den * u.c - num * u.r) == j * g
             found.append((j, u))

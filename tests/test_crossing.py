@@ -17,8 +17,11 @@ from hypothesis import strategies as st
 
 import frozen
 from k3walls import (
+    DEFAULT_SURFACE,
     MukaiVector,
     SearchBounds,
+    SurfaceParams,
+    WallRecord,
     central_charge,
     decompositions,
     ext_dim,
@@ -30,6 +33,7 @@ from k3walls import (
     resolve_walls,
     stratum_dims,
     wall_base_point,
+    wall_locus,
 )
 from k3walls.charge import Semicircle, StabilityPoint
 from k3walls.crossing import saturated_plane
@@ -351,13 +355,9 @@ def test_ext_dim_matches_pairing_everywhere(a, b):
 # brute-force oracle
 
 
-@pytest.mark.parametrize("vec,gamma", frozen.DECOMPOSITIONS.keys())
-def test_positive_classes_box_oracle(vec, gamma):
-    # Independent enumeration: scan every lattice point of the wall plane
-    # with coordinates up to 50 and keep those passing the definition
-    # directly.  The fast search must agree exactly.
-    v = MukaiVector(*vec)
-    w = _wall(v, gamma)
+def _box_classes(v, w):
+    """Positive classes of the wall among the lattice points of its plane
+    with coordinates up to 50, each kept when it passes the definition."""
     plane = saturated_plane(v, w.a)
     x0 = w.curve.center_x
     box = set()
@@ -373,20 +373,32 @@ def test_positive_classes_box_oracle(vec, gamma):
             if not 0 < _lam(u, v, x0) < 1:
                 continue
             box.add(u)
+    return box
+
+
+@pytest.mark.parametrize("vec,gamma", frozen.DECOMPOSITIONS.keys())
+def test_positive_classes_box_oracle(vec, gamma):
+    # Independent enumeration: scan every lattice point of the wall plane
+    # with coordinates up to 50 and keep those passing the definition
+    # directly.  The fast search must agree exactly.
+    v = MukaiVector(*vec)
+    w = _wall(v, gamma)
     fast = set(positive_classes(v, w))
-    assert fast == box
+    assert fast == _box_classes(v, w)
 
 
-def _rank_scan_classes(v, w):
-    """Positive classes of the wall by a rank scan: ranks up to ten times
-    the wall class's, each c with 0 < lambda < 1, s solved from
-    u . (v x a) = 0, and u kept when it passes the definition."""
+def _rank_scan_classes(v, w, p=DEFAULT_SURFACE, r_box=None):
+    """Positive classes of the wall by a rank scan: ranks up to r_box (by
+    default ten times the wall class's, plus ten), each c with
+    0 < lambda < 1, s solved from u . (v x a) = 0, and u kept when it
+    passes the definition."""
     a, x0 = w.a, w.curve.center_x
     normal = (v.c * a.s - v.s * a.c, v.s * a.r - v.r * a.s, v.r * a.c - v.c * a.r)
     denom = v.c - v.r * x0
     assert denom > 0 and normal[2] != 0
     found = set()
-    r_box = 10 * abs(a.r) + 10
+    if r_box is None:
+        r_box = 10 * abs(a.r) + 10
     for r in range(-r_box, r_box + 1):
         lo, hi = r * x0, r * x0 + denom  # lo < c < hi
         for c in range(math.floor(lo) + 1, math.ceil(hi)):
@@ -394,9 +406,9 @@ def _rank_scan_classes(v, w):
             if s_num % normal[2]:
                 continue
             u = MukaiVector(r, c, s_num // normal[2])
-            if u.is_zero() or mukai_square(u) < -2:
+            if u.is_zero() or mukai_square(u, p) < -2:
                 continue
-            if not u.is_primitive() and mukai_square(u.primitive_part()) <= 0:
+            if not u.is_primitive() and mukai_square(u.primitive_part(), p) <= 0:
                 continue
             found.add(u)
     return found
@@ -442,3 +454,63 @@ def test_decompositions_rank_scan_oracle(vec):
         got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decompositions(v, w, parts_max=4)]
         assert len(got) == len(set(got))
         assert set(got) == oracle, (vec, w.a)
+
+
+def _wall_of(v, a, p=DEFAULT_SURFACE):
+    """The semicircular wall record of (v, a), built without a wall search."""
+    return WallRecord(a, mukai_square(a, p), mukai_pairing(v, a, p), None, wall_locus(v, a, p), "flopping")
+
+
+def test_positive_classes_large_plane_oracle():
+    # S^[100001] on the wall of a = (1, -30, 901): 100,901 charge levels,
+    # and the discriminant N^2*D + E of the last one has 69 bits, past
+    # 2^60 (S^[56] of the rank-scan cases above stays under 2^53).
+    v, a = MukaiVector(1, 0, -100000), MukaiVector(1, -30, 901)
+    w = _wall_of(v, a)
+    oracle = _rank_scan_classes(v, w)
+    assert len(oracle) == 58
+    assert set(positive_classes(v, w)) == oracle
+
+
+@pytest.mark.parametrize("vec,gamma", frozen.DECOMPOSITIONS.keys())
+def test_positive_classes_box_oracle_non_primitive(vec, gamma):
+    # 2*(1, 0, -9) and 3*(0, 3, -1) on the frozen walls of (1, 0, -9) and
+    # (0, 3, -1): gcd(N, t_v) > 1, so a line parallel to v carries several
+    # candidate levels.  Their classes have plane coordinates up to 27 and
+    # 13, inside the box of 50.
+    v = MukaiVector(*vec)
+    kv = (2 if v == V10 else 3) * v
+    w = _wall_of(kv, _wall(v, gamma).a)
+    box = _box_classes(kv, w)
+    assert box
+    assert set(positive_classes(kv, w)) == box
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_positive_classes_rank_scan_oracle_degrees(m, d):
+    # Every semicircular wall of (0, m, -1) at degrees 2 and 3, the walls
+    # with the widest windows of lines parallel to v.  Their classes reach
+    # rank 19-94, under v^2 = 2dm^2 everywhere; the default box of
+    # 10|a.r| + 10 is too small here (at d = 3, m = 5 the wall of
+    # a = (1, 0, 0) has a class of rank 76 against a box of 20, and at
+    # d = 2, m = 6 one of rank 73), so the scan runs to 2v^2.
+    p = SurfaceParams(d)
+    v = MukaiVector(0, m, -1)
+    walls = [w for w in resolve_walls(v, None, p).records if isinstance(w.curve, Semicircle)]
+    assert walls
+    for w in walls:
+        oracle = _rank_scan_classes(v, w, p, r_box=4 * d * m * m)
+        assert set(positive_classes(v, w, p)) == oracle, (m, d, w.a)
+
+
+@pytest.mark.parametrize("vec,a", [((2, 0, -1), (1, -5, -13)), ((2, 1, 0), (1, -2, -10))])
+def test_positive_classes_low_level_end_box_oracle(vec, a):
+    # Walls of small v^2 where the class (1, 1, 2) on level 1 lies on a
+    # line parallel to v that only the j = 0 end of the window reaches:
+    # a window bounded by the j = N end alone misses it.
+    v = MukaiVector(*vec)
+    w = _wall_of(v, MukaiVector(*a))
+    box = _box_classes(v, w)
+    assert MukaiVector(1, 1, 2) in box
+    assert set(positive_classes(v, w)) == box

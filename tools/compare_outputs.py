@@ -38,8 +38,10 @@ its output; a ValueError counts as output, by its message.
   parts_max=4) with the stratum_dims or error message of each, for every
   semicircular wall w of the tables that the benchmark workload
   `wall_crossings` decomposes (d = 1: S^[n] for n = 12..40 step 4, and
-  (0, m, -1) for m = 3, 4, 5) and of S^[n] for n = 2..20 at d = 2, one
-  case each per wall;
+  (0, m, -1) for m = 3, 4, 5), of S^[n] for n = 2..20 at d = 2, and of
+  (0, m, -1) for m = 6, 7, 8 at d = 2 and 3, one case each per wall (the
+  last are walls of small |k0^2|, where the walk over the lines parallel
+  to v tries up to 2N candidates on a wall of N >= 20 charge levels);
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
   by the benchmark's own op code from bench/workloads.py of ROOT;
@@ -92,6 +94,7 @@ CROSSING_TABLES = (
     *(((1, 0, 1 - n), 1) for n in range(12, 41, 4)),
     *(((0, m, -1), 1) for m in (3, 4, 5)),
     *(((1, 0, 1 - n), 2) for n in range(2, 21)),
+    *(((0, m, -1), d) for d in (2, 3) for m in (6, 7, 8)),
 )
 CLI_TESTS = ROOT / "tests" / "test_cli.py"
 CLI_EXIT_TESTS = ("test_usage_errors_exit_two", "test_domain_errors_exit_two_with_message")
