@@ -96,9 +96,10 @@ def central_charge(u: MukaiVector, pt: StabilityPoint, p: SurfaceParams = DEFAUL
 def phase(z: ComplexValue) -> float:
     """arg(Z)/pi folded into (0, 1]; positive reals get phase 1.
 
-    The fold identifies opposite rays, which is harmless here: every
-    ordering decision in this package uses the exact ray test on
-    ComplexValue, never the float phase.
+    The fold identifies opposite rays and the value is a float, so it is
+    for display; ComplexValue.times_conj is the exact comparison of two
+    charges for callers.  The package itself orders walls by the integer
+    keys of the wall searches and classes by their charge levels.
     """
     if z.is_zero():
         raise ValueError("phase of the zero charge is undefined")

@@ -19,8 +19,8 @@ from .crossing import decompositions, moduli_dim, stratum_dims
 from .lattice import MukaiVector, SurfaceParams
 from .svgfig import render_figure
 from .walls import (
-    SearchBounds,
     WallSearch,
+    candidate_walls,
     hilbert_vector,
     resolve_walls,
     transport_search,
@@ -62,28 +62,32 @@ def _float_pair(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _int_at_least(low: int):
-    """An argparse type: an int no smaller than low."""
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
 
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
+
+def _at_least(low: int, parse=_int):
+    """An argparse type: a value of parse no smaller than low."""
+
+    def checked(text: str):
+        value = parse(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
-    return parse
+    return checked
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=_int_at_least(2), help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
+    group.add_argument("--n", type=_at_least(2), help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
     group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
-    sub.add_argument("--degree", type=_int_at_least(1), default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
-    sub.add_argument("--rmax", type=_int_at_least(1), help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
-    sub.add_argument("--ymin", type=_fraction, default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")
+    sub.add_argument("--degree", type=_at_least(1), default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
+    sub.add_argument("--rmax", type=_at_least(1), help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
+    sub.add_argument("--ymin", type=_at_least(0, _fraction), default=Fraction(1), metavar="Q", help="keep candidate circles with radius > Q (default 1)")
     sub.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
     sub.add_argument("--strict-complete", action="store_true", help="exit 3 when the search cannot certify completeness")
 
@@ -101,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", choices=report.FORMATS, default="text", help="output format (default text)")
     floats = argparse.ArgumentParser(add_help=False)
-    floats.add_argument("--precision", type=_int_at_least(1), default=6, help="digits for float display (default 6)")
+    floats.add_argument("--precision", type=_at_least(1), default=6, help="digits for float display (default 6)")
 
     walls = subs.add_parser("walls", parents=[common, table], help="enumerate the walls of a Mukai vector")
     walls.set_defaults(run=cmd_walls)
@@ -116,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = dec.add_mutually_exclusive_group(required=True)
     sel.add_argument("--gamma", type=_fraction, help="slope of the wall to decompose")
     sel.add_argument("--wall-index", type=int, help="0-based row index into the wall table")
-    dec.add_argument("--parts-max", type=_int_at_least(2), default=3, help="maximum number of parts (default 3)")
+    dec.add_argument("--parts-max", type=_at_least(2), default=3, help="maximum number of parts (default 3)")
 
     trans = subs.add_parser("transport", parents=[common, table], help="map a wall table through the autoequivalence Phi_m")
     trans.set_defaults(run=cmd_transport)
@@ -139,8 +143,8 @@ def _search_vector(args) -> MukaiVector:
 def _wall_search(args) -> tuple[WallSearch, SurfaceParams]:
     """The wall search of the vector and flags every subcommand shares."""
     p = SurfaceParams(d=args.degree)
-    bounds = SearchBounds(r_max=args.rmax, y_min=args.ymin)
-    return resolve_walls(_search_vector(args), bounds, p, force_candidates=getattr(args, "candidates", False)), p
+    search = candidate_walls if getattr(args, "candidates", False) else resolve_walls
+    return search(_search_vector(args), args.rmax, p, y_min=args.ymin), p
 
 
 def _emit(text: str, path: str | None) -> None:

@@ -125,29 +125,6 @@ class MovableCone(_Value):
         _setattr(self, "gamma_max", gamma_max)
 
 
-class SearchBounds(_Value):
-    """r_max caps |rank(a)|; None means 4n for a Hilbert or Beauville-Mukai
-    search (which lists the walls within r_max, and certifies them when
-    its proven bound is at most 2 * r_max) and the proven bound for a
-    candidate search."""
-
-    __slots__ = ("r_max", "y_min")
-
-    def __init__(self, r_max: int | None = None, y_min: Fraction = Fraction(1)) -> None:
-        if r_max is not None and r_max < 1:
-            raise ValueError("r_max must be positive")
-        y_min = Fraction(y_min)
-        if y_min < 0:
-            raise ValueError("y_min must be non-negative")
-        _setattr(self, "r_max", r_max)
-        _setattr(self, "y_min", y_min)
-
-
-def default_bounds(n: int | None = None) -> SearchBounds:
-    """The stock search box: r_max = 4n for S^[n], no cap without n."""
-    return SearchBounds(r_max=4 * n if n else None)
-
-
 class WallSearch(_Value):
     """Result of a wall enumeration, with its completeness certificate.
 
@@ -394,22 +371,29 @@ def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], i
     return gamma_max, (math.isqrt(n_max * d * big_q * big_q // delta) + k_max) // (2 * (n - 1))
 
 
-def movable_cone(n: int, bounds: SearchBounds | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
+def _rank_cap(n: int, r_max: int | None) -> int:
+    """The cap on |rank(a)| of the search for S^[n] or its Beauville-Mukai
+    partner: r_max, or 4n when it is None.  The search lists the walls
+    within the cap, and certifies them when its proven bound is at most
+    2 * r_max."""
+    if r_max is None:
+        return 4 * n
+    if r_max < 1:
+        raise ValueError("r_max must be positive")
+    return r_max
+
+
+def movable_cone(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> MovableCone:
     """Boundary slopes of the movable cone.  gamma_max is computed (see
-    _cone_rank); the bounds only decide whether a divisorial class of
-    rank at most r_max realizes it, and ValueError when none does."""
+    _cone_rank); r_max (see _rank_cap) only decides whether a divisorial
+    class of rank at most r_max realizes it, and ValueError when none does."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
-    gamma_max, _ = _cone_rank(n, r_max, p)
+    gamma_max, _ = _cone_rank(n, _rank_cap(n, r_max), p)
     return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
 
 
-def hilbert_walls(
-    n: int,
-    bounds: SearchBounds | None = None,
-    p: SurfaceParams = DEFAULT_SURFACE,
-) -> WallSearch:
+def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> WallSearch:
     """All walls for v = (1, 0, 1-n), sorted by ascending slope.
 
     Walls sharing a slope are deduplicated; the representative class
@@ -417,11 +401,12 @@ def hilbert_walls(
     exact ties.  A divisorial clause anywhere on the wall marks the whole
     wall divisorial.  Each curve follows from the slope alone (see the
     module docstring).  The Lagrangian boundary record, when d(n-1) is a
-    perfect square, is appended last with no curve.
+    perfect square, is appended last with no curve.  r_max caps the
+    ranks searched (see _rank_cap).
     """
     v = hilbert_vector(n)
     d = p.d
-    r_max = getattr(bounds, "r_max", None) or default_bounds(n).r_max
+    r_max = _rank_cap(n, r_max)
     gamma_max, rank = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
     groups: dict[tuple[int, int], list[tuple[MukaiVector, bool, int, int]]] = {}
@@ -587,21 +572,29 @@ def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfacePa
 
 def candidate_walls(
     v: MukaiVector,
-    bounds: SearchBounds | None = None,
+    r_max: int | None = None,
     p: SurfaceParams = DEFAULT_SURFACE,
+    *,
+    y_min: Fraction = Fraction(1),
 ) -> WallSearch:
     """Superset of the walls of a rank-zero vector, sorted by descending radius.
 
     Every record is tagged candidate: the destabilizer window, square
     bound, hyperbolicity, and the radius filter are the only cuts, so
-    pseudo-walls are expected and no semistability claim is made.  The
-    scan runs up to the proven rank bound (or bounds.r_max, when lower)
-    and is complete when it reaches that bound.
+    pseudo-walls are expected and no semistability claim is made.  Only
+    circles of radius > y_min are kept.  The scan runs up to the proven
+    rank bound (or r_max, when lower) and is complete when it reaches
+    that bound.
     Rank-nonzero vectors are rejected; Hilbert-type vectors have the
     exact criterion enumeration instead.  Non-primitive vectors are
     fine: the destabilizer window is taken relative to the vector as
     given.
     """
+    if r_max is not None and r_max < 1:
+        raise ValueError("r_max must be positive")
+    y_min = Fraction(y_min)
+    if y_min < 0:
+        raise ValueError("y_min must be non-negative")
     v = MukaiVector.coerce(v)
     if v.is_zero():
         raise ValueError("candidate search needs a nonzero vector")
@@ -609,17 +602,16 @@ def candidate_walls(
         raise ValueError(
             f"candidate search supports rank-zero vectors only; for {v} use the criterion enumeration"
         )
-    bounds = bounds or SearchBounds()
     if v.c == 0:
         # (0, 0, s): every numerical wall is a vertical line, so the
         # radius filter leaves nothing.
         return WallSearch(vector=v, records=(), complete=True, mode="candidate")
     w = v if v.c > 0 else -v
-    proven = _candidate_rank_bound(w.c, bounds.y_min, p)
-    if proven is None and bounds.r_max is None:
+    proven = _candidate_rank_bound(w.c, y_min, p)
+    if proven is None and r_max is None:
         raise ValueError("a candidate search with y_min = 0 has no rank bound; give r_max (--rmax)")
-    r_max = min(b for b in (proven, bounds.r_max) if b is not None)
-    buckets = _candidate_buckets(w, r_max, bounds.y_min, p)
+    r_max = min(b for b in (proven, r_max) if b is not None)
+    buckets = _candidate_buckets(w, r_max, y_min, p)
     complete = r_max == proven
     center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
@@ -653,24 +645,24 @@ def beauville_mukai_partner(v: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) 
 
 def resolve_walls(
     v: MukaiVector,
-    bounds: SearchBounds | None = None,
+    r_max: int | None = None,
     p: SurfaceParams = DEFAULT_SURFACE,
-    force_candidates: bool = False,
+    *,
+    y_min: Fraction = Fraction(1),
 ) -> WallSearch:
     """Wall list for v: exact when the criterion or transport applies,
-    a tagged candidate superset otherwise."""
+    a tagged candidate superset otherwise.  r_max goes to the search
+    that runs; y_min only to the candidate search."""
     v = MukaiVector.coerce(v)
-    if force_candidates:
-        return candidate_walls(v, bounds, p)
     n = hilbert_n_of(v)
     if n is not None:
-        return hilbert_walls(n, bounds, p)
+        return hilbert_walls(n, r_max, p)
     partner = beauville_mukai_partner(v, p)
     if partner is not None:
         n, m = partner
-        return transport_search(hilbert_walls(n, bounds, p), m, p)
+        return transport_search(hilbert_walls(n, r_max, p), m, p)
     if v.r == 0:
-        return candidate_walls(v, bounds, p)
+        return candidate_walls(v, r_max, p, y_min=y_min)
     raise ValueError(
         f"no wall enumeration available for {v}: expected (1, 0, 1-n), a rank-zero vector, "
         "or candidate mode"

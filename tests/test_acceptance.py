@@ -14,7 +14,6 @@ from fractions import Fraction
 import frozen
 from k3walls import (
     MukaiVector,
-    SearchBounds,
     central_charge,
     decompositions,
     dual_shift,
@@ -83,7 +82,7 @@ def _rows_match(records, expected, v):
 def test_criterion_1_wall_table_ten_points():
     with criterion(1, "wall table for 10 points: 12 exact rows in under 1 s"):
         start = time.perf_counter()
-        search = hilbert_walls(10, SearchBounds(r_max=40))
+        search = hilbert_walls(10, 40)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"search took {elapsed:.3f}s"
         assert search.complete
@@ -220,7 +219,7 @@ def test_criterion_8_torsion_candidates():
         from k3walls import candidate_walls
 
         for vec, true_radii in frozen.TRUE_CIRCLES_ABOVE_1.items():
-            search = candidate_walls(MukaiVector(*vec), SearchBounds(r_max=40))
+            search = candidate_walls(MukaiVector(*vec), 40)
             assert search.complete
             radii = {rec.curve.radius_sq for rec in search.records}
             assert true_radii <= radii, f"missing circles for {vec}"
@@ -286,7 +285,7 @@ def test_criterion_9_property_suites():
         # doubling the rank bound changes nothing
         for n in (2, 3, 4, 8, 10):
             base = hilbert_walls(n)
-            doubled = hilbert_walls(n, SearchBounds(r_max=8 * n))
+            doubled = hilbert_walls(n, 8 * n)
             assert base.records == doubled.records
             assert base.complete and doubled.complete
 

@@ -149,25 +149,37 @@ def test_path_csv_matches_frozen_curves():
 
 
 def test_decompose_csv_dimensions_recomputed():
-    """Parts sum to v; dims are u^2 + 2 and <partial sum, u> - 1."""
+    """Parts sum to v; dims are u^2 + 2 and <partial sum, u> - 1.  A chain
+    with a negative fiber dimension has empty dimension cells and an
+    error naming the first such step (at 4/13 of S^[10])."""
     v = MukaiVector(1, 0, -9)
-    code, raw, _ = run_cli(["decompose", "--n", "10", "--gamma", "2/7", "--format", "csv"])
-    assert code == 0
-    header, *rows = _csv_rows(raw)
-    assert header == ["decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error"]
-    assert len(rows) == len(frozen.DECOMPOSITIONS[(frozen.V10, Fraction(2, 7))])
-    for i, (index, parts_cell, moduli_cell, fiber_cell, stratum_cell, error) in enumerate(rows, start=1):
-        assert index == str(i)
-        assert error == ""
-        parts = [MukaiVector(*ast.literal_eval(chunk)) for chunk in parts_cell.split(" + ")]
-        assert len(parts) >= 2
-        zero = MukaiVector(0, 0, 0)
-        assert sum(parts, zero) == v
-        fibers = [mukai_pairing(sum(parts[:j], zero), parts[j]) - 1 for j in range(1, len(parts))]
-        moduli = [mukai_square(u) + 2 for u in parts]
-        assert [int(x) for x in moduli_cell.split()] == moduli
-        assert [int(x) for x in fiber_cell.split()] == fibers
-        assert int(stratum_cell) == sum(moduli) + sum(fibers)
+    zero = MukaiVector(0, 0, 0)
+    for gamma in (Fraction(2, 7), Fraction(4, 13)):
+        code, raw, _ = run_cli(["decompose", "--n", "10", "--gamma", str(gamma), "--format", "csv"])
+        assert code == 0
+        header, *rows = _csv_rows(raw)
+        assert header == ["decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error"]
+        expected = dict(frozen.DECOMPOSITIONS[(frozen.V10, gamma)])
+        assert len(rows) == len(expected)
+        for i, (index, parts_cell, moduli_cell, fiber_cell, stratum_cell, error) in enumerate(rows, start=1):
+            assert index == str(i)
+            parts = [MukaiVector(*ast.literal_eval(chunk)) for chunk in parts_cell.split(" + ")]
+            assert len(parts) >= 2
+            assert sum(parts, zero) == v
+            fibers = [mukai_pairing(sum(parts[:j], zero), parts[j]) - 1 for j in range(1, len(parts))]
+            moduli = [mukai_square(u) + 2 for u in parts]
+            if expected[tuple(u.as_tuple() for u in parts)] is None:
+                j = next(j for j, f in enumerate(fibers) if f < 0)
+                assert [moduli_cell, fiber_cell, stratum_cell] == ["", "", ""]
+                assert error == (
+                    f"negative fiber dimension {fibers[j]} at part {parts[j + 1].as_tuple()}; "
+                    "the extension stratum is not effective"
+                )
+                continue
+            assert error == ""
+            assert [int(x) for x in moduli_cell.split()] == moduli
+            assert [int(x) for x in fiber_cell.split()] == fibers
+            assert int(stratum_cell) == sum(moduli) + sum(fibers)
 
 
 def test_walls_json_fields():
@@ -397,6 +409,10 @@ def test_empty_result_still_exits_zero():
         ["decompose", "--n", "22", "--wall-index", "0", "--parts-max", "1"],
         ["walls", "--n", "10", "--rmax", "0"],
         ["walls", "--n", "10", "--rmax", "-3"],
+        # --ymin is checked where it is declared, also where no search reads it
+        ["walls", "--n", "10", "--ymin", "-1"],
+        ["path", "--n", "10", "--x0", "-3", "--ymin", "-1/2"],
+        ["walls", "--vector", "0,2,-1", "--candidates", "--ymin", "-1"],
     ],
 )
 def test_usage_errors_exit_two(argv):

@@ -19,7 +19,6 @@ import frozen
 from k3walls import (
     DEFAULT_SURFACE,
     MukaiVector,
-    SearchBounds,
     SurfaceParams,
     WallRecord,
     central_charge,
@@ -417,7 +416,7 @@ def _rank_scan_classes(v, w, p=DEFAULT_SURFACE, r_box=None):
 # S^[56] lists its wall at 90070/667977 (667,977 charge levels, the
 # discriminant of the last one between 2^52 and 2^53) from the smallest
 # certified cap, r_max = 4,102 (R* = 8,203).
-RANK_SCAN_BOUNDS = {56: SearchBounds(r_max=4102)}
+RANK_SCAN_BOUNDS = {56: 4102}
 
 
 @pytest.mark.parametrize("n,gamma", [(40, F(2004, 12515)), (32, F(1210, 6737)), (56, F(90070, 667977))])

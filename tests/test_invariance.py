@@ -17,7 +17,6 @@ from hypothesis import example, given, settings, strategies as st
 from k3walls import (
     DEGENERATE,
     MukaiVector,
-    SearchBounds,
     SurfaceParams,
     WallRecord,
     candidate_walls,
@@ -73,7 +72,7 @@ def test_dual_shift_reflects_wall_locus(v, a, d):
 
 
 def _candidate_curves(v, p, y_min):
-    search = candidate_walls(v, SearchBounds(y_min=y_min), p)
+    search = candidate_walls(v, None, p, y_min=y_min)
     return [rec.curve for rec in search.records], search.complete
 
 

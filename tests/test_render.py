@@ -224,8 +224,12 @@ def _label(wall) -> str:
         (["--n", "10"], Fraction(1), 3, (-6.0, 1.0), False),
         (["--n", "10"], Fraction(1), 6, (-1.2, 1.0), True),
         (["--n", "10", "--ymin", "7/8"], Fraction(7, 8), 6, None, False),  # a wall of radius 7/8 stays out
+        # candidate tables, labelled by r^2; (0, 3, 1) is not a partner, so it needs no flag
+        (["--vector", "0,2,-1", "--candidates"], Fraction(1), 6, None, False),
+        (["--vector", "0,3,1", "--ymin", "3/2"], Fraction(3, 2), 4, None, False),
     ],
-    ids=["n20", "bm_ymin_half", "n10_precision3_window", "n10_clipped", "n10_radius_at_marker"],
+    ids=["n20", "bm_ymin_half", "n10_precision3_window", "n10_clipped", "n10_radius_at_marker",
+         "candidates_forced", "candidates_ymin_3_2"],
 )
 def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, clipped):
     """The drawn walls are the walls above the marker that meet the x

@@ -28,7 +28,6 @@ from k3walls import (
     MovableCone,
     MukaiVector,
     SaturatedPlane,
-    SearchBounds,
     Semicircle,
     StabilityPoint,
     SurfaceParams,
@@ -60,7 +59,6 @@ CASES = [
     (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim"), ((0, 12), (7,), 19, 20), ((0, 12), (6,), 18, 20)),
     (WallRecord, ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type"), (A, -2, 7, Fraction(2, 7), CURVE, "flopping"), (A, -2, 7, Fraction(2, 7), None, "flopping")),
     (MovableCone, ("n", "gamma_min", "gamma_max"), (10, Fraction(0), Fraction(1, 3)), (10, Fraction(0), Fraction(2, 7))),
-    (SearchBounds, ("r_max", "y_min"), (40, Fraction(1, 2)), (None, Fraction(1))),
     (WallSearch, ("vector", "records", "complete", "mode", "n", "m", "source_vector"), (V, (RECORD,), True, "hilbert", 10, None, None), (V, (), True, "hilbert", 10, None, None)),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -73,8 +71,8 @@ def _twin(cls, names, obj):
 
 
 def test_every_public_value_type_is_covered():
-    assert len(CASES) == 15
-    assert len(set(IDS)) == 15
+    assert len(CASES) == 14
+    assert len(set(IDS)) == 14
 
 
 @pytest.mark.parametrize("cls,names,args,other_args", CASES, ids=IDS)
@@ -145,7 +143,6 @@ def test_keyword_construction(cls, names, args, other_args):
 
 def test_defaults():
     assert SurfaceParams() == SurfaceParams(1)
-    assert SearchBounds() == SearchBounds(None, Fraction(1))
     search = WallSearch(V, (), True, "hilbert")
     assert (search.n, search.m, search.source_vector) == (None, None, None)
 
@@ -155,8 +152,6 @@ def test_rational_fields_are_normalised():
     assert type(pt.x) is Fraction and type(pt.y_sq) is Fraction
     assert pt == StabilityPoint(Fraction(1), Fraction(2))
     assert StabilityPoint("1/2", "3/4") == StabilityPoint(Fraction(1, 2), Fraction(3, 4))
-    bounds = SearchBounds(y_min=2)
-    assert type(bounds.y_min) is Fraction and bounds == SearchBounds(None, Fraction(2))
 
 
 @pytest.mark.parametrize(
@@ -168,8 +163,6 @@ def test_rational_fields_are_normalised():
         (lambda: SurfaceParams(1.0), "degree parameter d must be a positive integer, got 1.0"),
         (lambda: StabilityPoint(0, 0), "stability point needs y > 0, got y^2 = 0"),
         (lambda: StabilityPoint(0, Fraction(-1, 4)), "stability point needs y > 0, got y^2 = -1/4"),
-        (lambda: SearchBounds(r_max=0), "r_max must be positive"),
-        (lambda: SearchBounds(y_min=Fraction(-1, 2)), "y_min must be non-negative"),
         (lambda: WallRecord(A, -2, 7, None, None, "bogus"), "unknown wall type 'bogus'"),
     ],
 )

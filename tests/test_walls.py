@@ -9,11 +9,9 @@ import pytest
 import frozen
 from k3walls import (
     MukaiVector,
-    SearchBounds,
     SurfaceParams,
     beauville_mukai_partner,
     candidate_walls,
-    default_bounds,
     gamma_of_wall,
     hilbert_n_of,
     hilbert_vector,
@@ -284,9 +282,9 @@ def test_cone_boundary_oracle(d):
             if rank is None or rank > cap:
                 message = f"no movable-cone boundary class found for n={n} within \\|r\\| <= {cap}; increase r_max$"
                 with pytest.raises(ValueError, match=message):
-                    movable_cone(n, SearchBounds(r_max=r_max), p)
+                    movable_cone(n, r_max, p)
             else:
-                assert movable_cone(n, SearchBounds(r_max=r_max), p).gamma_max == gamma_max, (n, r_max)
+                assert movable_cone(n, r_max, p).gamma_max == gamma_max, (n, r_max)
 
 
 def _split_rank_bound(n):
@@ -457,10 +455,10 @@ def test_nonsplit_rank_bound_oracle():
             assert all(abs(a[0]) <= rank for a in classes if 0 <= slopes[a] <= gamma_max), (n, d)
             expected = _oracle_rows(n, d, classes, gamma_max)
             assert [(rec.gamma, rec.a.as_tuple(), rec.wall_type) for rec in search.records] == expected, (n, d)
-            at_threshold = hilbert_walls(n, SearchBounds(r_max=(rank + 1) // 2), p)
+            at_threshold = hilbert_walls(n, (rank + 1) // 2, p)
             assert at_threshold.complete and at_threshold.records == search.records, (n, d)
             try:
-                below = hilbert_walls(n, SearchBounds(r_max=(rank + 1) // 2 - 1), p).complete
+                below = hilbert_walls(n, (rank + 1) // 2 - 1, p).complete
             except ValueError:  # no cone boundary class within that r_max
                 below = False
             assert not below, (n, d)
@@ -472,15 +470,15 @@ def test_certificate_threshold():
     r_max = 28 certifies the 29 walls of the default table."""
     default = hilbert_walls(13)
     assert default.complete and len(default.records) == 29
-    assert not hilbert_walls(13, SearchBounds(r_max=27)).complete
-    at_28 = hilbert_walls(13, SearchBounds(r_max=28))
+    assert not hilbert_walls(13, 27).complete
+    at_28 = hilbert_walls(13, 28)
     assert at_28.complete and at_28.records == default.records
 
 
 def test_doubling_stabilization():
     for n in (2, 3, 4, 8, 10):
         base = hilbert_walls(n)
-        doubled = hilbert_walls(n, SearchBounds(r_max=2 * default_bounds(n).r_max))
+        doubled = hilbert_walls(n, 8 * n)
         assert [frozen.record_tuple(r) for r in base.records] == [
             frozen.record_tuple(r) for r in doubled.records
         ]
@@ -488,7 +486,7 @@ def test_doubling_stabilization():
 
 
 def test_small_rmax_reports_incomplete():
-    search = hilbert_walls(10, SearchBounds(r_max=1))
+    search = hilbert_walls(10, 1)
     assert not search.complete
     assert len(search.records) < 12
 
@@ -501,7 +499,7 @@ def test_large_n_without_cone_bound_raises():
     for n in (32000, 100000, 10**9 + 7):
         with pytest.raises(ValueError, match=f"no movable-cone boundary class found for n={n} within "
                                              r"\|r\| <= 1; increase r_max"):
-            hilbert_walls(n, SearchBounds(r_max=1))
+            hilbert_walls(n, 1)
 
 
 def test_transport_table():
@@ -534,7 +532,7 @@ def test_transported_circles_share_center():
 
 @pytest.mark.parametrize("vec", sorted(frozen.CANDIDATES))
 def test_candidate_tables(vec):
-    search = candidate_walls(MukaiVector(*vec), SearchBounds(r_max=40))
+    search = candidate_walls(MukaiVector(*vec), 40)
     assert search.mode == "candidate"
     assert search.complete
     got = [(rec.a.as_tuple(), rec.a_sq, rec.pairing_va, rec.curve.radius_sq) for rec in search.records]
@@ -555,19 +553,19 @@ def test_candidates_cover_true_walls():
         if rec.curve is not None
     }
     assert true_radii == frozen.TRUE_RADII_0_2_M1
-    cand = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=40))
+    cand = candidate_walls(MukaiVector(0, 2, -1), 40)
     cand_radii = {rec.curve.radius_sq for rec in cand.records}
     assert {r for r in true_radii if r > 1} <= cand_radii
 
     bm = resolve_walls(MukaiVector(0, 3, -1))
     bm_radii = {rec.curve.radius_sq for rec in bm.records if rec.curve is not None and rec.curve.radius_sq > 1}
-    cand_bm = candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=40))
+    cand_bm = candidate_walls(MukaiVector(0, 3, -1), 40)
     assert bm_radii <= {rec.curve.radius_sq for rec in cand_bm.records}
 
 
 def test_candidate_walls_curves_match_locus():
     v = MukaiVector(0, 2, -1)
-    for rec in candidate_walls(v, SearchBounds(r_max=40)).records:
+    for rec in candidate_walls(v, 40).records:
         assert wall_locus(v, rec.a) == rec.curve
 
 
@@ -581,14 +579,14 @@ def test_candidate_errors_and_edges():
     empty = candidate_walls(MukaiVector(0, 0, 5))
     assert empty.records == () and empty.complete
     # sign-normalization: -v gives the same candidate circles
-    plus = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=20))
-    minus = candidate_walls(MukaiVector(0, -2, 1), SearchBounds(r_max=20))
+    plus = candidate_walls(MukaiVector(0, 2, -1), 20)
+    minus = candidate_walls(MukaiVector(0, -2, 1), 20)
     assert [r.curve for r in plus.records] == [r.curve for r in minus.records]
 
 
 def test_candidate_ymin_filter():
-    loose = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=20, y_min=F(1, 5)))
-    strict = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=20, y_min=F(3, 2)))
+    loose = candidate_walls(MukaiVector(0, 2, -1), 20, y_min=F(1, 5))
+    strict = candidate_walls(MukaiVector(0, 2, -1), 20, y_min=F(3, 2))
     loose_radii = {rec.curve.radius_sq for rec in loose.records}
     strict_radii = {rec.curve.radius_sq for rec in strict.records}
     assert strict_radii < loose_radii
@@ -613,7 +611,7 @@ def test_resolve_dispatch():
     assert bm.source_vector == MukaiVector(1, 0, -9)
     assert bm.m == 3 and bm.n == 10
     assert resolve_walls(MukaiVector(0, 2, -2)).mode == "candidate"
-    assert resolve_walls(MukaiVector(0, 3, -1), force_candidates=True).mode == "candidate"
+    assert candidate_walls(MukaiVector(0, 3, -1)).mode == "candidate"
     with pytest.raises(ValueError):
         resolve_walls(MukaiVector(2, 0, 0))
     with pytest.raises(ValueError):
@@ -634,22 +632,31 @@ def test_default_rank_bound(d):
     (0, m, -1), n = d m^2 + 1, both run at 4n."""
     p = SurfaceParams(d=d)
     for n in (2, 5, 10):
-        assert default_bounds(n).r_max == 4 * n
-        assert hilbert_walls(n, p=p) == hilbert_walls(n, SearchBounds(r_max=4 * n), p)
+        assert hilbert_walls(n, p=p) == hilbert_walls(n, 4 * n, p)
     for m in (1, 2):
         n = d * m * m + 1
-        base = hilbert_walls(n, SearchBounds(r_max=4 * n), p)
-        partner = resolve_walls(MukaiVector(0, m, -1), SearchBounds(), p)
+        base = hilbert_walls(n, 4 * n, p)
+        partner = resolve_walls(MukaiVector(0, m, -1), None, p)
         assert partner.records == tuple(transport_walls(base.records, m, base.vector, p))
         assert partner.complete == base.complete
 
 
 def test_search_bounds_validation():
-    assert SearchBounds().r_max is None
-    with pytest.raises(ValueError):
-        SearchBounds(r_max=0)
-    with pytest.raises(ValueError):
-        SearchBounds(r_max=10, y_min=F(-1))
+    """The rank cap and the radius cut are checked by the searches that
+    read them, before the vector."""
+    cases = [
+        (lambda: hilbert_walls(10, 0), "r_max must be positive"),
+        (lambda: movable_cone(10, -3), "r_max must be positive"),
+        (lambda: candidate_walls(MukaiVector(0, 2, -1), 0), "r_max must be positive"),
+        (lambda: candidate_walls(MukaiVector(0, 2, -1), 10, y_min=F(-1)), "y_min must be non-negative"),
+        (lambda: candidate_walls(MukaiVector(1, 0, -9), y_min=F(-1, 2)), "y_min must be non-negative"),
+    ]
+    for search, message in cases:
+        with pytest.raises(ValueError) as info:
+            search()
+        assert str(info.value) == message
+    v = MukaiVector(0, 3, -1)
+    assert candidate_walls(v, y_min=2) == candidate_walls(v, y_min=F(2)) != candidate_walls(v)
 
 
 def test_degree_two_surface_walls():
@@ -727,12 +734,12 @@ def test_candidate_rank_bound_oracle(d, y_min):
             inside = [r for r in range(-bound, bound + 1) if r != 0]
             beyond = [r for r in range(bound + 1, 3 * max(bound, 1) + 1)]
             assert _candidate_classes(vec, beyond + [-r for r in beyond], y_min, d) == {}
-            search = candidate_walls(MukaiVector(*vec), SearchBounds(y_min=y_min), p)
+            search = candidate_walls(MukaiVector(*vec), None, p, y_min=y_min)
             assert search.complete
             assert _search_rows(search) == _candidate_rows(vec, inside, y_min, d)
             if bound > 1:
                 cap = bound - 1
-                capped = candidate_walls(MukaiVector(*vec), SearchBounds(r_max=cap, y_min=y_min), p)
+                capped = candidate_walls(MukaiVector(*vec), cap, p, y_min=y_min)
                 assert not capped.complete
                 low = [r for r in range(-cap, cap + 1) if r != 0]
                 assert _search_rows(capped) == _candidate_rows(vec, low, y_min, d)
@@ -740,15 +747,15 @@ def test_candidate_rank_bound_oracle(d, y_min):
 
 def test_candidate_cap_below_bound_is_incomplete():
     # the proven bound of (0, 3, -1) at y_min = 1 is 3
-    capped = candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=1))
+    capped = candidate_walls(MukaiVector(0, 3, -1), 1)
     assert not capped.complete
     assert {rec.curve.radius_sq for rec in capped.records} == set(_candidate_classes((0, 3, -1), [-1, 1], F(1), 1))
-    assert candidate_walls(MukaiVector(0, 3, -1), SearchBounds(r_max=3)).complete
+    assert candidate_walls(MukaiVector(0, 3, -1), 3).complete
 
 
 def test_candidate_ymin_zero_needs_rmax():
     with pytest.raises(ValueError, match="give r_max"):
-        candidate_walls(MukaiVector(0, 2, -1), SearchBounds(y_min=0))
-    capped = candidate_walls(MukaiVector(0, 2, -1), SearchBounds(r_max=5, y_min=0))
+        candidate_walls(MukaiVector(0, 2, -1), y_min=0)
+    capped = candidate_walls(MukaiVector(0, 2, -1), 5, y_min=0)
     assert not capped.complete
     assert capped.records

@@ -55,7 +55,8 @@ its output; a ValueError counts as output, by its message.
 - cli: what main writes for the argv of the golden commands
   (GOLDEN_COMMANDS) and of the exit-code tests of tests/test_cli.py
   (test_usage_errors_exit_two, test_domain_errors_exit_two_with_message),
-  and for the option bounds at their edges (CLI_BOUNDS), all read from
+  and for the bounded options at and below their bounds (CLI_BOUNDS:
+  --degree, --precision, --parts-max, --rmax and --ymin), all read from
   ROOT: the exit code, stdout and stderr, or for a usage error (argparse's
   SystemExit) its code and the last line of stderr, the error itself.  The
   usage synopsis above that line lists the options of the subcommand, so
@@ -78,6 +79,7 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parent.parent
 HILBERT_NS = {1: 200, 2: 120, 3: 79}
@@ -107,6 +109,7 @@ CLI_BOUNDS = (
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "2"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "x"],
     ["path", "--n", "10", "--x0", "0", "--rmax", "1"], ["path", "--n", "10", "--x0", "0", "--rmax", "0"],
+    ["path", "--n", "10", "--x0", "0", "--ymin", "0"], ["path", "--n", "10", "--x0", "0", "--ymin", "-1/2"],
 )
 # (vector, candidates) of the tables behind the golden CLI commands
 GOLDEN_TABLES = (
@@ -240,28 +243,40 @@ def _strata(v, rec, p) -> list:
     return out
 
 
+def _searches(walls):
+    """The wall searches with r_max second and y_min by keyword.  A tree
+    whose searches take both bundled in walls.SearchBounds gets them
+    wrapped; delete this adapter once the parent tree has no SearchBounds."""
+    if not hasattr(walls, "SearchBounds"):
+        return walls
+    bounds = walls.SearchBounds
+    return SimpleNamespace(
+        hilbert_walls=lambda n, r_max, p: walls.hilbert_walls(n, bounds(r_max), p),
+        movable_cone=lambda n, r_max, p: walls.movable_cone(n, bounds(r_max), p),
+        candidate_walls=lambda v, r_max, p, *, y_min: walls.candidate_walls(v, bounds(r_max, y_min), p),
+    )
+
+
 def digests(bench_dir: Path):
     """(group, label, sha256) for every case, against the k3walls on sys.path."""
     from k3walls import charge, crossing, lattice, report, svgfig, walls
 
+    searches = _searches(walls)
     for d, n_top in HILBERT_NS.items():
         p = lattice.SurfaceParams(d)
         for n in range(2, n_top + 1):
             for r_max in dict.fromkeys((None, n, 3)):
-                bounds = walls.SearchBounds(r_max=r_max)
                 label = f"n={n} d={d} r_max={r_max}"
-                yield "hilbert", label, _digest(lambda: walls.hilbert_walls(n, bounds, p))
-                yield "hilbert", f"cone {label}", _digest(lambda: walls.movable_cone(n, bounds, p))
+                yield "hilbert", label, _digest(lambda: searches.hilbert_walls(n, r_max, p))
+                yield "hilbert", f"cone {label}", _digest(lambda: searches.movable_cone(n, r_max, p))
     for d in CONE_DS:
         p = lattice.SurfaceParams(d)
         for n in CONE_NS:
             for r_max in dict.fromkeys((None, 1, 2, 3, n)):
-                bounds = walls.SearchBounds(r_max=r_max)
-                yield "cone", f"cone n={n} d={d} r_max={r_max}", _digest(lambda: walls.movable_cone(n, bounds, p))
+                yield "cone", f"cone n={n} d={d} r_max={r_max}", _digest(lambda: searches.movable_cone(n, r_max, p))
         for n in CONE_WALL_NS:
             for r_max in (None, 1, 3):
-                bounds = walls.SearchBounds(r_max=r_max)
-                yield "cone", f"n={n} d={d} r_max={r_max}", _digest(lambda: walls.hilbert_walls(n, bounds, p))
+                yield "cone", f"n={n} d={d} r_max={r_max}", _digest(lambda: searches.hilbert_walls(n, r_max, p))
     for d in SPLIT_DS:
         p = lattice.SurfaceParams(d)
         for n in range(2, SPLIT_N + 1):
@@ -275,9 +290,8 @@ def digests(bench_dir: Path):
                 v = lattice.MukaiVector(0, m, k)
                 for y_min in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)):
                     for r_max in (None, 3):
-                        bounds = walls.SearchBounds(r_max=r_max, y_min=y_min)
                         label = f"{v} d={d} y_min={y_min} r_max={r_max}"
-                        yield "candidate", label, _digest(lambda: walls.candidate_walls(v, bounds, p))
+                        yield "candidate", label, _digest(lambda: searches.candidate_walls(v, r_max, p, y_min=y_min))
 
     for d in (1, 2, 3):
         p = lattice.SurfaceParams(d)
@@ -294,7 +308,8 @@ def digests(bench_dir: Path):
     for vector, candidates in GOLDEN_TABLES:
         v = lattice.MukaiVector(*vector)
         label = f"base points {v}{' candidates' if candidates else ''}"
-        yield "charge", label, _digest(lambda: _base_points(walls.resolve_walls(v, None, force_candidates=candidates)))
+        search = walls.candidate_walls if candidates else walls.resolve_walls
+        yield "charge", label, _digest(lambda: _base_points(search(v)))
 
     for argv in _render_commands():
         yield "render", " ".join(argv), _digest(lambda: _cli(argv))
@@ -323,7 +338,6 @@ def digests(bench_dir: Path):
 
     sys.path.insert(0, str(bench_dir))
     import workloads as wl
-    from types import SimpleNamespace
 
     k3 = SimpleNamespace(charge=charge, lattice=lattice, report=report, svgfig=svgfig, walls=walls)
     tables = wl.WallTables()
@@ -338,7 +352,6 @@ def digests(bench_dir: Path):
 
 def _run_digests(root: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    env.pop("K3WALLS_FORMAT", None)
     proc = subprocess.run(
         [sys.executable, __file__, "--digests", str(root / "src")],
         env=env, capture_output=True, text=True, check=True,
