@@ -27,12 +27,10 @@ from .charge import (
 from .crossing import (
     Decomposition,
     DimReport,
-    SaturatedPlane,
     decompositions,
     ext_dim,
     moduli_dim,
     positive_classes,
-    saturated_plane,
     stratum_dims,
     wall_base_point,
 )
@@ -79,7 +77,6 @@ __all__ = [
     "GeometricCheckResult",
     "MovableCone",
     "MukaiVector",
-    "SaturatedPlane",
     "Semicircle",
     "StabilityPoint",
     "SurfaceParams",
@@ -110,7 +107,6 @@ __all__ = [
     "phi_pushforward",
     "positive_classes",
     "resolve_walls",
-    "saturated_plane",
     "spherical_reflect",
     "stratum_dims",
     "tensor_twist",

@@ -52,31 +52,26 @@ from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Val
 from .walls import WallRecord
 
 
-def _primitive_cross(v: MukaiVector, a: MukaiVector) -> tuple[int, int, int]:
+def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[MukaiVector, MukaiVector]:
+    """Integer basis (b1, b2) of the saturation of span(v, a) in the lattice.
+
+    The plane is { u : u . n = 0 } for the primitive normal n = (v x a)/g;
+    the construction spans that whole orthogonal lattice, certified by
+    b1 x b2 = +-n coming back primitive.
+    """
     x = v.c * a.s - v.s * a.c
     y = v.s * a.r - v.r * a.s
     z = v.r * a.c - v.c * a.r
-    g = math.gcd(math.gcd(abs(x), abs(y)), abs(z))
+    g = math.gcd(x, y, z)
     if g == 0:
         raise ValueError(f"classes {v} and {a} are proportional")
-    return (x // g, y // g, z // g)
-
-
-def _perp_basis(n1: int, n2: int, n3: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Integer basis of the rank-two lattice { u : u . (n1,n2,n3) = 0 }.
-
-    Requires (n1, n2, n3) primitive; the construction makes the basis
-    span the full (saturated) orthogonal lattice, certified by the cross
-    product coming back primitive.
-    """
+    n1, n2, n3 = x // g, y // g, z // g
     if n2 == 0 and n3 == 0:
-        return (0, 1, 0), (0, 0, 1)
-    g = math.gcd(abs(n2), abs(n3))
-    # alpha*n2 + beta*n3 = g
+        return MukaiVector(0, 1, 0), MukaiVector(0, 0, 1)
+    h = math.gcd(n2, n3)
+    # alpha*n2 + beta*n3 = h
     alpha, beta = _bezout(n2, n3)
-    b1 = (0, -n3 // g, n2 // g)
-    b2 = (g, -alpha * n1, -beta * n1)
-    return b1, b2
+    return MukaiVector(0, -n3 // h, n2 // h), MukaiVector(h, -alpha * n1, -beta * n1)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -91,43 +86,6 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
     if old_r < 0:
         old_s, old_t = -old_s, -old_t
     return old_s, old_t
-
-
-class SaturatedPlane(_Value):
-    """The saturation of span(v, a) inside the lattice, with coordinates."""
-
-    __slots__ = ("b1", "b2")
-
-    def __init__(self, b1: MukaiVector, b2: MukaiVector) -> None:
-        _setattr(self, "b1", b1)
-        _setattr(self, "b2", b2)
-
-    def vector(self, x: int, y: int) -> MukaiVector:
-        return x * self.b1 + y * self.b2
-
-    def coordinates(self, u: MukaiVector) -> tuple[int, int]:
-        """Integer coordinates of u in (b1, b2); errors if u is off the plane."""
-        pairs = ((0, 1), (0, 2), (1, 2))
-        for i, j in pairs:
-            t1, t2, tu = self.b1.as_tuple(), self.b2.as_tuple(), u.as_tuple()
-            det = t1[i] * t2[j] - t1[j] * t2[i]
-            if det == 0:
-                continue
-            x_num = tu[i] * t2[j] - tu[j] * t2[i]
-            y_num = t1[i] * tu[j] - t1[j] * tu[i]
-            if x_num % det or y_num % det:
-                raise ValueError(f"{u} is not in the saturated plane")
-            x, y = x_num // det, y_num // det
-            if self.vector(x, y) != u:
-                raise ValueError(f"{u} is not in the saturated plane")
-            return x, y
-        raise ValueError("degenerate basis")
-
-
-def saturated_plane(v: MukaiVector, a: MukaiVector) -> SaturatedPlane:
-    normal = _primitive_cross(v, a)
-    b1, b2 = _perp_basis(*normal)
-    return SaturatedPlane(MukaiVector(*b1), MukaiVector(*b2))
 
 
 def wall_base_point(w: WallRecord, side: str = "on", epsilon: Fraction = Fraction(1, 100)) -> StabilityPoint:
@@ -171,7 +129,7 @@ def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[
         raise ValueError("positive classes need a semicircular wall")
     if wall_locus(v, w.a, p) != w.curve:
         raise ValueError("record curve is not the wall of (v, a): charges do not align at the apex")
-    plane = saturated_plane(v, w.a)
+    b1, b2 = _plane_basis(v, w.a)
     # L(u) = den*c_u - num*r_u is den times Im Z(u) / 2dy at the apex
     # x = num/den, so lambda = L(u)/L(v); L(b1), L(b2) generate g*Z
     num, den = w.curve.center_x.numerator, w.curve.center_x.denominator
@@ -179,13 +137,14 @@ def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[
     if l_v == 0:
         raise ValueError("v has vanishing charge at the wall apex; not a wall for v")
     sign = 1 if l_v > 0 else -1
-    p1, p2 = (sign * (den * b.c - num * b.r) for b in (plane.b1, plane.b2))
+    p1, p2 = (sign * (den * b.c - num * b.r) for b in (b1, b2))
     g = math.gcd(p1, p2)
     level_count = sign * l_v // g
     p1, p2 = p1 // g, p2 // g
 
-    bez = plane.vector(*_bezout(p1, p2))  # on level 1
-    k0 = plane.vector(p2, -p1)  # spans level 0
+    x, y = _bezout(p1, p2)
+    bez = x * b1 + y * b2  # on level 1
+    k0 = p2 * b1 - p1 * b2  # spans level 0
     a2 = mukai_square(k0, p)
     if a2 >= 0:
         raise ValueError("the wall kernel is not negative definite; not a wall of geometric stability")

@@ -464,9 +464,10 @@ def transport_walls(
     """Map wall records through Phi_m, recomputing loci against Phi_m(v).
 
     Slopes, squares, pairings and wall types are carried over unchanged
-    (Phi_m is a lattice isometry); only the curves move.  A record whose
-    transported locus misses the upper half plane (the Lagrangian
-    boundary) keeps curve None.
+    (Phi_m is a lattice isometry); only the curves move.  The isometry
+    keeps <v,a>^2 - v^2 a^2, which decides whether the locus meets the
+    upper half plane, so a curve-less record (the Lagrangian boundary)
+    stays curve-less and every other one gets its transported locus.
     """
     v_new = phi_pushforward(v, m, p)
     out = []
@@ -474,10 +475,7 @@ def transport_walls(
         a_new = phi_pushforward(rec.a, m, p)
         assert mukai_square(a_new, p) == rec.a_sq
         assert mukai_pairing(v_new, a_new, p) == rec.pairing_va
-        try:
-            curve = wall_locus(v_new, a_new, p)
-        except ValueError:
-            curve = None
+        curve = None if rec.curve is None else wall_locus(v_new, a_new, p)
         out.append(
             WallRecord(
                 a=a_new,

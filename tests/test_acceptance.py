@@ -34,7 +34,7 @@ from k3walls import (
 )
 from k3walls.charge import Semicircle, StabilityPoint, path_intersection
 from k3walls.cli import main
-from k3walls.crossing import saturated_plane
+from k3walls.crossing import _plane_basis
 from k3walls.lattice import line_bundle_vector
 
 F = Fraction
@@ -293,12 +293,12 @@ def test_criterion_9_property_suites():
         for (vec, gamma) in frozen.DECOMPOSITIONS.keys():
             v = MukaiVector(*vec)
             w = _wall(v, gamma)
-            plane = saturated_plane(v, w.a)
+            b1, b2 = _plane_basis(v, w.a)
             x0 = w.curve.center_x
             box = set()
             for mm in range(-50, 51):
                 for nn in range(-50, 51):
-                    u = plane.vector(mm, nn)
+                    u = mm * b1 + nn * b2
                     if u.is_zero() or mukai_square(u) < -2:
                         continue
                     if not u.is_primitive() and mukai_square(u.primitive_part()) <= 0:

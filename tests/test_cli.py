@@ -268,6 +268,23 @@ def test_expanded_circle_equation(center, radius_sq):
     assert report.curve_equation(curve, [1, 0, -9]) == _fraction_expanded_circle(center, radius_sq)
 
 
+def _fraction_centered_circle(center, radius_sq):
+    if center == 0:
+        lhs = "x^2 + y^2"
+    else:
+        lhs = f"(x {'-' if center > 0 else '+'} {abs(center)})^2 + y^2"
+    return f"{lhs} = {radius_sq}"
+
+
+@given(st.fractions(max_denominator=10**6), st.fractions(min_value=0, max_denominator=10**6))
+@example(Fraction(0), Fraction(2))  # centre 0, as for walls --vector 0,2,0 --candidates
+@example(Fraction(1, 6), Fraction(325, 36))
+@example(Fraction(-3), Fraction(4))  # integer centre
+def test_centered_circle_equation(center, radius_sq):
+    curve = {"kind": "semicircle", "center": report.frac_json(center), "radius_sq": report.frac_json(radius_sq)}
+    assert report.curve_equation(curve, [0, 3, -1]) == _fraction_centered_circle(center, radius_sq)
+
+
 # ---------------------------------------------------------------------------
 # output routing and formats
 
@@ -422,6 +439,23 @@ def test_usage_errors_exit_two(argv):
 
 
 @pytest.mark.parametrize(
+    "argv,last_line",
+    [
+        (["walls", "--vector", "1,a,2"], "k3walls walls: error: argument --vector: vector components must be integers: '1,a,2'"),
+        (["figure", "--n", "10", "--xrange", "1"], "k3walls figure: error: argument --xrange: expected lo,hi - got '1'"),
+        (["figure", "--n", "10", "--xrange", "a,b"], "k3walls figure: error: argument --xrange: range endpoints must be numbers: 'a,b'"),
+        (["walls", "--n", "x"], "k3walls walls: error: argument --n: invalid int value: 'x'"),
+    ],
+)
+def test_usage_errors_name_the_bad_value(argv, last_line):
+    err = io.StringIO()
+    with redirect_stderr(err), pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert err.getvalue().splitlines()[-1] == last_line
+
+
+@pytest.mark.parametrize(
     "argv,needle",
     [
         (["decompose", "--n", "10", "--gamma", "1/2"], "available slopes"),
@@ -432,6 +466,7 @@ def test_usage_errors_exit_two(argv):
         (["walls", "--n", "32000", "--rmax", "1"], "no movable-cone boundary class found for n=32000"),
         # checked before the search, which finds no wall at slope 1/2
         (["decompose", "--vector", "0,2,-2", "--gamma", "1/2"], "decompose needs a primitive vector; (0, 2, -2) is 2 x (0, 1, -1)"),
+        (["figure", "--n", "10", "--xrange", "1,0"], "figure ranges must be increasing intervals"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):

@@ -1,4 +1,4 @@
-"""Tests for wall-crossing machinery: saturated planes, base points,
+"""Tests for wall-crossing machinery: wall plane bases, base points,
 positive classes, decompositions, and stratum dimensions.
 
 The two positive-class lists frozen here (walls 2/11 and 6/19) were derived
@@ -7,12 +7,14 @@ inequalities, and list the lattice points.  The remaining walls are covered
 by the brute-force box oracle at the bottom.
 """
 
+import io
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import frozen
@@ -35,7 +37,8 @@ from k3walls import (
     wall_locus,
 )
 from k3walls.charge import Semicircle, StabilityPoint
-from k3walls.crossing import saturated_plane
+from k3walls.cli import main
+from k3walls.crossing import _plane_basis
 
 F = Fraction
 
@@ -62,7 +65,7 @@ def _lam(u, v, x0):
 
 
 # ---------------------------------------------------------------------------
-# saturated planes
+# wall plane bases
 
 
 PLANE_PAIRS = [
@@ -74,47 +77,41 @@ PLANE_PAIRS = [
 ]
 
 
+def _cross(u, w):
+    return (u.c * w.s - u.s * w.c, u.s * w.r - u.r * w.s, u.r * w.c - u.c * w.r)
+
+
+def _assert_basis_spans_saturation(v, a):
+    # b1 x b2 = +-(v x a)/g: the basis spans the plane orthogonal to the
+    # normal of v and a, so it holds both, and its cross product is
+    # primitive, so no lattice point of the plane lies off its span.
+    b1, b2 = _plane_basis(v, a)
+    normal = _cross(v, a)
+    g = math.gcd(*normal)
+    primitive = tuple(x // g for x in normal)
+    assert _cross(b1, b2) in (primitive, tuple(-x for x in primitive))
+
+
 @pytest.mark.parametrize("v,a", PLANE_PAIRS)
-def test_saturated_plane_contains_generators(v, a):
-    plane = saturated_plane(v, a)
-    for u in (v, a):
-        m, n = plane.coordinates(u)
-        assert plane.vector(m, n) == u
+def test_plane_basis_spans_the_saturation(v, a):
+    _assert_basis_spans_saturation(v, a)
 
 
-@given(m=st.integers(-40, 40), n=st.integers(-40, 40))
-def test_saturated_plane_round_trip(m, n):
-    plane = saturated_plane(V10, MukaiVector(1, -1, 2))
-    assert plane.coordinates(plane.vector(m, n)) == (m, n)
+@given(
+    v=st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30)),
+    a=st.tuples(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30)),
+)
+@example(v=(1, 0, 0), a=(0, 1, 0))
+@example(v=(0, 1, 0), a=(0, 0, -1))
+def test_plane_basis_spans_the_saturation_of_any_pair(v, a):
+    v, a = MukaiVector(*v), MukaiVector(*a)
+    assume(any(_cross(v, a)))
+    _assert_basis_spans_saturation(v, a)
 
 
-def test_saturated_plane_rejects_outside_vector():
-    plane = saturated_plane(V10, MukaiVector(1, -1, 2))
-    inside = {plane.vector(m, n) for m in range(-3, 4) for n in range(-3, 4)}
-    probe = next(
-        u
-        for k in range(-2, 3)
-        for u in [MukaiVector(0, 0, 1) + k * V10]
-        if u not in inside
-    )
-    with pytest.raises(ValueError, match="not in the saturated plane"):
-        plane.coordinates(probe)
-
-
-def test_saturated_plane_rejects_proportional_classes():
+def test_plane_basis_rejects_proportional_classes():
     with pytest.raises(ValueError, match="proportional"):
-        saturated_plane(V10, 3 * V10)
-
-
-def test_saturated_plane_is_saturated():
-    # Any lattice point on the rational span must have integral coordinates.
-    # (2, -2, 4)/2 = (1, -1, 2) lies in the plane, so the halved coordinates
-    # of even combinations must land back in the lattice image.
-    plane = saturated_plane(V10, MukaiVector(1, -1, 2))
-    u = plane.vector(2, 4)
-    half = MukaiVector(u.r // 2, u.c // 2, u.s // 2)
-    if 2 * half == u:
-        assert plane.coordinates(half) == (1, 2)
+        _plane_basis(V10, 3 * V10)
 
 
 # ---------------------------------------------------------------------------
@@ -357,12 +354,12 @@ def test_ext_dim_matches_pairing_everywhere(a, b):
 def _box_classes(v, w):
     """Positive classes of the wall among the lattice points of its plane
     with coordinates up to 50, each kept when it passes the definition."""
-    plane = saturated_plane(v, w.a)
+    b1, b2 = _plane_basis(v, w.a)
     x0 = w.curve.center_x
     box = set()
     for m in range(-50, 51):
         for n in range(-50, 51):
-            u = plane.vector(m, n)
+            u = m * b1 + n * b2
             if u.is_zero():
                 continue
             if mukai_square(u) < -2:
@@ -453,6 +450,20 @@ def test_decompositions_rank_scan_oracle(vec):
         got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decompositions(v, w, parts_max=4)]
         assert len(got) == len(set(got))
         assert set(got) == oracle, (vec, w.a)
+
+
+def test_wall_without_decompositions():
+    # decompose --vector 0,3,1 --wall-index 0: the rank scan finds one
+    # positive class, (1, 3, 10), and no multiset of 2 or 3 copies of it
+    # sums to v, so the text ends saying so.
+    v = MukaiVector(0, 3, 1)
+    w = resolve_walls(v).records[0]
+    assert _rank_scan_classes(v, w) == {MukaiVector(1, 3, 10)}
+    assert decompositions(v, w) == ()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["decompose", "--vector", "0,3,1", "--wall-index", "0"]) == 0
+    assert out.getvalue().endswith("\nno decompositions with at most 3 parts\n")
 
 
 def _wall_of(v, a, p=DEFAULT_SURFACE):

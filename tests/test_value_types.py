@@ -27,7 +27,6 @@ from k3walls import (
     GeometricCheckResult,
     MovableCone,
     MukaiVector,
-    SaturatedPlane,
     Semicircle,
     StabilityPoint,
     SurfaceParams,
@@ -54,7 +53,6 @@ CASES = [
     (VerticalLine, ("x0",), (Fraction(1, 3),), (Fraction(-1, 3),)),
     (Semicircle, ("center_x", "radius_sq"), (Fraction(-5, 2), Fraction(25, 4)), (Fraction(-5, 2), Fraction(9, 4))),
     (GeometricCheckResult, ("status", "witness", "reason"), ("obstructed", MukaiVector(2, 1, 1), "why"), ("ok", None, "why")),
-    (SaturatedPlane, ("b1", "b2"), (MukaiVector(1, 0, 0), MukaiVector(0, 1, 0)), (MukaiVector(1, 0, 0), MukaiVector(0, 0, 1))),
     (Decomposition, ("parts",), ((A, V - A),), ((V - A, A),)),
     (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim"), ((0, 12), (7,), 19, 20), ((0, 12), (6,), 18, 20)),
     (WallRecord, ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type"), (A, -2, 7, Fraction(2, 7), CURVE, "flopping"), (A, -2, 7, Fraction(2, 7), None, "flopping")),
@@ -71,8 +69,8 @@ def _twin(cls, names, obj):
 
 
 def test_every_public_value_type_is_covered():
-    assert len(CASES) == 14
-    assert len(set(IDS)) == 14
+    assert len(CASES) == 13
+    assert len(set(IDS)) == 13
 
 
 @pytest.mark.parametrize("cls,names,args,other_args", CASES, ids=IDS)

@@ -66,8 +66,12 @@ def test_gamma_circle_identity():
 def test_gamma_of_wall_matches_table():
     for gamma, a, _, _, _, _ in frozen.WALLS_N10:
         assert gamma_of_wall(10, MukaiVector(*a)) == gamma
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="proportional"):
         gamma_of_wall(10, MukaiVector(1, 0, -9))
+    # r(n-1) + s = 0 with c != 0: the wall's ray misses the chart
+    with pytest.raises(ValueError) as info:
+        gamma_of_wall(10, MukaiVector(1, 1, -9))
+    assert str(info.value) == "wall of (1, 1, -9) does not meet the movable-cone chart"
 
 
 def _criterion_clause(n, sq, k):
@@ -643,13 +647,14 @@ def test_default_rank_bound(d):
 
 def test_search_bounds_validation():
     """The rank cap and the radius cut are checked by the searches that
-    read them, before the vector."""
+    read them, before the vector; the cone search checks n."""
     cases = [
         (lambda: hilbert_walls(10, 0), "r_max must be positive"),
         (lambda: movable_cone(10, -3), "r_max must be positive"),
         (lambda: candidate_walls(MukaiVector(0, 2, -1), 0), "r_max must be positive"),
         (lambda: candidate_walls(MukaiVector(0, 2, -1), 10, y_min=F(-1)), "y_min must be non-negative"),
         (lambda: candidate_walls(MukaiVector(1, 0, -9), y_min=F(-1, 2)), "y_min must be non-negative"),
+        (lambda: movable_cone(1), "need n >= 2, got 1"),
     ]
     for search, message in cases:
         with pytest.raises(ValueError) as info:

@@ -54,13 +54,13 @@ its output; a ValueError counts as output, by its message.
   for d = 2 and 3, n = 100..120;
 - cli: what main writes for the argv of the golden commands
   (GOLDEN_COMMANDS) and of the exit-code tests of tests/test_cli.py
-  (test_usage_errors_exit_two, test_domain_errors_exit_two_with_message),
-  and for the bounded options at and below their bounds (CLI_BOUNDS:
-  --degree, --precision, --parts-max, --rmax and --ymin), all read from
-  ROOT: the exit code, stdout and stderr, or for a usage error (argparse's
-  SystemExit) its code and the last line of stderr, the error itself.  The
-  usage synopsis above that line lists the options of the subcommand, so
-  it is left out.
+  (test_usage_errors_exit_two, test_usage_errors_name_the_bad_value and
+  test_domain_errors_exit_two_with_message), and for the bounded options
+  at and below their bounds (CLI_BOUNDS: --degree, --precision,
+  --parts-max, --rmax and --ymin), all read from ROOT: the exit code,
+  stdout and stderr, or for a usage error (argparse's SystemExit) its
+  code and the last line of stderr, the error itself.  The usage synopsis
+  above that line lists the options of the subcommand, so it is left out.
 
 `--digests SRC` prints the digests of one tree, one case a line; the
 comparison runs it twice.
@@ -99,11 +99,13 @@ CROSSING_TABLES = (
     *(((0, m, -1), d) for d in (2, 3) for m in (6, 7, 8)),
 )
 CLI_TESTS = ROOT / "tests" / "test_cli.py"
-CLI_EXIT_TESTS = ("test_usage_errors_exit_two", "test_domain_errors_exit_two_with_message")
+CLI_EXIT_TESTS = (
+    "test_usage_errors_exit_two", "test_usage_errors_name_the_bad_value", "test_domain_errors_exit_two_with_message",
+)
 # the bounded options at and below their bounds, and ints that do not
 # parse, where the tests above do not have them
 CLI_BOUNDS = (
-    ["walls", "--n", "x"], ["walls", "--n", "10", "--degree", "1"],
+    ["walls", "--n", "10", "--degree", "1"],
     ["path", "--n", "10", "--x0", "0", "--precision", "1"], ["path", "--n", "10", "--x0", "0", "--precision", "0"],
     ["figure", "--n", "10", "--precision", "1"], ["figure", "--n", "10", "--precision", "0"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "2"],
@@ -243,40 +245,25 @@ def _strata(v, rec, p) -> list:
     return out
 
 
-def _searches(walls):
-    """The wall searches with r_max second and y_min by keyword.  A tree
-    whose searches take both bundled in walls.SearchBounds gets them
-    wrapped; delete this adapter once the parent tree has no SearchBounds."""
-    if not hasattr(walls, "SearchBounds"):
-        return walls
-    bounds = walls.SearchBounds
-    return SimpleNamespace(
-        hilbert_walls=lambda n, r_max, p: walls.hilbert_walls(n, bounds(r_max), p),
-        movable_cone=lambda n, r_max, p: walls.movable_cone(n, bounds(r_max), p),
-        candidate_walls=lambda v, r_max, p, *, y_min: walls.candidate_walls(v, bounds(r_max, y_min), p),
-    )
-
-
 def digests(bench_dir: Path):
     """(group, label, sha256) for every case, against the k3walls on sys.path."""
     from k3walls import charge, crossing, lattice, report, svgfig, walls
 
-    searches = _searches(walls)
     for d, n_top in HILBERT_NS.items():
         p = lattice.SurfaceParams(d)
         for n in range(2, n_top + 1):
             for r_max in dict.fromkeys((None, n, 3)):
                 label = f"n={n} d={d} r_max={r_max}"
-                yield "hilbert", label, _digest(lambda: searches.hilbert_walls(n, r_max, p))
-                yield "hilbert", f"cone {label}", _digest(lambda: searches.movable_cone(n, r_max, p))
+                yield "hilbert", label, _digest(lambda: walls.hilbert_walls(n, r_max, p))
+                yield "hilbert", f"cone {label}", _digest(lambda: walls.movable_cone(n, r_max, p))
     for d in CONE_DS:
         p = lattice.SurfaceParams(d)
         for n in CONE_NS:
             for r_max in dict.fromkeys((None, 1, 2, 3, n)):
-                yield "cone", f"cone n={n} d={d} r_max={r_max}", _digest(lambda: searches.movable_cone(n, r_max, p))
+                yield "cone", f"cone n={n} d={d} r_max={r_max}", _digest(lambda: walls.movable_cone(n, r_max, p))
         for n in CONE_WALL_NS:
             for r_max in (None, 1, 3):
-                yield "cone", f"n={n} d={d} r_max={r_max}", _digest(lambda: searches.hilbert_walls(n, r_max, p))
+                yield "cone", f"n={n} d={d} r_max={r_max}", _digest(lambda: walls.hilbert_walls(n, r_max, p))
     for d in SPLIT_DS:
         p = lattice.SurfaceParams(d)
         for n in range(2, SPLIT_N + 1):
@@ -291,7 +278,7 @@ def digests(bench_dir: Path):
                 for y_min in (Fraction(1), Fraction(1, 2), Fraction(3, 2), Fraction(2, 3)):
                     for r_max in (None, 3):
                         label = f"{v} d={d} y_min={y_min} r_max={r_max}"
-                        yield "candidate", label, _digest(lambda: searches.candidate_walls(v, r_max, p, y_min=y_min))
+                        yield "candidate", label, _digest(lambda: walls.candidate_walls(v, r_max, p, y_min=y_min))
 
     for d in (1, 2, 3):
         p = lattice.SurfaceParams(d)
