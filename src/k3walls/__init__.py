@@ -12,7 +12,6 @@ in exact rational arithmetic.
 from .charge import (
     DEGENERATE,
     ComplexValue,
-    GeometricCheckResult,
     Semicircle,
     StabilityPoint,
     VerticalLine,
@@ -74,7 +73,6 @@ __all__ = [
     "DEGENERATE",
     "Decomposition",
     "DimReport",
-    "GeometricCheckResult",
     "MovableCone",
     "MukaiVector",
     "Semicircle",

@@ -37,7 +37,7 @@ from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Val
 
 class StabilityPoint(_Value):
     """A point (x, y) of the upper half plane, exact: x and y^2 are
-    rationals.  The float y is for display only."""
+    rationals."""
 
     __slots__ = ("x", "y_sq")
 
@@ -47,10 +47,6 @@ class StabilityPoint(_Value):
             raise ValueError(f"stability point needs y > 0, got y^2 = {y_sq}")
         _setattr(self, "x", x)
         _setattr(self, "y_sq", y_sq)
-
-    @property
-    def y(self) -> float:
-        return math.sqrt(float(self.y_sq))
 
 
 class ComplexValue(_Value):
@@ -62,14 +58,6 @@ class ComplexValue(_Value):
         _setattr(self, "re", re)
         _setattr(self, "im_coeff", im_coeff)
         _setattr(self, "y_sq", y_sq)
-
-    @property
-    def im(self) -> float:
-        return float(self.im_coeff) * math.sqrt(float(self.y_sq))
-
-    @property
-    def re_float(self) -> float:
-        return float(self.re)
 
     def is_zero(self) -> bool:
         return self.re == 0 and self.im_coeff == 0
@@ -103,7 +91,7 @@ def phase(z: ComplexValue) -> float:
     """
     if z.is_zero():
         raise ValueError("phase of the zero charge is undefined")
-    t = math.atan2(z.im, z.re_float) / math.pi
+    t = math.atan2(float(z.im_coeff) * math.sqrt(float(z.y_sq)), float(z.re)) / math.pi
     if t <= 0.0:
         t += 1.0
     return t
@@ -201,20 +189,9 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     return Fraction(y_sq_num, rd * q * q)
 
 
-class GeometricCheckResult(_Value):
-    """status is "ok" or "obstructed"; witness is the spherical class
-    behind "obstructed", else None."""
-
-    __slots__ = ("status", "witness", "reason")
-
-    def __init__(self, status: str, witness: MukaiVector | None, reason: str) -> None:
-        _setattr(self, "status", status)
-        _setattr(self, "witness", witness)
-        _setattr(self, "reason", reason)
-
-
-def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> GeometricCheckResult:
-    """Test whether (x, y) lies in the geometric chamber shared with large volume.
+def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> MukaiVector | None:
+    """The spherical class that keeps (x, y) out of the geometric chamber
+    shared with large volume, or None when the point lies in it.
 
     A spherical class (r, c, s), r > 0, with c/r = x and d*r^2*y^2 <= 1
     has Z real and non-positive there and kills geometricity; the point
@@ -223,23 +200,14 @@ def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> G
     r divides d*c^2 + 1, so t divides d*a^2*t^2 + 1: t = 1.  The only
     candidate is (q, a, (d*a^2 + 1)/q), and the answer is exact.
     """
-    y_sq = pt.y_sq
-    if y_sq > 1:
-        return GeometricCheckResult("ok", None, "y > 1: no spherical obstruction exists")
     r, c = pt.x.denominator, pt.x.numerator
     num = p.d * c * c + 1
-    if num % r == 0 and p.d * r * r * y_sq <= 1:
-        witness = MukaiVector(r, c, num // r)
-        # by construction the witness is spherical
-        assert mukai_square(witness, p) == -2
-        return GeometricCheckResult(
-            "obstructed",
-            witness,
-            f"spherical class {witness} is destabilized at y^2 = {y_sq}",
-        )
-    return GeometricCheckResult(
-        "ok", None, f"no spherical class (r, c, s) with c/r = {pt.x} and d*r^2*y^2 <= 1 exists"
-    )
+    if num % r or p.d * r * r * pt.y_sq > 1:
+        return None
+    witness = MukaiVector(r, c, num // r)
+    # by construction the witness is spherical
+    assert mukai_square(witness, p) == -2
+    return witness
 
 
 def wall_discriminant(v: MukaiVector, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:

@@ -218,7 +218,15 @@ def cmd_transport(args) -> tuple[str, bool]:
     search = transport_search(base, args.m, p)
     if args.gamma_min is not None:
         kept = tuple(rec for rec in search.records if rec.gamma is not None and rec.gamma >= args.gamma_min)
-        search = WallSearch(search.vector, kept, search.complete, search.mode, search.n, search.m, search.source_vector)
+        search = WallSearch(
+            vector=search.vector,
+            records=kept,
+            complete=search.complete,
+            mode=search.mode,
+            n=search.n,
+            m=search.m,
+            source_vector=search.source_vector,
+        )
     return report.render("walls", report.walls_payload(search, p), args.format), search.complete
 
 

@@ -70,22 +70,16 @@ def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[MukaiVector, MukaiVect
         return MukaiVector(0, 1, 0), MukaiVector(0, 0, 1)
     h = math.gcd(n2, n3)
     # alpha*n2 + beta*n3 = h
-    alpha, beta = _bezout(n2, n3)
+    alpha, beta = _bezout(n2 // h, n3 // h)
     return MukaiVector(0, -n3 // h, n2 // h), MukaiVector(h, -alpha * n1, -beta * n1)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_s, old_t = -old_s, -old_t
-    return old_s, old_t
+    """(x, y) with x*a + y*b = 1, for coprime a and b."""
+    if b == 0:
+        return a, 0
+    x = pow(a, -1, abs(b))
+    return x, (1 - a * x) // b
 
 
 def wall_base_point(w: WallRecord, side: str = "on", epsilon: Fraction = Fraction(1, 100)) -> StabilityPoint:

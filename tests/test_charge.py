@@ -49,8 +49,6 @@ def test_stability_point_validation():
         StabilityPoint(F(0), y_sq=F(0))
     with pytest.raises(TypeError):
         StabilityPoint(F(0))
-    pt = StabilityPoint(F(1, 2), y_sq=F(1, 4))
-    assert pt.y == 0.5
 
 
 def test_phase_conventions():
@@ -131,30 +129,25 @@ def test_path_intersection_oracle(center, radius_sq, x0):
 
 
 def test_geometric_check_ok_above_one():
-    res = geometric_check(StabilityPoint(F(-3), y_sq=F(15)))
-    assert res.status == "ok"
+    assert geometric_check(StabilityPoint(F(-3), y_sq=F(15))) is None
 
 
 def test_geometric_check_obstructed_at_integer_x():
-    res = geometric_check(StabilityPoint(F(0), y_sq=F(1, 4)))
-    assert res.status == "obstructed"
-    assert res.witness == MukaiVector(1, 0, 1)
-    assert mukai_square(res.witness) == -2
+    witness = geometric_check(StabilityPoint(F(0), y_sq=F(1, 4)))
+    assert witness == MukaiVector(1, 0, 1)
+    assert mukai_square(witness) == -2
 
 
 def test_geometric_check_obstructed_at_rational_x():
     # witness (2, 1, 1) lives at x = 1/2 and kills y^2 <= 1/4
-    res = geometric_check(StabilityPoint(F(1, 2), y_sq=F(1, 5)))
-    assert res.status == "obstructed"
-    assert res.witness == MukaiVector(2, 1, 1)
+    assert geometric_check(StabilityPoint(F(1, 2), y_sq=F(1, 5))) == MukaiVector(2, 1, 1)
 
 
 def test_geometric_check_ok_without_witness():
     # (1/2, 1/2): the rank-2 witness (2, 1, 1) needs y^2 <= 1/4;
     # x = 1/3 and x = 1/30 carry no spherical class at all
     for x, y_sq in ((F(1, 2), F(1, 2)), (F(1, 3), F(1, 100)), (F(1, 30), F(1, 2000))):
-        res = geometric_check(StabilityPoint(x, y_sq=y_sq))
-        assert (res.status, res.witness) == ("ok", None), (x, y_sq)
+        assert geometric_check(StabilityPoint(x, y_sq=y_sq)) is None, (x, y_sq)
 
 
 def _brute_witnesses(x, y_sq, d):
@@ -173,8 +166,8 @@ def _brute_witnesses(x, y_sq, d):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_geometric_check_brute_force(d):
-    """Obstructed exactly when a brute-force scan finds a witness, and then
-    with that witness; ok otherwise."""
+    """A witness exactly when a brute-force scan finds one, and then that
+    witness; None otherwise."""
     p = SurfaceParams(d)
     xs = {F(a, q) for q in range(1, 13) for a in range(-2 * q, 2 * q + 1)}
     y_sqs = {F(k, m) for m in (1, 2, 3, 5, 9, 16, 50, 144, 400) for k in range(1, 6)} | {F(1, d * 36)}
@@ -182,11 +175,11 @@ def test_geometric_check_brute_force(d):
         for y_sq in sorted(y_sqs):
             expected = _brute_witnesses(x, y_sq, d)
             assert len(expected) <= 1
-            res = geometric_check(StabilityPoint(x, y_sq=y_sq), p)
+            witness = geometric_check(StabilityPoint(x, y_sq=y_sq), p)
             if expected:
-                assert (res.status, {res.witness}) == ("obstructed", expected), (x, y_sq)
+                assert {witness} == expected, (x, y_sq)
             else:
-                assert (res.status, res.witness) == ("ok", None), (x, y_sq)
+                assert witness is None, (x, y_sq)
 
 
 def test_discriminant_values():

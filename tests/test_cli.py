@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import frozen
-from k3walls import MukaiVector, mukai_pairing, mukai_square, report
+from k3walls import MukaiVector, decompositions, hilbert_vector, mukai_pairing, mukai_square, report, resolve_walls
 from k3walls.cli import _fuse_negative_values, build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -70,6 +70,23 @@ def test_golden_transcripts(name):
     assert code == 0
     assert err == ""
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in GOLDEN_COMMANDS if name.startswith("decompose_")))
+def test_decompose_goldens_are_not_cut_by_parts_max(name):
+    """The default parts_max 3 of each decompose golden lists every
+    decomposition: each part has charge L(u) = den*c_u - num*r_u at the
+    apex x = num/den of the same sign as L(v) and nonzero, so a
+    decomposition has at most |L(v)| parts."""
+    argv = GOLDEN_COMMANDS[name]
+    opts = dict(zip(argv[1::2], argv[2::2]))
+    assert "--parts-max" not in opts
+    v = hilbert_vector(int(opts["--n"])) if "--n" in opts else MukaiVector.coerce(opts["--vector"].split(","))
+    wall = next(rec for rec in resolve_walls(v).records if rec.gamma == Fraction(opts["--gamma"]))
+    num, den = wall.curve.center_x.as_integer_ratio()
+    bound = abs(den * v.c - num * v.r)
+    assert bound > 3
+    assert decompositions(v, wall, parts_max=3) == decompositions(v, wall, parts_max=bound)
 
 
 def _option_variables() -> dict:

@@ -17,7 +17,7 @@ import k3walls
 from k3walls import charge
 
 SRC = Path(k3walls.__file__).parent
-CHARGE_DISPLAY = {"StabilityPoint.y", "ComplexValue.im", "ComplexValue.re_float", "phase"}
+CHARGE_DISPLAY = {"phase"}
 
 
 def _nodes(source: str, matches) -> list[tuple[str, int]]:

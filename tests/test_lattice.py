@@ -1,7 +1,9 @@
 """Lattice arithmetic: pairing, squares, and the autoequivalence actions."""
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from k3walls import (
     Autoequivalence,
@@ -64,6 +66,8 @@ def test_vector_arithmetic_and_content():
     assert -u == MukaiVector(-2, 4, -6)
     with pytest.raises(ValueError):
         MukaiVector(0, 0, 0).primitive_part()
+    with pytest.raises(TypeError):
+        MukaiVector(1, 0, 0) * Fraction(1, 2)
 
 
 def test_coerce():
@@ -148,6 +152,26 @@ def test_reflect_is_involution(u, p, k):
 @given(vectors, vectors, degrees)
 def test_dual_shift_is_isometry(u, w, p):
     assert mukai_pairing(dual_shift(u), dual_shift(w), p) == mukai_pairing(u, w, p)
+
+
+steps = st.one_of(st.tuples(st.just("twist"), shifts), st.just(("dual_shift", 0)))
+
+
+@given(vectors, vectors, degrees, st.lists(steps, max_size=6))
+@example(MukaiVector(1, 0, -9), MukaiVector(0, 3, -1), SurfaceParams(2), [("twist", 2), ("dual_shift", 0), ("twist", -3)])
+def test_words_with_dual_shift_match_closed_forms(u, w, p, word):
+    """A word of twists and dual shifts acts step by step as
+    (r, c, s) -> (r, c + rk, s + 2dck + drk^2) and (r, c, s) -> (-r, c, -s),
+    and keeps the pairing."""
+    r, c, s = u.as_tuple()
+    for kind, k in word:
+        if kind == "twist":
+            r, c, s = r, c + r * k, s + 2 * p.d * c * k + p.d * r * k * k
+        else:
+            r, c, s = -r, c, -s
+    act = Autoequivalence(tuple(word))
+    assert act.apply(u, p) == MukaiVector(r, c, s)
+    assert mukai_pairing(act.apply(u, p), act.apply(w, p), p) == mukai_pairing(u, w, p)
 
 
 @given(vectors, vectors, degrees, shifts)

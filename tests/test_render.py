@@ -11,6 +11,8 @@ layout of the text tables, each against a formula of its own.
   formulas of the canvas.
 - report._table is checked for column positions, widths and trailing
   whitespace on generated cells.
+- A hand-built payload with a vertical wall of no slope gets the plain
+  legend label, and the renderers reject a foreign curve and an svg table.
 """
 
 import io
@@ -25,6 +27,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from k3walls import report
 from k3walls.cli import main
+from k3walls.svgfig import render_figure
 
 # ---------------------------------------------------------------------------
 # render_json on wall records against json.dumps(indent=2)
@@ -285,6 +288,25 @@ def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, 
     assert labels == [_label(w) for w in drawn]
     swatches = [el.get("stroke") for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
     assert swatches == [el.get("stroke") for el in walls_drawn]
+
+
+def test_figure_labels_a_vertical_wall_without_slope():
+    payload = {"surface": {"d": 1}, "vector": [0, 2, -1], "walls": [_wall(gamma=None, curve=_LINE)]}
+    root = ET.fromstring(render_figure(payload))
+    legend_x = f"{800 - 180 + 14 + 28:.6f}"
+    labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text") if el.get("x") == legend_x]
+    assert labels == ["wall"]
+
+
+def test_curve_json_rejects_a_foreign_curve():
+    with pytest.raises(TypeError, match="unknown curve"):
+        report.curve_json(object())
+
+
+def test_render_rejects_svg_for_a_table():
+    payload = {"surface": {"d": 1}, "vector": [1, 0, -1], "walls": [], "complete": True}
+    with pytest.raises(ValueError, match="format 'svg' is not valid for walls output"):
+        report.render("walls", payload, "svg")
 
 
 # ---------------------------------------------------------------------------

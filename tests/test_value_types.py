@@ -24,7 +24,6 @@ from k3walls import (
     ComplexValue,
     Decomposition,
     DimReport,
-    GeometricCheckResult,
     MovableCone,
     MukaiVector,
     Semicircle,
@@ -52,7 +51,6 @@ CASES = [
     (ComplexValue, ("re", "im_coeff", "y_sq"), (Fraction(1), Fraction(-2, 3), Fraction(4)), (Fraction(1), Fraction(2, 3), Fraction(4))),
     (VerticalLine, ("x0",), (Fraction(1, 3),), (Fraction(-1, 3),)),
     (Semicircle, ("center_x", "radius_sq"), (Fraction(-5, 2), Fraction(25, 4)), (Fraction(-5, 2), Fraction(9, 4))),
-    (GeometricCheckResult, ("status", "witness", "reason"), ("obstructed", MukaiVector(2, 1, 1), "why"), ("ok", None, "why")),
     (Decomposition, ("parts",), ((A, V - A),), ((V - A, A),)),
     (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim"), ((0, 12), (7,), 19, 20), ((0, 12), (6,), 18, 20)),
     (WallRecord, ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type"), (A, -2, 7, Fraction(2, 7), CURVE, "flopping"), (A, -2, 7, Fraction(2, 7), None, "flopping")),
@@ -69,8 +67,8 @@ def _twin(cls, names, obj):
 
 
 def test_every_public_value_type_is_covered():
-    assert len(CASES) == 13
-    assert len(set(IDS)) == 13
+    assert len(CASES) == 12
+    assert len(set(IDS)) == 12
 
 
 @pytest.mark.parametrize("cls,names,args,other_args", CASES, ids=IDS)

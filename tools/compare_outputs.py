@@ -28,7 +28,8 @@ its output; a ValueError counts as output, by its message.
   one case per table, at x0 = 0, at each wall's center, at each rational
   tangency point center +- radius, at the integers -n..1 and at a few
   non-integers, each integer given both as an int and as a Fraction;
-- charge: repr of geometric_check and of central_charge of four classes
+- charge: repr of the witness of geometric_check (the obstructing
+  spherical class or None) and of central_charge of four classes
   at exact points (x, y^2), one case per d = 1..3 and x = a/q with
   q <= 12 and |x| <= 2, over y^2 at, just below and just above 1/(d q^2)
   and 1; and the (x, y^2) of wall_base_point on, plus and minus of every
@@ -211,7 +212,10 @@ def _charges(x, d: int) -> list:
         for y_sq in (base * Fraction(9, 10), base, base * Fraction(11, 10)):
             pt = charge.StabilityPoint(x, y_sq=y_sq)
             zs = [charge.central_charge(lattice.MukaiVector(*u), pt, p) for u in CHARGE_CLASSES]
-            out.append((y_sq, charge.geometric_check(pt, p), zs))
+            res = charge.geometric_check(pt, p)
+            # an older tree returns a result object that holds the witness;
+            # delete the getattr once no compared tree returns one
+            out.append((y_sq, getattr(res, "witness", res), zs))
     return out
 
 
