@@ -9,9 +9,11 @@ the values j/N with N = L(v)/g and integer levels j.  The "positive
 classes" of the wall are those u with u^2 >= -2 and 0 < j < N whose
 stable locus is nonempty (u primitive, or a multiple of a class of
 positive square).  A decomposition of v is a multiset of positive classes
-summing to v, so its levels sum to N: the search is an exact integer
-knapsack that prunes once the levels pass N and keeps a full sum when
-the parts add up to v.
+summing to v.  In the plane coordinates (j, t) below, v = N*bez + t_v*k0,
+so a multiset sums to v exactly when its levels sum to N and its t to
+t_v: the search is an exact integer knapsack on (j, t) that extends a
+multiset only while its levels stay below N, and looks its last part up
+as the one class at the (j, t) that is left.
 
 The plane has a unimodular basis (bez, k0) with bez on level 1 and k0
 spanning level 0.  In it the class u = j*bez + t*k0 has
@@ -114,11 +116,14 @@ def _has_stable_locus(u: MukaiVector, p: SurfaceParams) -> bool:
     return u.is_primitive() or mukai_square(u.primitive_part(), p) > 0
 
 
-def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[int, list[tuple[int, MukaiVector]]]:
-    """(N, [(j, u), ...]): the positive classes u of the wall with
-    lambda(u) = j/N, sorted by descending j, ties by (r, c, s): one step per
-    line beta = N*t - t_v*j between its j = 0 and j = N bounds (2N + O(area)),
-    each with at most h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
+def _levelled_classes(
+    v: MukaiVector, w: WallRecord, p: SurfaceParams
+) -> tuple[int, int, list[tuple[int, int, MukaiVector]]]:
+    """(N, t_v, [(j, t, u), ...]): v = N*bez + t_v*k0 and the positive
+    classes u = j*bez + t*k0 of the wall, with lambda(u) = j/N, sorted by
+    descending j, ties by (r, c, s): one step per line beta = N*t - t_v*j
+    between its j = 0 and j = N bounds (2N + O(area)), each with at most
+    h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
     if w.curve is None or not isinstance(w.curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
     if wall_locus(v, w.a, p) != w.curve:
@@ -155,19 +160,23 @@ def _levelled_classes(v: MukaiVector, w: WallRecord, p: SurfaceParams) -> tuple[
     rn = (math.isqrt(level_count * level_count * D + E) + 1) * level_count
     lo, hi = min(-r0, -kappa * level_count - rn), max(r0, -kappa * level_count + rn)  # 2*a2*beta; q = beta/h
     two_abs_ah = -2 * a2 * h
-    found: list[tuple[int, MukaiVector]] = []
+    (br, bc, bs), (kr, kc, ks) = bez.as_tuple(), k0.as_tuple()
+    found: list[tuple[int, int, MukaiVector]] = []
     for q in range(-(hi // two_abs_ah), -lo // two_abs_ah + 1):
         for j in range(-q * inv % step or step, level_count, step):
             t = (q + t_h * j) // step
-            if a2 * t * t + b * j * t + c * j * j < -2:
+            sq = a2 * t * t + b * j * t + c * j * j  # u^2
+            if sq < -2:
                 continue
-            u = j * bez + t * k0
-            if not _has_stable_locus(u, p):
+            ur, uc, us = j * br + t * kr, j * bc + t * kc, j * bs + t * ks
+            # u is nonzero (j > 0); a multiple carries stable objects only
+            # over a primitive class of positive square, i.e. when u^2 > 0
+            if sq <= 0 and math.gcd(ur, uc, us) != 1:
                 continue
-            assert sign * (den * u.c - num * u.r) == j * g
-            found.append((j, u))
-    found.sort(key=lambda item: (-item[0], item[1].as_tuple()))
-    return level_count, found
+            assert sign * (den * uc - num * ur) == j * g
+            found.append((j, t, MukaiVector(ur, uc, us)))
+    found.sort(key=lambda item: (-item[0], item[2].as_tuple()))
+    return level_count, t_v, found
 
 
 def positive_classes(
@@ -180,7 +189,7 @@ def positive_classes(
 
     Sorted by descending lambda, ties by (r, c, s).
     """
-    return tuple(u for _, u in _levelled_classes(v, w, p)[1])
+    return tuple(u for _, _, u in _levelled_classes(v, w, p)[2])
 
 
 class Decomposition(_Value):
@@ -200,29 +209,36 @@ def decompositions(
     p: SurfaceParams = DEFAULT_SURFACE,
 ) -> tuple[Decomposition, ...]:
     """All multisets of positive classes of the wall summing to v, with
-    between 2 and parts_max parts."""
+    between 2 and parts_max parts.
+
+    The search runs on the plane coordinates: with v = N*bez + t_v*k0 and
+    (bez, k0) a basis of the plane, parts sum to v exactly when their
+    levels sum to N and their t to t_v.  Every level is positive, so a
+    multiset of parts taken in class-list order extends only while its
+    level sum stays below N, and its last part is the one class at
+    (N - level, t_v - t), looked up, not searched.  Taking that class only
+    at or after the index of the part before it lists each multiset once,
+    in class-list order."""
     if parts_max < 2:
         raise ValueError("parts_max must be at least 2")
-    level_count, classes = _levelled_classes(v, w, p)
+    level_count, t_v, classes = _levelled_classes(v, w, p)
+    index = {(j, t): i for i, (j, t, _) in enumerate(classes)}
     results: list[tuple[MukaiVector, ...]] = []
 
-    def search(start: int, acc: list[MukaiVector], acc_sum: MukaiVector, acc_level: int) -> None:
-        if acc_level == level_count:
-            # every level is positive, so a full sum cannot be extended
-            if acc_sum == v:
-                results.append(tuple(acc))
-            return
-        if len(acc) == parts_max:
-            return
-        for i in range(start, len(classes)):
-            j, u = classes[i]
-            if acc_level + j > level_count:
-                continue
-            acc.append(u)
-            search(i, acc, acc_sum + u, acc_level + j)
-            acc.pop()
+    def search(start: int, acc: list[MukaiVector], acc_level: int, acc_t: int) -> None:
+        if acc:
+            i = index.get((level_count - acc_level, t_v - acc_t))
+            if i is not None and i >= start:
+                results.append((*acc, classes[i][2]))
+        if len(acc) + 1 < parts_max:
+            for i in range(start, len(classes)):
+                j, t, u = classes[i]
+                if acc_level + j < level_count:
+                    acc.append(u)
+                    search(i, acc, acc_level + j, acc_t + t)
+                    acc.pop()
 
-    search(0, [], MukaiVector(0, 0, 0), 0)
+    search(0, [], 0, 0)
     results.sort(key=lambda parts: (len(parts), tuple(u.as_tuple() for u in parts)))
     return tuple(Decomposition(parts) for parts in results)
 
@@ -273,19 +289,20 @@ def stratum_dims(
     parts = [MukaiVector.coerce(u) for u in parts]
     if len(parts) < 2:
         raise ValueError("a decomposition needs at least two parts")
-    if sum(parts, MukaiVector(0, 0, 0)) != v:
+    if MukaiVector(sum(u.r for u in parts), sum(u.c for u in parts), sum(u.s for u in parts)) != v:
         raise ValueError(f"parts do not sum to {v}")
     moduli = tuple(_part_dim(u, p) for u in parts)
     fibers = []
-    partial = parts[0]
+    two_d = 2 * p.d
+    r, c, s = parts[0].as_tuple()  # the partial sum u_1 + ... + u_i
     for u in parts[1:]:
-        f = mukai_pairing(partial, u, p) - 1
+        f = two_d * c * u.c - r * u.s - u.r * s - 1
         if f < 0:
             raise ValueError(
                 f"negative fiber dimension {f} at part {u}; the extension stratum is not effective"
             )
         fibers.append(f)
-        partial = partial + u
+        r, c, s = r + u.r, c + u.c, s + u.s
     return DimReport(
         part_moduli_dims=moduli,
         fiber_dims=tuple(fibers),

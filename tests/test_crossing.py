@@ -9,6 +9,7 @@ by the brute-force box oracle at the bottom.
 
 import io
 import math
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -450,6 +451,99 @@ def test_decompositions_rank_scan_oracle(vec):
         got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decompositions(v, w, parts_max=4)]
         assert len(got) == len(set(got))
         assert set(got) == oracle, (vec, w.a)
+
+
+def _lambda_decompositions(v, w):
+    """Every multiset of rank-scanned classes summing to v, as sorted
+    component tuples: a brute-force search over plain tuples that prunes on
+    lambda(u) = (c_u - r_u*x)/(c_v - r_v*x) at the apex x, with no plane
+    basis and no charge levels."""
+    x = w.curve.center_x
+    classes = sorted(u.as_tuple() for u in _rank_scan_classes(v, w))
+    lam = [(c - r * x) / (v.c - v.r * x) for r, c, _ in classes]
+    assert all(0 < value < 1 for value in lam)
+    found = set()
+
+    def extend(start, parts, total_lam, total):
+        if total_lam == 1:
+            if total == v.as_tuple():
+                found.add(tuple(parts))
+            return
+        for i in range(start, len(classes)):
+            if total_lam + lam[i] <= 1:
+                u = classes[i]
+                extend(i, parts + [u], total_lam + lam[i], tuple(a + b for a, b in zip(total, u)))
+
+    extend(0, [], 0, (0, 0, 0))
+    return found
+
+
+COMPLETE_DECOMPOSITION_VECTORS = ((1, 0, -9), (1, 0, -11), (0, 3, -1), (0, 4, -1))
+
+
+def _complete_decompositions():
+    """(v, w, decompositions(v, w) at a bound that cuts nothing) for every
+    semicircular wall of COMPLETE_DECOMPOSITION_VECTORS."""
+    for vec in COMPLETE_DECOMPOSITION_VECTORS:
+        v = MukaiVector(*vec)
+        for w in resolve_walls(v).records:
+            if isinstance(w.curve, Semicircle):
+                yield v, w, decompositions(v, w, parts_max=sys.maxsize)
+
+
+def test_complete_decompositions_lambda_oracle():
+    # Decompositions of any length, where the rank-scan oracle above stops
+    # at four parts: (0, 4, -1) has one of 18.
+    longest = 0
+    for v, w, decs in _complete_decompositions():
+        x = w.curve.center_x
+        for d in decs:
+            # canonical order: descending lambda, ties by components
+            assert list(d.parts) == sorted(d.parts, key=lambda u: (-(u.c - u.r * x), u.as_tuple()))
+        got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decs]
+        assert len(got) == len(set(got))
+        assert set(got) == _lambda_decompositions(v, w), (v, w.a)
+        longest = max([longest, *(len(parts) for parts in got)])
+    assert longest >= 5
+
+
+def _pairing(u, w):
+    """The Mukai pairing of two component tuples at d = 1."""
+    return 2 * u[1] * w[1] - u[0] * w[2] - w[0] * u[2]
+
+
+def test_stratum_dims_pairing_closed_form():
+    # Every complete decomposition above, in the order decompositions
+    # returns its parts: moduli u^2 + 2, fibers <u_1 + ... + u_i, u_{i+1}> - 1
+    # and the message at the first negative fiber, from plain tuples.
+    effective = not_effective = 0
+    for v, _, decs in _complete_decompositions():
+        for d in decs:
+            parts = [u.as_tuple() for u in d.parts]
+            moduli = [_pairing(u, u) + 2 for u in parts]
+            fibers, partial, message = [], parts[0], None
+            for u in parts[1:]:
+                f = _pairing(partial, u) - 1
+                if f < 0:
+                    message = (
+                        f"negative fiber dimension {f} at part {MukaiVector(*u)}; the extension stratum is not effective"
+                    )
+                    break
+                fibers.append(f)
+                partial = tuple(a + b for a, b in zip(partial, u))
+            if message is not None:
+                not_effective += 1
+                with pytest.raises(ValueError) as exc:
+                    stratum_dims(d.parts, v)
+                assert str(exc.value) == message
+                continue
+            effective += 1
+            report = stratum_dims(d.parts, v)
+            assert report.part_moduli_dims == tuple(moduli)
+            assert report.fiber_dims == tuple(fibers)
+            assert report.stratum_dim == sum(moduli) + sum(fibers)
+            assert report.total_space_dim == _pairing(v.as_tuple(), v.as_tuple()) + 2
+    assert effective and not_effective
 
 
 def test_wall_without_decompositions():

@@ -43,6 +43,12 @@ its output; a ValueError counts as output, by its message.
   (0, m, -1) for m = 6, 7, 8 at d = 2 and 3, one case each per wall (the
   last are walls of small |k0^2|, where the walk over the lines parallel
   to v tries up to 2N candidates on a wall of N >= 20 charge levels);
+- crossing_full: the decompositions of the crossing group's walls with
+  the stratum_dims or error message of each, at parts_max=sys.maxsize:
+  every part has a charge level >= 1 and the levels of a decomposition
+  sum to the wall's level count N, so a bound >= N cuts nothing.  The
+  bound is not N itself because N is private to k3walls.crossing, and
+  the two trees compared need not compute it alike;
 - wall_tables: the text, csv, json and svg of every op of the benchmark
   workload `wall_tables` at seed 1, with its path hits (116 ops), run
   by the benchmark's own op code from bench/workloads.py of ROOT;
@@ -212,10 +218,7 @@ def _charges(x, d: int) -> list:
         for y_sq in (base * Fraction(9, 10), base, base * Fraction(11, 10)):
             pt = charge.StabilityPoint(x, y_sq=y_sq)
             zs = [charge.central_charge(lattice.MukaiVector(*u), pt, p) for u in CHARGE_CLASSES]
-            res = charge.geometric_check(pt, p)
-            # an older tree returns a result object that holds the witness;
-            # delete the getattr once no compared tree returns one
-            out.append((y_sq, getattr(res, "witness", res), zs))
+            out.append((y_sq, charge.geometric_check(pt, p), zs))
     return out
 
 
@@ -236,12 +239,12 @@ def _base_points(search) -> list:
     return out
 
 
-def _strata(v, rec, p) -> list:
-    """Each decomposition of the crossing group with its stratum_dims."""
+def _strata(v, rec, p, parts_max: int) -> list:
+    """Each decomposition of the crossing groups with its stratum_dims."""
     from k3walls import crossing
 
     out = []
-    for dec in crossing.decompositions(v, rec, parts_max=4, p=p):
+    for dec in crossing.decompositions(v, rec, parts_max=parts_max, p=p):
         try:
             out.append((dec, crossing.stratum_dims(dec.parts, v, p)))
         except ValueError as exc:
@@ -325,7 +328,8 @@ def digests(bench_dir: Path):
                 continue
             label = f"{v} d={d} gamma={rec.gamma}"
             yield "crossing", f"classes {label}", _digest(lambda: crossing.positive_classes(v, rec, p))
-            yield "crossing", f"decompositions {label}", _digest(lambda: _strata(v, rec, p))
+            yield "crossing", f"decompositions {label}", _digest(lambda: _strata(v, rec, p, 4))
+            yield "crossing_full", label, _digest(lambda: _strata(v, rec, p, sys.maxsize))
 
     sys.path.insert(0, str(bench_dir))
     import workloads as wl
