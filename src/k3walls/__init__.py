@@ -27,7 +27,6 @@ from .crossing import (
     Decomposition,
     DimReport,
     decompositions,
-    ext_dim,
     moduli_dim,
     positive_classes,
     stratum_dims,
@@ -87,7 +86,6 @@ __all__ = [
     "central_charge",
     "decompositions",
     "dual_shift",
-    "ext_dim",
     "gamma_of_wall",
     "geometric_check",
     "hilbert_n_of",

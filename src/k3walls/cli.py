@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     sel = dec.add_mutually_exclusive_group(required=True)
     sel.add_argument("--gamma", type=_fraction, help="slope of the wall to decompose")
     sel.add_argument("--wall-index", type=int, help="0-based row index into the wall table")
-    dec.add_argument("--parts-max", type=_at_least(2), default=3, help="maximum number of parts (default 3)")
+    dec.add_argument("--parts-max", type=_at_least(2), default=3, help="list decompositions of at most K parts (default 3); longer ones are left out without a note")
 
     trans = subs.add_parser("transport", parents=[common, table], help="map a wall table through the autoequivalence Phi_m")
     trans.set_defaults(run=cmd_transport)

@@ -110,12 +110,6 @@ def wall_base_point(w: WallRecord, side: str = "on", epsilon: Fraction = Fractio
     return StabilityPoint(x=w.curve.center_x, y_sq=y_sq)
 
 
-def _has_stable_locus(u: MukaiVector, p: SurfaceParams) -> bool:
-    """A nonzero class carries stable objects only when it is primitive or
-    a multiple of a class of positive square."""
-    return u.is_primitive() or mukai_square(u.primitive_part(), p) > 0
-
-
 def _levelled_classes(
     v: MukaiVector, w: WallRecord, p: SurfaceParams
 ) -> tuple[int, int, list[tuple[int, int, MukaiVector]]]:
@@ -252,11 +246,13 @@ def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
 
 def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
     """Stable-locus dimension for a decomposition part; multiples of
-    positive-square classes still carry stable objects."""
+    positive-square classes still carry stable objects.  As u = g*w has
+    u^2 = g^2*w^2, that is the rule of _levelled_classes: u^2 > 0 or u
+    primitive (the zero class is neither)."""
     sq = mukai_square(u, p)
     if sq < -2:
         raise ValueError(f"no semistable objects of class {u} (square {sq} < -2)")
-    if not _has_stable_locus(u, p):
+    if sq <= 0 and not u.is_primitive():
         raise ValueError(f"no stable objects of class {u} (imprimitive over a non-positive class)")
     return sq + 2
 
@@ -264,19 +260,12 @@ def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
 class DimReport(_Value):
     """Moduli and extension-fiber dimensions of one stratum (stratum_dims)."""
 
-    __slots__ = ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim")
+    __slots__ = ("part_moduli_dims", "fiber_dims", "stratum_dim")
 
-    def __init__(
-        self,
-        part_moduli_dims: tuple[int, ...],
-        fiber_dims: tuple[int, ...],
-        stratum_dim: int,
-        total_space_dim: int,
-    ) -> None:
+    def __init__(self, part_moduli_dims: tuple[int, ...], fiber_dims: tuple[int, ...], stratum_dim: int) -> None:
         _setattr(self, "part_moduli_dims", part_moduli_dims)
         _setattr(self, "fiber_dims", fiber_dims)
         _setattr(self, "stratum_dim", stratum_dim)
-        _setattr(self, "total_space_dim", total_space_dim)
 
 
 def stratum_dims(
@@ -285,7 +274,12 @@ def stratum_dims(
     p: SurfaceParams = DEFAULT_SURFACE,
 ) -> DimReport:
     """Moduli and iterated-extension fiber dimensions of a stratum, in the
-    given part order."""
+    given part order.  Generic stable objects of distinct classes u, w have
+    dim Ext^1 = <u, w>, so fiber i, the projective space of those
+    extensions, has dimension <u_1 + ... + u_i, u_{i+1}> - 1.  v must be
+    primitive; its own moduli dimension is moduli_dim(v)."""
+    if not v.is_primitive():
+        raise ValueError(f"stratum_dims expects a primitive class, got {v}")
     parts = [MukaiVector.coerce(u) for u in parts]
     if len(parts) < 2:
         raise ValueError("a decomposition needs at least two parts")
@@ -303,14 +297,4 @@ def stratum_dims(
             )
         fibers.append(f)
         r, c, s = r + u.r, c + u.c, s + u.s
-    return DimReport(
-        part_moduli_dims=moduli,
-        fiber_dims=tuple(fibers),
-        stratum_dim=sum(moduli) + sum(fibers),
-        total_space_dim=moduli_dim(v, p),
-    )
-
-
-def ext_dim(u: MukaiVector, w: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
-    """dim Ext^1 between generic stable objects of distinct classes: <u, w>."""
-    return mukai_pairing(u, w, p)
+    return DimReport(part_moduli_dims=moduli, fiber_dims=tuple(fibers), stratum_dim=sum(moduli) + sum(fibers))

@@ -8,6 +8,7 @@ tests compare implementation output against these literals bit-exactly;
 none of them were generated by the code under test.
 """
 
+import math
 from fractions import Fraction
 
 F = Fraction
@@ -63,6 +64,29 @@ WALLS_N8 = [
 WALLS_BY_N = {2: WALLS_N2, 3: WALLS_N3, 4: WALLS_N4, 8: WALLS_N8, 10: WALLS_N10}
 
 GAMMA_MAX = {2: F(1), 3: F(1, 2), 4: F(1, 2), 8: F(3, 8), 10: F(1, 3)}
+
+# Closed forms for the Hilbert table of S^[n] on a K3 surface with
+# Pic S = Z*H, H^2 = 2d, in the slope gamma of the table rows, from
+# Bayer-Macri, "MMP for moduli of sheaves on K3s via wall-crossing: nef
+# and movable cones, Lagrangian fibrations" (arXiv:1301.6968).
+
+
+def nef_gamma(n, d):
+    """Prop. 10.3: for n >= (d + 3)/2, Nef(S^[n]) = <H~, H~ - (2d/(d+n)) B>,
+    so the first row with gamma > 0 sits at 2d/(d + n).  None outside
+    that range."""
+    if 2 * n < d + 3:
+        return None
+    return F(2 * d, d + n)
+
+
+def lagrangian_gamma(n, d):
+    """Prop. 13.1, split case: when d(n - 1) = t^2 the movable cone ends
+    at a Lagrangian fibration, the last row, at gamma = t/(n - 1).  None
+    when d(n - 1) is not a square: then no row is Lagrangian."""
+    t = math.isqrt(d * (n - 1))
+    return F(t, n - 1) if t * t == d * (n - 1) else None
+
 
 # transport of the n = 10 table through Phi_3, rows with slope >= 6/19;
 # the image vector is (0, 3, -1).

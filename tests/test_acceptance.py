@@ -19,6 +19,7 @@ from k3walls import (
     dual_shift,
     hilbert_vector,
     hilbert_walls,
+    moduli_dim,
     movable_cone,
     mukai_pairing,
     mukai_square,
@@ -179,6 +180,7 @@ def test_criterion_6_decomposition_lists():
 
 def test_criterion_7_dimension_suite():
     with criterion(7, "stratum and fiber dimensions at all ten walls"):
+        assert moduli_dim(V10) == moduli_dim(VBM) == 20
         hilbert_first = {}
         for gamma in (F(2, 11), F(1, 5), F(2, 9), F(1, 4), F(2, 7), F(4, 13)):
             entries = frozen.DECOMPOSITIONS[(frozen.V10, gamma)]
@@ -191,7 +193,6 @@ def test_criterion_7_dimension_suite():
                 assert list(rep.part_moduli_dims) == dims[0]
                 assert list(rep.fiber_dims) == dims[1]
                 assert rep.stratum_dim == dims[2]
-                assert rep.total_space_dim == 20
                 reports.append(rep)
             hilbert_first[gamma] = reports
         assert [hilbert_first[g][0].stratum_dim for g in (F(2, 11), F(1, 5), F(2, 9), F(1, 4))] == [12, 13, 14, 15]
@@ -207,7 +208,6 @@ def test_criterion_7_dimension_suite():
             parts, dims = frozen.DECOMPOSITIONS[(frozen.VBM, gamma)][0]
             rep = stratum_dims([MukaiVector(*u) for u in parts], VBM)
             assert (list(rep.part_moduli_dims), list(rep.fiber_dims), rep.stratum_dim) == dims
-            assert rep.total_space_dim == 20
             strata.append(rep.stratum_dim)
             fibers.append(rep.fiber_dims[0])
         assert strata == [12, 14, 14, 18]

@@ -26,7 +26,6 @@ from k3walls import (
     WallRecord,
     central_charge,
     decompositions,
-    ext_dim,
     hilbert_walls,
     moduli_dim,
     mukai_pairing,
@@ -39,7 +38,7 @@ from k3walls import (
 )
 from k3walls.charge import Semicircle, StabilityPoint
 from k3walls.cli import main
-from k3walls.crossing import _plane_basis
+from k3walls.crossing import _part_dim, _plane_basis
 
 F = Fraction
 
@@ -307,8 +306,7 @@ def test_stratum_dims_match_frozen(vec, gamma):
         assert list(report.part_moduli_dims) == moduli
         assert list(report.fiber_dims) == fibers
         assert report.stratum_dim == stratum
-        assert report.total_space_dim == mukai_square(v) + 2
-        assert report.stratum_dim < report.total_space_dim
+        assert report.stratum_dim < moduli_dim(v) == mukai_square(v) + 2
 
 
 def test_stratum_dims_allows_multiple_of_positive_class():
@@ -329,23 +327,39 @@ def test_stratum_dims_rejects_bad_input():
         stratum_dims(
             [MukaiVector(2, 2, 2), MukaiVector(-1, -2, -11)], V10
         )
+    # the parts of 2*(0, 1, -7) pass every part and fiber check (fiber
+    # <w, w> - 1 = 3); v itself has no moduli dimension
+    w = MukaiVector(0, 1, -7)
+    with pytest.raises(ValueError, match="stratum_dims expects a primitive class, got \\(0, 2, -14\\)"):
+        stratum_dims([w, w], 2 * w)
 
 
-def test_ext_dim_is_the_pairing():
-    u = MukaiVector(1, 0, 1)
-    w = MukaiVector(-1, 3, -2)
-    assert ext_dim(u, w) == 3
-    assert ext_dim(u, w) == mukai_pairing(u, w)
-
-
-@given(
-    a=st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
-    b=st.tuples(st.integers(-9, 9), st.integers(-9, 9), st.integers(-9, 9)),
-)
-@settings(max_examples=200)
-def test_ext_dim_matches_pairing_everywhere(a, b):
-    u, w = MukaiVector(*a), MukaiVector(*b)
-    assert ext_dim(u, w) == mukai_pairing(u, w)
+@pytest.mark.parametrize("d", [1, 2])
+def test_part_dim_accepts_exactly_the_stable_classes(d):
+    # The definition: a class carries stable objects when u^2 >= -2 and u
+    # is primitive or a multiple of a primitive class of positive square.
+    # The zero class is neither.
+    p = SurfaceParams(d)
+    box = range(-6, 7)
+    zero = MukaiVector(0, 0, 0)
+    accepted = 0
+    for r in box:
+        for c in box:
+            for s in box:
+                u = MukaiVector(r, c, s)
+                sq = mukai_square(u, p)
+                stable = sq >= -2 and (u.is_primitive() or (u != zero and mukai_square(u.primitive_part(), p) > 0))
+                if stable:
+                    assert _part_dim(u, p) == sq + 2
+                    accepted += 1
+                    continue
+                with pytest.raises(ValueError) as exc:
+                    _part_dim(u, p)
+                if sq < -2:
+                    assert str(exc.value) == f"no semistable objects of class {u} (square {sq} < -2)"
+                else:
+                    assert str(exc.value) == f"no stable objects of class {u} (imprimitive over a non-positive class)"
+    assert 0 < accepted < len(box) ** 3
 
 
 # ---------------------------------------------------------------------------
@@ -518,6 +532,7 @@ def test_stratum_dims_pairing_closed_form():
     # and the message at the first negative fiber, from plain tuples.
     effective = not_effective = 0
     for v, _, decs in _complete_decompositions():
+        assert moduli_dim(v) == _pairing(v.as_tuple(), v.as_tuple()) + 2
         for d in decs:
             parts = [u.as_tuple() for u in d.parts]
             moduli = [_pairing(u, u) + 2 for u in parts]
@@ -542,7 +557,6 @@ def test_stratum_dims_pairing_closed_form():
             assert report.part_moduli_dims == tuple(moduli)
             assert report.fiber_dims == tuple(fibers)
             assert report.stratum_dim == sum(moduli) + sum(fibers)
-            assert report.total_space_dim == _pairing(v.as_tuple(), v.as_tuple()) + 2
     assert effective and not_effective
 
 

@@ -52,7 +52,7 @@ CASES = [
     (VerticalLine, ("x0",), (Fraction(1, 3),), (Fraction(-1, 3),)),
     (Semicircle, ("center_x", "radius_sq"), (Fraction(-5, 2), Fraction(25, 4)), (Fraction(-5, 2), Fraction(9, 4))),
     (Decomposition, ("parts",), ((A, V - A),), ((V - A, A),)),
-    (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim", "total_space_dim"), ((0, 12), (7,), 19, 20), ((0, 12), (6,), 18, 20)),
+    (DimReport, ("part_moduli_dims", "fiber_dims", "stratum_dim"), ((0, 12), (7,), 19), ((0, 12), (6,), 18)),
     (WallRecord, ("a", "a_sq", "pairing_va", "gamma", "curve", "wall_type"), (A, -2, 7, Fraction(2, 7), CURVE, "flopping"), (A, -2, 7, Fraction(2, 7), None, "flopping")),
     (MovableCone, ("n", "gamma_min", "gamma_max"), (10, Fraction(0), Fraction(1, 3)), (10, Fraction(0), Fraction(2, 7))),
     (WallSearch, ("vector", "records", "complete", "mode", "n", "m", "source_vector"), (V, (RECORD,), True, "hilbert", 10, None, None), (V, (), True, "hilbert", 10, None, None)),

@@ -52,6 +52,33 @@ def test_movable_cone_boundaries(n, expected):
     assert cone.gamma_max == expected
 
 
+def test_hilbert_tables_match_closed_forms():
+    """Every Hilbert table for d <= 7, n <= 60 against Bayer-Macri
+    Prop. 10.3 (the nef cone) and Prop. 13.1 (the Lagrangian end), written
+    in frozen.py from d and n alone.  Tables that raise are out of scope."""
+    nef_checked = split_checked = 0
+    for d in range(1, 8):
+        p = SurfaceParams(d)
+        for n in range(2, 61):
+            try:
+                rows = hilbert_walls(n, p=p).records
+            except ValueError:
+                continue
+            nef = frozen.nef_gamma(n, d)
+            if nef is not None:
+                assert next(r.gamma for r in rows if r.gamma > 0) == nef, (n, d)
+                nef_checked += 1
+            lagrangian = frozen.lagrangian_gamma(n, d)
+            types = [r.wall_type for r in rows]
+            if lagrangian is None:
+                assert "boundary_lagrangian" not in types, (n, d)
+            else:
+                assert (rows[-1].gamma, types[-1]) == (lagrangian, "boundary_lagrangian"), (n, d)
+                assert types.count("boundary_lagrangian") == 1, (n, d)
+                split_checked += 1
+    assert nef_checked and split_checked
+
+
 def test_gamma_circle_identity():
     """For every semicircular wall of S^[n]: center = -1/gamma and
     radius^2 = 1/gamma^2 - (n - 1)."""

@@ -240,13 +240,18 @@ def _base_points(search) -> list:
 
 
 def _strata(v, rec, p, parts_max: int) -> list:
-    """Each decomposition of the crossing groups with its stratum_dims."""
+    """Each decomposition of the crossing groups with its stratum_dims,
+    read as (part_moduli_dims, fiber_dims, stratum_dim).  Those three
+    fields are what decompose prints; the repr of DimReport is not
+    compared, because trees that carry a fourth field (total_space_dim,
+    moduli_dim(v)) print a different repr for the same dimensions."""
     from k3walls import crossing
 
     out = []
     for dec in crossing.decompositions(v, rec, parts_max=parts_max, p=p):
         try:
-            out.append((dec, crossing.stratum_dims(dec.parts, v, p)))
+            dims = crossing.stratum_dims(dec.parts, v, p)
+            out.append((dec, (dims.part_moduli_dims, dims.fiber_dims, dims.stratum_dim)))
         except ValueError as exc:
             out.append((dec, f"ValueError: {exc}"))
     return out
