@@ -121,20 +121,15 @@ class Semicircle(_Value):
 WallCurve = VerticalLine | Semicircle
 
 
-def _wall_minors(v: MukaiVector, a: MukaiVector) -> tuple[int, int, int]:
-    P = a.r * v.c - v.r * a.c
-    B = a.r * v.s - v.r * a.s
-    C = v.c * a.s - a.c * v.s
-    return P, B, C
-
-
 def wall_locus(v: MukaiVector, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> WallCurve:
     """The numerical wall W(v, a) = { Z(a)/Z(v) real } in the upper half plane.
 
     Raises ValueError when a is proportional to v (no wall) and when the
     locus misses the half plane entirely (empty wall).
     """
-    P, B, C = _wall_minors(v, a)
+    P = a.r * v.c - v.r * a.c
+    B = a.r * v.s - v.r * a.s
+    C = v.c * a.s - a.c * v.s
     d = p.d
     if P == 0:
         if B == 0:

@@ -39,8 +39,13 @@ descending lambda):
     fiber step i:             <u_1 + ... + u_i, u_{i+1}> - 1
     stratum dimension:        sum of both columns
 
-A negative fiber step means the corresponding extension stratum is not
-effective and is reported as an error.
+The first negative fiber step is reported as an error, "the extension
+stratum is not effective".  That check reads the parts in the listed
+order, and with repeated parts the verdict can depend on it: for S^[10]
+at gamma = 4/13, with a = (1, -2, 4) and b = (-1, 4, -17), the order
+(a, a, b) that decompositions returns raises at fiber -1, while
+(b, a, a) has part dimensions (0, 2, 2), fibers (4, 4) and stratum
+dimension 12.
 """
 
 from __future__ import annotations
@@ -276,14 +281,16 @@ def stratum_dims(
     """Moduli and iterated-extension fiber dimensions of a stratum, in the
     given part order.  Generic stable objects of distinct classes u, w have
     dim Ext^1 = <u, w>, so fiber i, the projective space of those
-    extensions, has dimension <u_1 + ... + u_i, u_{i+1}> - 1.  v must be
-    primitive; its own moduli dimension is moduli_dim(v)."""
+    extensions, has dimension <u_1 + ... + u_i, u_{i+1}> - 1; the first
+    negative fiber raises, in the order given, so another order of the same
+    parts may pass (see the module docstring).  v must be primitive; its
+    own moduli dimension is moduli_dim(v)."""
     if not v.is_primitive():
         raise ValueError(f"stratum_dims expects a primitive class, got {v}")
     parts = [MukaiVector.coerce(u) for u in parts]
     if len(parts) < 2:
         raise ValueError("a decomposition needs at least two parts")
-    if MukaiVector(sum(u.r for u in parts), sum(u.c for u in parts), sum(u.s for u in parts)) != v:
+    if (sum(u.r for u in parts), sum(u.c for u in parts), sum(u.s for u in parts)) != v.as_tuple():
         raise ValueError(f"parts do not sum to {v}")
     moduli = tuple(_part_dim(u, p) for u in parts)
     fibers = []

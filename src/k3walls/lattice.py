@@ -92,16 +92,6 @@ class MukaiVector(_Value):
         _setattr(self, "c", c)
         _setattr(self, "s", s)
 
-    # The decomposition knapsack compares a sum with v at every leaf; the
-    # written-out comparison builds no field tuples.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.r == other.r and self.c == other.c and self.s == other.s
-        return NotImplemented
-
-    # defining __eq__ clears the inherited hash
-    __hash__ = _Value.__hash__
-
     # -- basic group structure ------------------------------------------------
 
     def __add__(self, other: "MukaiVector") -> "MukaiVector":

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .report import _ratio_str, frac_str
+from .report import _ratio_str, frac_str, vector_str
 
 WIDTH = 800
 HEIGHT = 480
@@ -45,27 +45,23 @@ def _float(q: dict) -> float:
     return q["num"] / q["den"]
 
 
-def _curve_extent(curve: dict) -> tuple[float, float, float]:
-    """(x lo, x hi, top y) of one wall curve in plane coordinates."""
+def _wall_extent(wall: dict, marker_sq: tuple[int, int]) -> tuple[float, float, float] | None:
+    """(x lo, x hi, top y) in plane coordinates of a wall that reaches above
+    the marker line, else None.  Vertical lines always reach; semicircles
+    need radius^2 > marker^2, marker_sq = (num, den) (exact
+    cross-multiplication; both denominators are positive)."""
+    curve = wall["curve"]
+    if curve is None:
+        return None
     if curve["kind"] == "vertical_line":
         x0 = _float(curve["x0"])
         return x0, x0, 0.0
-    center = _float(curve["center"])
-    radius = math.sqrt(_float(curve["radius_sq"]))
-    return center - radius, center + radius, radius
-
-
-def _above_marker(wall: dict, marker_sq: tuple[int, int]) -> bool:
-    """Does the wall reach above the marker line?  Vertical lines always
-    do; semicircles need radius^2 > marker^2, marker_sq = (num, den)
-    (exact cross-multiplication; both denominators are positive)."""
-    curve = wall["curve"]
-    if curve is None:
-        return False
-    if curve["kind"] == "vertical_line":
-        return True
     rho_sq = curve["radius_sq"]
-    return rho_sq["num"] * marker_sq[1] > marker_sq[0] * rho_sq["den"]
+    if rho_sq["num"] * marker_sq[1] > marker_sq[0] * rho_sq["den"]:
+        center = _float(curve["center"])
+        radius = math.sqrt(_float(rho_sq))
+        return center - radius, center + radius, radius
+    return None
 
 
 def _fitted_ranges(extents: list, y_marker: float) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -119,12 +115,11 @@ def render_figure(
 ) -> str:
     marker = float(y_marker)
     marker_sq = (y_marker * y_marker).as_integer_ratio()
-    walls = [wall for wall in payload["walls"] if _above_marker(wall, marker_sq)]
-    extents = [_curve_extent(wall["curve"]) for wall in walls]
-    auto_x, auto_y = _fitted_ranges(extents, marker)
+    drawn = [(wall, extent) for wall in payload["walls"] if (extent := _wall_extent(wall, marker_sq)) is not None]
+    auto_x, auto_y = _fitted_ranges([extent for _, extent in drawn], marker)
     cv = _Canvas(x_range or auto_x, y_range or auto_y, precision)
 
-    title = f"Walls for v = ({', '.join(str(c) for c in payload['vector'])}), d = {payload['surface']['d']}"
+    title = f"Walls for v = {vector_str(payload['vector'])}, d = {payload['surface']['d']}"
     left, right = cv.px(cv.x0), cv.px(cv.x1)
     top, bottom = cv.py(cv.y1), cv.py(cv.y0)
 
@@ -184,7 +179,7 @@ def render_figure(
     lx = WIDTH - MARGIN_RIGHT + 14
     swatch_x1, swatch_x2, label_x = fmt(lx), fmt(lx + 22), fmt(lx + 28)
     legend: list[str] = []
-    for wall, (lo, hi, _) in zip(walls, extents):
+    for wall, (lo, hi, _) in drawn:
         if hi < cv.x0 or lo > cv.x1:
             continue
         color = PALETTE[len(legend) % len(PALETTE)]

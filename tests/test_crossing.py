@@ -12,7 +12,7 @@ import math
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -526,38 +526,60 @@ def _pairing(u, w):
     return 2 * u[1] * w[1] - u[0] * w[2] - w[0] * u[2]
 
 
+def _closed_form_dims(parts):
+    """(moduli, fibers, message) of component tuples in the given order:
+    moduli u^2 + 2, fibers <u_1 + ... + u_i, u_{i+1}> - 1 and, at the
+    first negative fiber, the stratum_dims message (else None)."""
+    moduli = [_pairing(u, u) + 2 for u in parts]
+    fibers, partial = [], parts[0]
+    for u in parts[1:]:
+        f = _pairing(partial, u) - 1
+        if f < 0:
+            return moduli, fibers, (
+                f"negative fiber dimension {f} at part {MukaiVector(*u)}; the extension stratum is not effective"
+            )
+        fibers.append(f)
+        partial = tuple(a + b for a, b in zip(partial, u))
+    return moduli, fibers, None
+
+
+def _check_stratum_dims(parts, v):
+    """stratum_dims of the parts against the closed form; True when the
+    stratum is effective in this order."""
+    moduli, fibers, message = _closed_form_dims([u.as_tuple() for u in parts])
+    if message is not None:
+        with pytest.raises(ValueError) as exc:
+            stratum_dims(parts, v)
+        assert str(exc.value) == message
+        return False
+    report = stratum_dims(parts, v)
+    assert report.part_moduli_dims == tuple(moduli)
+    assert report.fiber_dims == tuple(fibers)
+    assert report.stratum_dim == sum(moduli) + sum(fibers)
+    return True
+
+
 def test_stratum_dims_pairing_closed_form():
     # Every complete decomposition above, in the order decompositions
-    # returns its parts: moduli u^2 + 2, fibers <u_1 + ... + u_i, u_{i+1}> - 1
-    # and the message at the first negative fiber, from plain tuples.
+    # returns its parts, and with at most four parts in every distinct
+    # order: the not-effective verdict reads the parts in the order given.
     effective = not_effective = 0
+    reorderable = set()  # not effective as listed, effective in another order
     for v, _, decs in _complete_decompositions():
         assert moduli_dim(v) == _pairing(v.as_tuple(), v.as_tuple()) + 2
         for d in decs:
-            parts = [u.as_tuple() for u in d.parts]
-            moduli = [_pairing(u, u) + 2 for u in parts]
-            fibers, partial, message = [], parts[0], None
-            for u in parts[1:]:
-                f = _pairing(partial, u) - 1
-                if f < 0:
-                    message = (
-                        f"negative fiber dimension {f} at part {MukaiVector(*u)}; the extension stratum is not effective"
-                    )
-                    break
-                fibers.append(f)
-                partial = tuple(a + b for a, b in zip(partial, u))
-            if message is not None:
-                not_effective += 1
-                with pytest.raises(ValueError) as exc:
-                    stratum_dims(d.parts, v)
-                assert str(exc.value) == message
-                continue
-            effective += 1
-            report = stratum_dims(d.parts, v)
-            assert report.part_moduli_dims == tuple(moduli)
-            assert report.fiber_dims == tuple(fibers)
-            assert report.stratum_dim == sum(moduli) + sum(fibers)
+            listed = _check_stratum_dims(d.parts, v)
+            effective += listed
+            not_effective += not listed
+            if len(d.parts) <= 4:
+                orders = [_check_stratum_dims(order, v) for order in set(permutations(d.parts))]
+                if not listed and any(orders):
+                    reorderable.add((v.as_tuple(), tuple(u.as_tuple() for u in d.parts)))
     assert effective and not_effective
+    # S^[10] at 4/13: (a, a, b) raises at fiber -1, (b, a, a) has fibers (4, 4)
+    a, b = (1, -2, 4), (-1, 4, -17)
+    assert ((1, 0, -9), (a, a, b)) in reorderable
+    assert _closed_form_dims((b, a, a)) == ([0, 2, 2], [4, 4], None)
 
 
 def test_wall_without_decompositions():

@@ -141,7 +141,7 @@ def test_integer_kernels_build_no_fraction():
 # and path_intersection builds one Fraction: the y^2 of a hit
 ROW_HELPERS = {
     "report.py": {"_wall_rows", "_curve_cells"},
-    "svgfig.py": {"_legend_label", "_above_marker"},
+    "svgfig.py": {"_legend_label", "_wall_extent"},
 }
 
 

@@ -102,7 +102,8 @@ small = st.integers(-2, 2)
 
 @given(st.tuples(small, small, small), st.tuples(small, small, small))
 def test_mukai_vector_equality_is_field_wise(a, b):
-    # MukaiVector writes its own __eq__; it must agree with the field tuples
+    # MukaiVector inherits _Value.__eq__ and __hash__: they must agree with
+    # the field tuples
     u, w = MukaiVector(*a), MukaiVector(*b)
     assert (u == w) is (a == b)
     assert (u != w) is (a != b)
