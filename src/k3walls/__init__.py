@@ -34,14 +34,12 @@ from .crossing import (
 )
 from .lattice import (
     DEFAULT_SURFACE,
-    Autoequivalence,
     MukaiVector,
     SurfaceParams,
     dual_shift,
     line_bundle_vector,
     mukai_pairing,
     mukai_square,
-    phi,
     phi_pullback,
     phi_pushforward,
     spherical_reflect,
@@ -66,7 +64,6 @@ from .walls import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Autoequivalence",
     "ComplexValue",
     "DEFAULT_SURFACE",
     "DEGENERATE",
@@ -98,7 +95,6 @@ __all__ = [
     "mukai_square",
     "path_intersection",
     "phase",
-    "phi",
     "phi_pullback",
     "phi_pushforward",
     "positive_classes",

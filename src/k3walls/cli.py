@@ -195,8 +195,12 @@ def cmd_decompose(args) -> tuple[str, bool]:
     else:
         matches = [r for r in search.records if r.gamma == args.gamma]
         if not matches:
+            missing = f"no wall with slope {report.frac_str(args.gamma)}"
             available = ", ".join(report.frac_str(r.gamma) for r in search.records if r.gamma is not None)
-            raise ValueError(f"no wall with slope {report.frac_str(args.gamma)}; available slopes: {available or 'none'}")
+            if search.records and not available:
+                rows = len(search.records)
+                raise ValueError(f"{missing}; none of the {rows} rows has a slope, select one with --wall-index 0..{rows - 1}")
+            raise ValueError(f"{missing}; available slopes: {available or 'none'}")
         rec = matches[0]
     entries = []
     for dec in decompositions(v, rec, parts_max=args.parts_max, p=p):
@@ -216,18 +220,14 @@ def cmd_decompose(args) -> tuple[str, bool]:
 def cmd_transport(args) -> tuple[str, bool]:
     base, p = _wall_search(args)
     search = transport_search(base, args.m, p)
+    payload = report.walls_payload(search, p)
     if args.gamma_min is not None:
-        kept = tuple(rec for rec in search.records if rec.gamma is not None and rec.gamma >= args.gamma_min)
-        search = WallSearch(
-            vector=search.vector,
-            records=kept,
-            complete=search.complete,
-            mode=search.mode,
-            n=search.n,
-            m=search.m,
-            source_vector=search.source_vector,
-        )
-    return report.render("walls", report.walls_payload(search, p), args.format), search.complete
+        payload["walls"] = [
+            wall
+            for wall, rec in zip(payload["walls"], search.records)
+            if rec.gamma is not None and rec.gamma >= args.gamma_min
+        ]
+    return report.render("walls", payload, args.format), search.complete
 
 
 def cmd_figure(args) -> tuple[str, bool]:

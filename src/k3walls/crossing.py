@@ -144,12 +144,11 @@ def _levelled_classes(
     bez = x * b1 + y * b2  # on level 1
     k0 = p2 * b1 - p1 * b2  # spans level 0
     a2 = mukai_square(k0, p)
-    if a2 >= 0:
-        raise ValueError("the wall kernel is not negative definite; not a wall of geometric stability")
     b, c = 2 * mukai_pairing(bez, k0, p), mukai_square(bez, p)
     D, E = b * b - 4 * a2 * c, -8 * a2
-    if D <= 0:
-        raise ValueError("the wall plane is not hyperbolic; not a wall of geometric stability")
+    # D = -4 det Q > 0, as the wall of (v, a) is a semicircle; a2 < 0, as
+    # l_v != 0 makes Z(k0) = 0 at the apex, so k0^2 = -2d r(k0)^2 y^2
+    assert a2 < 0 < D
 
     t_v = (2 * mukai_pairing(v, k0, p) - level_count * b) // (2 * a2)  # v = N*bez + t_v*k0
     h = math.gcd(level_count, t_v)

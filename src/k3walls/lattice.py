@@ -196,34 +196,3 @@ def phi_pullback(u: MukaiVector, m: int, p: SurfaceParams = DEFAULT_SURFACE) -> 
     untwisted = tensor_twist(u, -m, p)
     return spherical_reflect(untwisted, line_bundle_vector(-m, p), p)
 
-
-class Autoequivalence(_Value):
-    """A word in the lattice-acting generators, applied left to right.
-
-    Each step is a pair (kind, argument) with kind one of "twist"
-    (tensor by O(kH)), "reflect_line" (spherical twist in O(kH)) and
-    "dual_shift" (argument ignored).
-    """
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: tuple[tuple[str, int], ...]) -> None:
-        _setattr(self, "word", word)
-
-    def apply(self, u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> MukaiVector:
-        out = u
-        for kind, arg in self.word:
-            if kind == "twist":
-                out = tensor_twist(out, arg, p)
-            elif kind == "reflect_line":
-                out = spherical_reflect(out, line_bundle_vector(arg, p), p)
-            elif kind == "dual_shift":
-                out = dual_shift(out)
-            else:
-                raise ValueError(f"unknown autoequivalence generator {kind!r}")
-        return out
-
-
-def phi(m: int) -> Autoequivalence:
-    """The comparison autoequivalence Phi_m as an explicit word."""
-    return Autoequivalence((("reflect_line", -m), ("twist", m)))

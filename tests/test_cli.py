@@ -484,6 +484,8 @@ def test_usage_errors_name_the_bad_value(argv, last_line):
         # checked before the search, which finds no wall at slope 1/2
         (["decompose", "--vector", "0,2,-2", "--gamma", "1/2"], "decompose needs a primitive vector; (0, 2, -2) is 2 x (0, 1, -1)"),
         (["figure", "--n", "10", "--xrange", "1,0"], "figure ranges must be increasing intervals"),
+        # candidate rows have no slope: name the rows --wall-index selects
+        (["decompose", "--vector", "0,2,1", "--gamma", "1/2"], "none of the 6 rows has a slope, select one with --wall-index 0..5"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):

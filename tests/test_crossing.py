@@ -12,7 +12,7 @@ import math
 import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -38,7 +38,7 @@ from k3walls import (
 )
 from k3walls.charge import Semicircle, StabilityPoint
 from k3walls.cli import main
-from k3walls.crossing import _part_dim, _plane_basis
+from k3walls.crossing import _levelled_classes, _part_dim, _plane_basis
 
 F = Fraction
 
@@ -217,6 +217,32 @@ def test_positive_classes_rejects_boundary_record():
     w = _wall(V10, F(1, 3))
     with pytest.raises(ValueError, match="semicircular wall"):
         positive_classes(V10, w)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_only_plane_error_is_vanishing_charge(d):
+    """Over every semicircular wall_locus(v, a) with |components| <= 2, the
+    level walk returns, or raises because Im Z(v) = c - x*r is 0 at the
+    apex x: a semicircle gives a hyperbolic plane and a negative k0^2."""
+    p = SurfaceParams(d)
+    box = [MukaiVector(*t) for t in product(range(-2, 3), repeat=3)]
+    walls = vanishing = 0
+    for v, a in product(box, box):
+        try:
+            curve = wall_locus(v, a, p)
+        except ValueError:
+            continue
+        if not isinstance(curve, Semicircle):
+            continue
+        walls += 1
+        w = WallRecord(a, mukai_square(a, p), mukai_pairing(v, a, p), None, curve, "candidate")
+        if v.c == curve.center_x * v.r:
+            vanishing += 1
+            with pytest.raises(ValueError, match="vanishing charge at the wall apex"):
+                _levelled_classes(v, w, p)
+        else:
+            _levelled_classes(v, w, p)
+    assert (walls, vanishing) == {1: (7328, 304), 2: (7008, 176)}[d]
 
 
 # ---------------------------------------------------------------------------

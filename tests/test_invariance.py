@@ -1,5 +1,5 @@
-"""Autoequivalence invariance: the walls of a vector's image under a twist
-or the dual shift, against the walls of the vector itself.
+"""Invariance under a twist or the dual shift: the walls of a vector's
+image, against the walls of the vector itself.
 
 Tensoring by O(jH) maps u = (r, c, s) to (r, c + rj, s + 2dcj + drj^2),
 and Z_{x,y}(u twisted) = Z_{x-j,y}(u), so every wall moves by x -> x + j

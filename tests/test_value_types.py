@@ -1,4 +1,5 @@
-"""The contract of the public value types, and what importing the CLI costs.
+"""The public surface, the contract of its value types, and what importing
+the CLI costs.
 
 Every value type behaves like a frozen dataclass with the same fields:
 same repr, equality by class and fields, the same hash, no assignment or
@@ -13,14 +14,15 @@ import os
 import pickle
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import k3walls
 from k3walls import (
-    Autoequivalence,
     ComplexValue,
     Decomposition,
     DimReport,
@@ -46,7 +48,6 @@ RECORD = WallRecord(A, -2, 7, Fraction(2, 7), CURVE, "flopping")
 CASES = [
     (SurfaceParams, ("d",), (2,), (3,)),
     (MukaiVector, ("r", "c", "s"), (1, 0, -9), (1, 0, -8)),
-    (Autoequivalence, ("word",), ((("reflect_line", -3), ("twist", 3)),), ((("dual_shift", 0),),)),
     (StabilityPoint, ("x", "y_sq"), (Fraction(-1, 2), Fraction(3)), (0, 1)),
     (ComplexValue, ("re", "im_coeff", "y_sq"), (Fraction(1), Fraction(-2, 3), Fraction(4)), (Fraction(1), Fraction(2, 3), Fraction(4))),
     (VerticalLine, ("x0",), (Fraction(1, 3),), (Fraction(-1, 3),)),
@@ -67,8 +68,22 @@ def _twin(cls, names, obj):
 
 
 def test_every_public_value_type_is_covered():
-    assert len(CASES) == 12
-    assert len(set(IDS)) == 12
+    assert len(CASES) == 11
+    assert len(set(IDS)) == 11
+
+
+def test_all_is_the_public_surface():
+    """__all__ names every public non-module attribute of k3walls, once."""
+    names = k3walls.__all__
+    assert len(names) == len(set(names)) == 43
+    for name in names:
+        getattr(k3walls, name)
+    public = {
+        name
+        for name, value in vars(k3walls).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert set(names) == public
 
 
 @pytest.mark.parametrize("cls,names,args,other_args", CASES, ids=IDS)
