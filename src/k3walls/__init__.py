@@ -19,7 +19,6 @@ from .charge import (
     central_charge,
     geometric_check,
     path_intersection,
-    phase,
     wall_discriminant,
     wall_locus,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "mukai_pairing",
     "mukai_square",
     "path_intersection",
-    "phase",
     "phi_pullback",
     "phi_pushforward",
     "positive_classes",

@@ -29,7 +29,6 @@ to lattice data and is exercised by the property tests.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
@@ -59,9 +58,6 @@ class ComplexValue(_Value):
         _setattr(self, "im_coeff", im_coeff)
         _setattr(self, "y_sq", y_sq)
 
-    def is_zero(self) -> bool:
-        return self.re == 0 and self.im_coeff == 0
-
     def times_conj(self, other: "ComplexValue") -> tuple[Fraction, Fraction]:
         """Exact real part and imaginary coefficient of self * conj(other)."""
         if self.y_sq != other.y_sq:
@@ -79,22 +75,6 @@ def central_charge(u: MukaiVector, pt: StabilityPoint, p: SurfaceParams = DEFAUL
     re = 2 * d * u.c * x - u.s - u.r * d * (x * x - ysq)
     im_coeff = 2 * d * (u.c - u.r * x)
     return ComplexValue(Fraction(re), Fraction(im_coeff), ysq)
-
-
-def phase(z: ComplexValue) -> float:
-    """arg(Z)/pi folded into (0, 1]; positive reals get phase 1.
-
-    The fold identifies opposite rays and the value is a float, so it is
-    for display; ComplexValue.times_conj is the exact comparison of two
-    charges for callers.  The package itself orders walls by the integer
-    keys of the wall searches and classes by their charge levels.
-    """
-    if z.is_zero():
-        raise ValueError("phase of the zero charge is undefined")
-    t = math.atan2(float(z.im_coeff) * math.sqrt(float(z.y_sq)), float(z.re)) / math.pi
-    if t <= 0.0:
-        t += 1.0
-    return t
 
 
 class VerticalLine(_Value):

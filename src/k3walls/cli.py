@@ -222,6 +222,8 @@ def cmd_transport(args) -> tuple[str, bool]:
     search = transport_search(base, args.m, p)
     payload = report.walls_payload(search, p)
     if args.gamma_min is not None:
+        if search.records and all(rec.gamma is None for rec in search.records):
+            raise ValueError(f"--gamma-min keeps rows by slope; none of the {len(search.records)} rows has one")
         payload["walls"] = [
             wall
             for wall, rec in zip(payload["walls"], search.records)

@@ -597,9 +597,9 @@ def candidate_walls(
     if v.is_zero():
         raise ValueError("candidate search needs a nonzero vector")
     if v.r != 0:
-        raise ValueError(
-            f"candidate search supports rank-zero vectors only; for {v} use the criterion enumeration"
-        )
+        n = hilbert_n_of(v)
+        hint = "" if n is None else f"; S^[{n}] has the exact search (hilbert_walls, --n {n})"
+        raise ValueError(f"candidate search supports rank-zero vectors only, not {v}{hint}")
     if v.c == 0:
         # (0, 0, s): every numerical wall is a vertical line, so the
         # radius filter leaves nothing.
@@ -662,6 +662,6 @@ def resolve_walls(
     if v.r == 0:
         return candidate_walls(v, r_max, p, y_min=y_min)
     raise ValueError(
-        f"no wall enumeration available for {v}: expected (1, 0, 1-n), a rank-zero vector, "
-        "or candidate mode"
+        f"no wall enumeration available for {v}: searches exist for (1, 0, 1-n) with n >= 2 "
+        "and for rank-zero vectors"
     )

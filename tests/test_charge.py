@@ -18,7 +18,6 @@ from k3walls import (
     mukai_pairing,
     mukai_square,
     path_intersection,
-    phase,
     tensor_twist,
     wall_discriminant,
     wall_locus,
@@ -49,16 +48,6 @@ def test_stability_point_validation():
         StabilityPoint(F(0), y_sq=F(0))
     with pytest.raises(TypeError):
         StabilityPoint(F(0))
-
-
-def test_phase_conventions():
-    pt = StabilityPoint(F(0), y_sq=F(4))
-    one = central_charge(MukaiVector(0, 0, -1), pt)  # Z = 1
-    assert phase(one) == 1.0
-    up = central_charge(MukaiVector(0, 1, 0), pt)  # Z = 2iy
-    assert phase(up) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        phase(central_charge(MukaiVector(0, 0, 0), pt))
 
 
 def test_alignment_on_wall():

@@ -486,6 +486,12 @@ def test_usage_errors_name_the_bad_value(argv, last_line):
         (["figure", "--n", "10", "--xrange", "1,0"], "figure ranges must be increasing intervals"),
         # candidate rows have no slope: name the rows --wall-index selects
         (["decompose", "--vector", "0,2,1", "--gamma", "1/2"], "none of the 6 rows has a slope, select one with --wall-index 0..5"),
+        # each dispatch error names the searches that do apply
+        (["walls", "--vector", "2,1,1"], "searches exist for (1, 0, 1-n) with n >= 2 and for rank-zero vectors"),
+        (["walls", "--vector", "2,1,1", "--candidates"], "rank-zero vectors only, not (2, 1, 1)"),
+        (["walls", "--vector", "1,0,-9", "--candidates"], "S^[10] has the exact search (hilbert_walls, --n 10)"),
+        # candidate rows have no slope for --gamma-min to keep
+        (["transport", "--vector", "0,2,1", "--m", "1", "--gamma-min", "0"], "--gamma-min keeps rows by slope; none of the 6 rows has one"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):

@@ -2,9 +2,9 @@
 constant in the code that decides walls, crossings and stability.
 
 The wall search (walls.py), the wall-crossing decompositions
-(crossing.py) and the lattice (lattice.py) stay in integers and
-Fractions throughout.  In charge.py a float appears only in the display
-members listed in CHARGE_DISPLAY.
+(crossing.py), the lattice (lattice.py) and the central charges, wall
+loci and geometric checks (charge.py) stay in integers and Fractions
+throughout, with no exempt member.
 The integer kernels of walls.py build no Fraction at all, the per-row
 render helpers neither a Fraction nor a frac_str, path_intersection one
 Fraction (its hit), and no module calls json.dumps with an indent.
@@ -14,10 +14,9 @@ import ast
 from pathlib import Path
 
 import k3walls
-from k3walls import charge
 
 SRC = Path(k3walls.__file__).parent
-CHARGE_DISPLAY = {"phase"}
+DECISION_MODULES = ("walls.py", "crossing.py", "lattice.py", "charge.py")
 
 
 def _nodes(source: str, matches) -> list[tuple[str, int]]:
@@ -80,7 +79,7 @@ def test_guard_sees_float_calls():
 
 
 def test_wall_search_and_crossings_have_no_float_calls():
-    for name in ("walls.py", "crossing.py"):
+    for name in DECISION_MODULES:
         assert _calls((SRC / name).read_text(), _is_float_call) == [], name
 
 
@@ -93,21 +92,9 @@ def test_guard_sees_float_literals():
     assert _float_literals(source) == [("f", 2), ("C.g", 5), ("C.g", 5)]
 
 
-def test_no_float_literals_outside_charge_display():
-    for name in ("walls.py", "crossing.py", "lattice.py"):
+def test_decision_modules_have_no_float_literals():
+    for name in DECISION_MODULES:
         assert _float_literals((SRC / name).read_text()) == [], name
-    literals = _float_literals((SRC / "charge.py").read_text())
-    assert [(scope, line) for scope, line in literals if scope not in CHARGE_DISPLAY] == []
-
-
-def test_charge_floats_only_in_display_members():
-    calls = _calls((SRC / "charge.py").read_text(), _is_float_call)
-    assert [(scope, line) for scope, line in calls if scope not in CHARGE_DISPLAY] == []
-    # every allow-listed member exists: a stale entry fails here
-    for name in CHARGE_DISPLAY:
-        target = charge
-        for part in name.split("."):
-            target = getattr(target, part)
 
 
 # the integer kernels of a wall table build no Fraction, and json output
