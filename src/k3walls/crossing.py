@@ -11,9 +11,12 @@ stable locus is nonempty (u primitive, or a multiple of a class of
 positive square).  A decomposition of v is a multiset of positive classes
 summing to v.  In the plane coordinates (j, t) below, v = N*bez + t_v*k0,
 so a multiset sums to v exactly when its levels sum to N and its t to
-t_v: the search is an exact integer knapsack on (j, t) that extends a
-multiset only while its levels stay below N, and looks its last part up
-as the one class at the (j, t) that is left.
+t_v: the search is an exact integer knapsack on (j, t), run on an
+explicit stack.  It extends a multiset with a class only while what v
+still lacks passes the level cap, the cone and the lattice of the
+classes it may still take (see decompositions).  Those tests are
+necessary conditions only, but in practice they leave the search few
+multisets that lead nowhere, at any cap on their length.
 
 The plane has a unimodular basis (bez, k0) with bez on level 1 and k0
 spanning level 0.  In it the class u = j*bez + t*k0 has
@@ -55,12 +58,12 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .charge import Semicircle, StabilityPoint, wall_locus
-from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
+from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_square
 from .walls import WallRecord
 
 
-def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[MukaiVector, MukaiVector]:
-    """Integer basis (b1, b2) of the saturation of span(v, a) in the lattice.
+def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Integer basis (b1, b2), as (r, c, s) triples, of the saturation of span(v, a).
 
     The plane is { u : u . n = 0 } for the primitive normal n = (v x a)/g;
     the construction spans that whole orthogonal lattice, certified by
@@ -74,11 +77,11 @@ def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[MukaiVector, MukaiVect
         raise ValueError(f"classes {v} and {a} are proportional")
     n1, n2, n3 = x // g, y // g, z // g
     if n2 == 0 and n3 == 0:
-        return MukaiVector(0, 1, 0), MukaiVector(0, 0, 1)
+        return (0, 1, 0), (0, 0, 1)
     h = math.gcd(n2, n3)
     # alpha*n2 + beta*n3 = h
     alpha, beta = _bezout(n2 // h, n3 // h)
-    return MukaiVector(0, -n3 // h, n2 // h), MukaiVector(h, -alpha * n1, -beta * n1)
+    return (0, -n3 // h, n2 // h), (h, -alpha * n1, -beta * n1)
 
 
 def _bezout(a: int, b: int) -> tuple[int, int]:
@@ -117,40 +120,49 @@ def wall_base_point(w: WallRecord, side: str = "on", epsilon: Fraction = Fractio
 
 def _levelled_classes(
     v: MukaiVector, w: WallRecord, p: SurfaceParams
-) -> tuple[int, int, list[tuple[int, int, MukaiVector]]]:
-    """(N, t_v, [(j, t, u), ...]): v = N*bez + t_v*k0 and the positive
-    classes u = j*bez + t*k0 of the wall, with lambda(u) = j/N, sorted by
-    descending j, ties by (r, c, s): one step per line beta = N*t - t_v*j
-    between its j = 0 and j = N bounds (2N + O(area)), each with at most
-    h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
-    if w.curve is None or not isinstance(w.curve, Semicircle):
+) -> tuple[int, int, list[tuple[int, int, tuple[int, int, int]]]]:
+    """(N, t_v, [(j, t, (r, c, s)), ...]): v = N*bez + t_v*k0 and the positive
+    classes u = j*bez + t*k0 = (r, c, s) of the wall, with lambda(u) = j/N,
+    sorted by descending j, ties by (r, c, s): one step per line
+    beta = N*t - t_v*j between its j = 0 and j = N bounds (2N + O(area)),
+    each with at most h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
+    curve = w.curve
+    if not isinstance(curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
-    if wall_locus(v, w.a, p) != w.curve:
-        raise ValueError("record curve is not the wall of (v, a): charges do not align at the apex")
-    b1, b2 = _plane_basis(v, w.a)
+    num, den = curve.center_x.numerator, curve.center_x.denominator
+    rad_n, rad_d = curve.radius_sq.numerator, curve.radius_sq.denominator
+    a, d = w.a, p.d
+    # the curve is wall_locus(v, a) exactly when these integer identities
+    # hold (P, B, C as there); only a mismatch pays for the Fractions
+    P, B, C = a.r * v.c - v.r * a.c, a.r * v.s - v.r * a.s, v.c * a.s - a.c * v.s
+    two_dp = 2 * d * P
+    if not (P and B * den == two_dp * num and (B * B + 4 * d * P * C) * rad_d == two_dp * two_dp * rad_n > 0):
+        if wall_locus(v, a, p) != curve:
+            raise ValueError("record curve is not the wall of (v, a): charges do not align at the apex")
+    (r1, c1, s1), (r2, c2, s2) = _plane_basis(v, a)
     # L(u) = den*c_u - num*r_u is den times Im Z(u) / 2dy at the apex
     # x = num/den, so lambda = L(u)/L(v); L(b1), L(b2) generate g*Z
-    num, den = w.curve.center_x.numerator, w.curve.center_x.denominator
     l_v = den * v.c - num * v.r
     if l_v == 0:
         raise ValueError("v has vanishing charge at the wall apex; not a wall for v")
     sign = 1 if l_v > 0 else -1
-    p1, p2 = (sign * (den * b.c - num * b.r) for b in (b1, b2))
+    p1, p2 = sign * (den * c1 - num * r1), sign * (den * c2 - num * r2)
     g = math.gcd(p1, p2)
     level_count = sign * l_v // g
     p1, p2 = p1 // g, p2 // g
 
     x, y = _bezout(p1, p2)
-    bez = x * b1 + y * b2  # on level 1
-    k0 = p2 * b1 - p1 * b2  # spans level 0
-    a2 = mukai_square(k0, p)
-    b, c = 2 * mukai_pairing(bez, k0, p), mukai_square(bez, p)
+    br, bc, bs = x * r1 + y * r2, x * c1 + y * c2, x * s1 + y * s2  # bez, on level 1
+    kr, kc, ks = p2 * r1 - p1 * r2, p2 * c1 - p1 * c2, p2 * s1 - p1 * s2  # k0, spans level 0
+    a2, c = 2 * (d * kc * kc - kr * ks), 2 * (d * bc * bc - br * bs)  # k0^2, bez^2
+    b = 2 * (2 * d * bc * kc - br * ks - kr * bs)  # 2<bez, k0>
     D, E = b * b - 4 * a2 * c, -8 * a2
     # D = -4 det Q > 0, as the wall of (v, a) is a semicircle; a2 < 0, as
     # l_v != 0 makes Z(k0) = 0 at the apex, so k0^2 = -2d r(k0)^2 y^2
     assert a2 < 0 < D
 
-    t_v = (2 * mukai_pairing(v, k0, p) - level_count * b) // (2 * a2)  # v = N*bez + t_v*k0
+    v_k0 = 2 * d * v.c * kc - v.r * ks - kr * v.s
+    t_v = (2 * v_k0 - level_count * b) // (2 * a2)  # v = N*bez + t_v*k0
     h = math.gcd(level_count, t_v)
     step, t_h = level_count // h, t_v // h
     kappa, inv = level_count * b + 2 * a2 * t_v, pow(t_h, -1, step)
@@ -158,8 +170,7 @@ def _levelled_classes(
     rn = (math.isqrt(level_count * level_count * D + E) + 1) * level_count
     lo, hi = min(-r0, -kappa * level_count - rn), max(r0, -kappa * level_count + rn)  # 2*a2*beta; q = beta/h
     two_abs_ah = -2 * a2 * h
-    (br, bc, bs), (kr, kc, ks) = bez.as_tuple(), k0.as_tuple()
-    found: list[tuple[int, int, MukaiVector]] = []
+    found: list[tuple[int, int, int, int, int]] = []
     for q in range(-(hi // two_abs_ah), -lo // two_abs_ah + 1):
         for j in range(-q * inv % step or step, level_count, step):
             t = (q + t_h * j) // step
@@ -172,9 +183,9 @@ def _levelled_classes(
             if sq <= 0 and math.gcd(ur, uc, us) != 1:
                 continue
             assert sign * (den * uc - num * ur) == j * g
-            found.append((j, t, MukaiVector(ur, uc, us)))
-    found.sort(key=lambda item: (-item[0], item[2].as_tuple()))
-    return level_count, t_v, found
+            found.append((-j, ur, uc, us, t))
+    found.sort()
+    return level_count, t_v, [(-j, t, (ur, uc, us)) for j, ur, uc, us, t in found]
 
 
 def positive_classes(
@@ -187,7 +198,7 @@ def positive_classes(
 
     Sorted by descending lambda, ties by (r, c, s).
     """
-    return tuple(u for _, _, u in _levelled_classes(v, w, p)[2])
+    return tuple(MukaiVector(*u) for _, _, u in _levelled_classes(v, w, p)[2])
 
 
 class Decomposition(_Value):
@@ -200,6 +211,33 @@ class Decomposition(_Value):
         _setattr(self, "parts", parts)
 
 
+def _suffix_reach(classes: list[tuple[int, int, tuple[int, int, int]]]) -> list[tuple[int, ...]]:
+    """Per index i: (j, t) of class i, the (j, t) of least and of greatest
+    slope t/j in classes[i:] and the Hermite form (a, b; 0, c) of the
+    lattice their (j, t) generate, c = 0 stored as 1: that lattice lies on
+    the one slope, where the cone test puts the remainder, so a | R is all."""
+    reach: list[tuple[int, ...]] = [()] * len(classes)
+    lo_j = lo_t = hi_j = hi_t = a = b = c = 0
+    for i in range(len(classes) - 1, -1, -1):
+        j, t, _ = classes[i]
+        if not a:
+            lo_j, lo_t, hi_j, hi_t, a, b = j, t, j, t, j, t
+        else:
+            if t * lo_j < lo_t * j:
+                lo_j, lo_t = j, t
+            elif t * hi_j > hi_t * j:
+                hi_j, hi_t = j, t
+            if j % a:  # (a, b) and (j, t) -> (g, x*b + y*t) and (0, (j*b - a*t)/g)
+                g = math.gcd(a, j)
+                x, y = _bezout(a // g, j // g)
+                a, b, c = g, x * b + y * t, math.gcd(c, (j * b - a * t) // g)
+            elif c != 1:  # else the lattice is Z^2 from here on
+                c = math.gcd(c, j // a * b - t)
+            b = b % c if c else b
+        reach[i] = (j, t, lo_j, lo_t, hi_j, hi_t, a, b, c or 1)
+    return reach
+
+
 def decompositions(
     v: MukaiVector,
     w: WallRecord,
@@ -209,36 +247,43 @@ def decompositions(
     """All multisets of positive classes of the wall summing to v, with
     between 2 and parts_max parts.
 
-    The search runs on the plane coordinates: with v = N*bez + t_v*k0 and
-    (bez, k0) a basis of the plane, parts sum to v exactly when their
-    levels sum to N and their t to t_v.  Every level is positive, so a
-    multiset of parts taken in class-list order extends only while its
-    level sum stays below N, and its last part is the one class at
-    (N - level, t_v - t), looked up, not searched.  Taking that class only
-    at or after the index of the part before it lists each multiset once,
-    in class-list order."""
+    Parts sum to v = N*bez + t_v*k0 exactly when their levels sum to N and
+    their t to t_v.  The search takes parts in class-list order, on an
+    explicit stack, so no cap reaches the recursion limit.  The last part
+    is the class at the (level, t) left, looked up and taken at or after
+    the part before it, so each multiset comes once, in class-list order.
+    A multiset is extended with class i only when what v lacks, (R, S),
+    passes three exact tests against classes[i:]: the level cap
+    R <= (parts left) * j_i, as levels descend; the cone, S/R between their
+    least and greatest t/j; and the lattice their (j, t) generate.  A test
+    failing at i fails at every later index, so it ends the loop."""
     if parts_max < 2:
         raise ValueError("parts_max must be at least 2")
     level_count, t_v, classes = _levelled_classes(v, w, p)
     index = {(j, t): i for i, (j, t, _) in enumerate(classes)}
-    results: list[tuple[MukaiVector, ...]] = []
+    reach = _suffix_reach(classes)
+    found: list[tuple[int, ...]] = []
+    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, level_count, t_v)]
+    while stack:
+        acc, start, left, t_left = stack.pop()  # (left, t_left): what v lacks
+        room = parts_max - len(acc)  # at least 2
+        for i in range(start, len(classes)):
+            j, t, lo_j, lo_t, hi_j, hi_t, a, b, c = reach[i]
+            if (left > room * j or t_left * lo_j < lo_t * left or t_left * hi_j > hi_t * left
+                    or left % a or (t_left - left // a * b) % c):
+                break
+            if j < left:
+                parts, rest, t_rest = (*acc, i), left - j, t_left - t
+                last = index.get((rest, t_rest))
+                if last is not None and last >= i:
+                    found.append((*parts, last))
+                if room > 2:
+                    stack.append((parts, i, rest, t_rest))
 
-    def search(start: int, acc: list[MukaiVector], acc_level: int, acc_t: int) -> None:
-        if acc:
-            i = index.get((level_count - acc_level, t_v - acc_t))
-            if i is not None and i >= start:
-                results.append((*acc, classes[i][2]))
-        if len(acc) + 1 < parts_max:
-            for i in range(start, len(classes)):
-                j, t, u = classes[i]
-                if acc_level + j < level_count:
-                    acc.append(u)
-                    search(i, acc, acc_level + j, acc_t + t)
-                    acc.pop()
-
-    search(0, [], 0, 0)
-    results.sort(key=lambda parts: (len(parts), tuple(u.as_tuple() for u in parts)))
-    return tuple(Decomposition(parts) for parts in results)
+    triples = [u for _, _, u in classes]
+    found.sort(key=lambda parts: (len(parts), [triples[i] for i in parts]))
+    vectors = {i: MukaiVector(*triples[i]) for i in {i for parts in found for i in parts}}
+    return tuple(Decomposition(tuple(vectors[i] for i in parts)) for parts in found)
 
 
 def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:

@@ -293,7 +293,7 @@ def test_criterion_9_property_suites():
         for (vec, gamma) in frozen.DECOMPOSITIONS.keys():
             v = MukaiVector(*vec)
             w = _wall(v, gamma)
-            b1, b2 = _plane_basis(v, w.a)
+            b1, b2 = (MukaiVector(*b) for b in _plane_basis(v, w.a))
             x0 = w.curve.center_x
             box = set()
             for mm in range(-50, 51):

@@ -11,6 +11,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -553,6 +556,18 @@ def test_negative_zero_vector_component():
     code, out, _ = run_cli(["walls", "--vector", "-0,3,-1"])
     assert code == 0
     assert out == run_cli(["walls", "--vector", "0,3,-1"])[1]
+
+
+def test_decompose_without_a_part_cap_is_shallow():
+    # a wall with a level-1 class and 1,325 levels, in a fresh interpreter:
+    # every decomposition, and no traceback on stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3walls.cli", "decompose", "--n", "54", "--gamma", "182/1325", "--parts-max", "1000"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sum(line.startswith("decomposition ") for line in proc.stdout.splitlines()) == 27
 
 
 def test_decompose_by_wall_index():

@@ -10,6 +10,7 @@ by the brute-force box oracle at the bottom.
 import io
 import math
 import sys
+import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, product
@@ -38,7 +39,7 @@ from k3walls import (
 )
 from k3walls.charge import Semicircle, StabilityPoint
 from k3walls.cli import main
-from k3walls.crossing import _levelled_classes, _part_dim, _plane_basis
+from k3walls.crossing import _levelled_classes, _part_dim, _plane_basis, _suffix_reach
 
 F = Fraction
 
@@ -85,7 +86,7 @@ def _assert_basis_spans_saturation(v, a):
     # b1 x b2 = +-(v x a)/g: the basis spans the plane orthogonal to the
     # normal of v and a, so it holds both, and its cross product is
     # primitive, so no lattice point of the plane lies off its span.
-    b1, b2 = _plane_basis(v, a)
+    b1, b2 = (MukaiVector(*b) for b in _plane_basis(v, a))
     normal = _cross(v, a)
     g = math.gcd(*normal)
     primitive = tuple(x // g for x in normal)
@@ -211,6 +212,17 @@ def test_positive_classes_rejects_mismatched_record():
     w = _wall(V10, F(2, 11))
     with pytest.raises(ValueError, match="charges do not align at the apex"):
         positive_classes(MukaiVector(1, 0, -7), w)
+
+
+def test_positive_classes_checks_the_record_curve_exactly():
+    # the integer curve check refuses a radius off by 1/100 under the
+    # right center, and leaves a class proportional to v to wall_locus
+    w = _wall(V10, F(2, 11))
+    off = Semicircle(w.curve.center_x, w.curve.radius_sq + F(1, 100))
+    with pytest.raises(ValueError, match="charges do not align at the apex"):
+        positive_classes(V10, WallRecord(w.a, w.a_sq, w.pairing_va, w.gamma, off, w.wall_type))
+    with pytest.raises(ValueError, match="are proportional; the wall is undefined"):
+        positive_classes(V10, WallRecord(-V10, -18, 18, w.gamma, w.curve, w.wall_type))
 
 
 def test_positive_classes_rejects_boundary_record():
@@ -395,7 +407,7 @@ def test_part_dim_accepts_exactly_the_stable_classes(d):
 def _box_classes(v, w):
     """Positive classes of the wall among the lattice points of its plane
     with coordinates up to 50, each kept when it passes the definition."""
-    b1, b2 = _plane_basis(v, w.a)
+    b1, b2 = (MukaiVector(*b) for b in _plane_basis(v, w.a))
     x0 = w.curve.center_x
     box = set()
     for m in range(-50, 51):
@@ -680,3 +692,94 @@ def test_positive_classes_low_level_end_box_oracle(vec, a):
     box = _box_classes(v, w)
     assert MukaiVector(1, 1, 2) in box
     assert set(positive_classes(v, w)) == box
+
+
+def _lattice_points(gens, box):
+    """The points of the lattice the gens generate with both coordinates
+    in [-box, box], found by stepping from 0 by +-gen inside the box."""
+    seen, todo = {(0, 0)}, [(0, 0)]
+    while todo:
+        x, y = todo.pop()
+        for gj, gt in gens:
+            for step in ((x + gj, y + gt), (x - gj, y - gt)):
+                if step not in seen and max(map(abs, step)) <= box:
+                    seen.add(step)
+                    todo.append(step)
+    return seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4)), min_size=1, max_size=5, unique=True))
+@example([(2, 2), (4, 0)])
+@example([(3, 1), (1, 1)])
+def test_suffix_reach_cone_and_lattice_oracle(coords):
+    # Inside the cone of each suffix (the only remainders the search
+    # tests), the stored Hermite form accepts exactly the lattice points
+    # found by stepping; the cone ends are the least and greatest slope.
+    reach = _suffix_reach([(j, t, (0, 0, 0)) for j, t in coords])
+    for i, (j, t, lo_j, lo_t, hi_j, hi_t, a, b, c) in enumerate(reach):
+        suffix = coords[i:]
+        assert (j, t) == coords[i]
+        slopes = [F(y, x) for x, y in suffix]
+        assert (F(lo_t, lo_j), F(hi_t, hi_j)) == (min(slopes), max(slopes))
+        lattice = _lattice_points(suffix, 24)
+        for left in range(1, 9):
+            for t_left in range(-8, 9):
+                if t_left * lo_j >= lo_t * left and t_left * hi_j <= hi_t * left:
+                    hnf = left % a == 0 and (t_left - left // a * b) % c == 0
+                    assert hnf == ((left, t_left) in lattice), (suffix, left, t_left)
+
+
+# S^[n] at parts_max = N: six walls with a level-1 class and up to 41,234
+# levels, deeper than the recursion limit for a search that recurses once
+# per part, and one with 62 classes and a single decomposition, which a
+# search pruned on the level sum alone takes seconds to find
+DEEP_WALLS = [
+    (54, F(182, 1325)),
+    (74, F(1068, 9125)),
+    (86, F(378, 3485)),
+    (90, F(500, 4717)),
+    (107, F(4005, 41234)),
+    (114, F(776, 8249)),
+    (120, F(2, 121)),
+]
+
+
+def _count_decompositions(level_count, t_v, coords):
+    """Multisets of the (j, t) in coords summing to (N, t_v), counted by a
+    DP over partial sums (level, t) that adds the classes one at a time,
+    each any number of times.  It keeps a partial sum only while what is
+    left lies in the cone of all the slopes t/j, a necessary condition;
+    the copies of one class that keep it there are consecutive, as the
+    cone is convex."""
+    lo = min(coords, key=lambda jt: F(jt[1], jt[0]))
+    hi = max(coords, key=lambda jt: F(jt[1], jt[0]))
+    ways = {(0, 0): 1}
+    for j, t in coords:
+        grown: dict = {}
+        for (level, t_sum), count in ways.items():
+            while level <= level_count:
+                left, t_left = level_count - level, t_v - t_sum
+                if lo[1] * left > t_left * lo[0] or t_left * hi[0] > hi[1] * left:
+                    break
+                grown[(level, t_sum)] = grown.get((level, t_sum), 0) + count
+                level, t_sum = level + j, t_sum + t
+        ways = grown
+    return ways.get((level_count, t_v), 0)
+
+
+def test_deep_walls_count_oracle():
+    start = time.perf_counter()
+    for n, gamma in DEEP_WALLS:
+        v = MukaiVector(1, 0, 1 - n)
+        w = _record(hilbert_walls(n), gamma)
+        level_count, t_v, classes = _levelled_classes(v, w, DEFAULT_SURFACE)
+        decs = decompositions(v, w, parts_max=level_count)
+        assert decs
+        assert len(decs) == _count_decompositions(level_count, t_v, [(j, t) for j, t, _ in classes]), (n, gamma)
+        positive = set(positive_classes(v, w))
+        for d in decs:
+            assert sum(d.parts, MukaiVector(0, 0, 0)) == v
+            assert positive.issuperset(d.parts)
+        assert len({d.parts for d in decs}) == len(decs)
+    assert time.perf_counter() - start < 1.0
