@@ -13,10 +13,10 @@ summing to v.  In the plane coordinates (j, t) below, v = N*bez + t_v*k0,
 so a multiset sums to v exactly when its levels sum to N and its t to
 t_v: the search is an exact integer knapsack on (j, t), run on an
 explicit stack.  It extends a multiset with a class only while what v
-still lacks passes the level cap, the cone and the lattice of the
-classes it may still take (see decompositions).  Those tests are
-necessary conditions only, but in practice they leave the search few
-multisets that lead nowhere, at any cap on their length.
+still lacks passes the level cap and the cone of the classes it may
+still take (see decompositions).  Those tests are necessary conditions
+only, but in practice they leave the search few multisets that lead
+nowhere, at any cap on their length.
 
 The plane has a unimodular basis (bez, k0) with bez on level 1 and k0
 spanning level 0.  In it the class u = j*bez + t*k0 has
@@ -129,8 +129,8 @@ def _levelled_classes(
     curve = w.curve
     if not isinstance(curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")
-    num, den = curve.center_x.numerator, curve.center_x.denominator
-    rad_n, rad_d = curve.radius_sq.numerator, curve.radius_sq.denominator
+    num, den = curve.center_x.as_integer_ratio()
+    rad_n, rad_d = curve.radius_sq.as_integer_ratio()
     a, d = w.a, p.d
     # the curve is wall_locus(v, a) exactly when these integer identities
     # hold (P, B, C as there); only a mismatch pays for the Fractions
@@ -172,18 +172,18 @@ def _levelled_classes(
     two_abs_ah = -2 * a2 * h
     found: list[tuple[int, int, int, int, int]] = []
     for q in range(-(hi // two_abs_ah), -lo // two_abs_ah + 1):
-        for j in range(-q * inv % step or step, level_count, step):
+        j = -q * inv % step or step
+        while j < level_count:
             t = (q + t_h * j) // step
             sq = a2 * t * t + b * j * t + c * j * j  # u^2
-            if sq < -2:
-                continue
-            ur, uc, us = j * br + t * kr, j * bc + t * kc, j * bs + t * ks
-            # u is nonzero (j > 0); a multiple carries stable objects only
-            # over a primitive class of positive square, i.e. when u^2 > 0
-            if sq <= 0 and math.gcd(ur, uc, us) != 1:
-                continue
-            assert sign * (den * uc - num * ur) == j * g
-            found.append((-j, ur, uc, us, t))
+            if sq >= -2:
+                ur, uc, us = j * br + t * kr, j * bc + t * kc, j * bs + t * ks
+                # u is nonzero (j > 0); a multiple carries stable objects
+                # only over a primitive class of positive square: u^2 > 0
+                if sq > 0 or math.gcd(ur, uc, us) == 1:
+                    assert sign * (den * uc - num * ur) == j * g
+                    found.append((-j, ur, uc, us, t))
+            j += step
     found.sort()
     return level_count, t_v, [(-j, t, (ur, uc, us)) for j, ur, uc, us, t in found]
 
@@ -212,29 +212,17 @@ class Decomposition(_Value):
 
 
 def _suffix_reach(classes: list[tuple[int, int, tuple[int, int, int]]]) -> list[tuple[int, ...]]:
-    """Per index i: (j, t) of class i, the (j, t) of least and of greatest
-    slope t/j in classes[i:] and the Hermite form (a, b; 0, c) of the
-    lattice their (j, t) generate, c = 0 stored as 1: that lattice lies on
-    the one slope, where the cone test puts the remainder, so a | R is all."""
+    """Per index i: (j, t) of class i and the (j, t) of least and of
+    greatest slope t/j in classes[i:]."""
     reach: list[tuple[int, ...]] = [()] * len(classes)
-    lo_j = lo_t = hi_j = hi_t = a = b = c = 0
+    lo_j, lo_t, hi_j, hi_t = 0, 1, 0, -1  # slopes +inf and -inf, as j > 0
     for i in range(len(classes) - 1, -1, -1):
         j, t, _ = classes[i]
-        if not a:
-            lo_j, lo_t, hi_j, hi_t, a, b = j, t, j, t, j, t
-        else:
-            if t * lo_j < lo_t * j:
-                lo_j, lo_t = j, t
-            elif t * hi_j > hi_t * j:
-                hi_j, hi_t = j, t
-            if j % a:  # (a, b) and (j, t) -> (g, x*b + y*t) and (0, (j*b - a*t)/g)
-                g = math.gcd(a, j)
-                x, y = _bezout(a // g, j // g)
-                a, b, c = g, x * b + y * t, math.gcd(c, (j * b - a * t) // g)
-            elif c != 1:  # else the lattice is Z^2 from here on
-                c = math.gcd(c, j // a * b - t)
-            b = b % c if c else b
-        reach[i] = (j, t, lo_j, lo_t, hi_j, hi_t, a, b, c or 1)
+        if t * lo_j < lo_t * j:
+            lo_j, lo_t = j, t
+        if t * hi_j > hi_t * j:
+            hi_j, hi_t = j, t
+        reach[i] = (j, t, lo_j, lo_t, hi_j, hi_t)
     return reach
 
 
@@ -253,10 +241,10 @@ def decompositions(
     is the class at the (level, t) left, looked up and taken at or after
     the part before it, so each multiset comes once, in class-list order.
     A multiset is extended with class i only when what v lacks, (R, S),
-    passes three exact tests against classes[i:]: the level cap
-    R <= (parts left) * j_i, as levels descend; the cone, S/R between their
-    least and greatest t/j; and the lattice their (j, t) generate.  A test
-    failing at i fails at every later index, so it ends the loop."""
+    passes two exact tests against classes[i:]: the level cap
+    R <= (parts left) * j_i, as levels descend, and the cone, S/R between
+    their least and greatest t/j.  A test failing at i fails at every later
+    index, so it ends the loop."""
     if parts_max < 2:
         raise ValueError("parts_max must be at least 2")
     level_count, t_v, classes = _levelled_classes(v, w, p)
@@ -268,9 +256,8 @@ def decompositions(
         acc, start, left, t_left = stack.pop()  # (left, t_left): what v lacks
         room = parts_max - len(acc)  # at least 2
         for i in range(start, len(classes)):
-            j, t, lo_j, lo_t, hi_j, hi_t, a, b, c = reach[i]
-            if (left > room * j or t_left * lo_j < lo_t * left or t_left * hi_j > hi_t * left
-                    or left % a or (t_left - left // a * b) % c):
+            j, t, lo_j, lo_t, hi_j, hi_t = reach[i]
+            if left > room * j or t_left * lo_j < lo_t * left or t_left * hi_j > hi_t * left:
                 break
             if j < left:
                 parts, rest, t_rest = (*acc, i), left - j, t_left - t
@@ -334,18 +321,20 @@ def stratum_dims(
     parts = [MukaiVector.coerce(u) for u in parts]
     if len(parts) < 2:
         raise ValueError("a decomposition needs at least two parts")
-    if (sum(u.r for u in parts), sum(u.c for u in parts), sum(u.s for u in parts)) != v.as_tuple():
-        raise ValueError(f"parts do not sum to {v}")
-    moduli = tuple(_part_dim(u, p) for u in parts)
-    fibers = []
     two_d = 2 * p.d
     r, c, s = parts[0].as_tuple()  # the partial sum u_1 + ... + u_i
+    squares, fibers = [two_d * c * c - 2 * r * s], []
     for u in parts[1:]:
-        f = two_d * c * u.c - r * u.s - u.r * s - 1
+        squares.append(two_d * u.c * u.c - 2 * u.r * u.s)
+        fibers.append(two_d * c * u.c - r * u.s - u.r * s - 1)
+        r, c, s = r + u.r, c + u.c, s + u.s
+    if (r, c, s) != v.as_tuple():
+        raise ValueError(f"parts do not sum to {v}")
+    # only a part of square <= 0 can fail the part checks of _part_dim
+    moduli = tuple([sq + 2 if sq > 0 else _part_dim(u, p) for sq, u in zip(squares, parts)])
+    for f, u in zip(fibers, parts[1:]):
         if f < 0:
             raise ValueError(
                 f"negative fiber dimension {f} at part {u}; the extension stratum is not effective"
             )
-        fibers.append(f)
-        r, c, s = r + u.r, c + u.c, s + u.s
     return DimReport(part_moduli_dims=moduli, fiber_dims=tuple(fibers), stratum_dim=sum(moduli) + sum(fibers))

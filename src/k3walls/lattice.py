@@ -118,7 +118,7 @@ class MukaiVector(_Value):
 
     def content(self) -> int:
         """gcd of the components (0 for the zero vector)."""
-        return math.gcd(math.gcd(abs(self.r), abs(self.c)), abs(self.s))
+        return math.gcd(self.r, self.c, self.s)
 
     def is_primitive(self) -> bool:
         return self.content() == 1

@@ -372,6 +372,20 @@ def test_stratum_dims_rejects_bad_input():
         stratum_dims([w, w], 2 * w)
 
 
+def test_stratum_dims_check_order():
+    # (-3, -3, -3) is imprimitive of square 0 and the fiber between the two
+    # parts is -25, in either order: the part check comes first.  A sum
+    # that misses v comes before both.
+    u, w = (-3, -3, -3), (4, 3, -6)
+    for parts in ([u, w], [w, u]):
+        with pytest.raises(ValueError, match="imprimitive over a non-positive class"):
+            stratum_dims([MukaiVector(*x) for x in parts], V10)
+    with pytest.raises(ValueError, match="parts do not sum to"):
+        stratum_dims([MukaiVector(*u), MukaiVector(4, 3, -5)], V10)
+    parts = frozen.DECOMPOSITIONS[(frozen.V10, F(2, 11))][0][0]
+    assert stratum_dims(parts, V10) == stratum_dims([MukaiVector(*x) for x in parts], V10)
+
+
 @pytest.mark.parametrize("d", [1, 2])
 def test_part_dim_accepts_exactly_the_stable_classes(d):
     # The definition: a class carries stable objects when u^2 >= -2 and u
@@ -505,13 +519,13 @@ def test_decompositions_rank_scan_oracle(vec):
         assert set(got) == oracle, (vec, w.a)
 
 
-def _lambda_decompositions(v, w):
-    """Every multiset of rank-scanned classes summing to v, as sorted
-    component tuples: a brute-force search over plain tuples that prunes on
-    lambda(u) = (c_u - r_u*x)/(c_v - r_v*x) at the apex x, with no plane
-    basis and no charge levels."""
+def _lambda_decompositions(v, w, classes=None):
+    """Every multiset of the classes (rank-scanned when None) summing to v,
+    as sorted component tuples: a brute-force search over plain tuples that
+    prunes on lambda(u) = (c_u - r_u*x)/(c_v - r_v*x) at the apex x, with
+    no plane basis and no charge levels."""
     x = w.curve.center_x
-    classes = sorted(u.as_tuple() for u in _rank_scan_classes(v, w))
+    classes = sorted(u.as_tuple() for u in (_rank_scan_classes(v, w) if classes is None else classes))
     lam = [(c - r * x) / (v.c - v.r * x) for r, c, _ in classes]
     assert all(0 < value < 1 for value in lam)
     found = set()
@@ -664,6 +678,19 @@ def test_positive_classes_box_oracle_non_primitive(vec, gamma):
     assert set(positive_classes(kv, w)) == box
 
 
+@pytest.mark.parametrize("vec,gamma", frozen.DECOMPOSITIONS.keys())
+def test_complete_decompositions_box_oracle_non_primitive(vec, gamma):
+    # The walls above at a bound that cuts nothing: every multiset of box
+    # classes summing to kv, where a line parallel to kv holds several
+    # levels of the knapsack (at most 28 classes and 62 decompositions).
+    v = MukaiVector(*vec)
+    kv = (2 if v == V10 else 3) * v
+    w = _wall_of(kv, _wall(v, gamma).a)
+    got = [tuple(sorted(u.as_tuple() for u in d.parts)) for d in decompositions(kv, w, parts_max=sys.maxsize)]
+    assert len(got) == len(set(got))
+    assert set(got) == _lambda_decompositions(kv, w, _box_classes(kv, w))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("m", [3, 4, 5])
 def test_positive_classes_rank_scan_oracle_degrees(m, d):
@@ -694,40 +721,18 @@ def test_positive_classes_low_level_end_box_oracle(vec, a):
     assert set(positive_classes(v, w)) == box
 
 
-def _lattice_points(gens, box):
-    """The points of the lattice the gens generate with both coordinates
-    in [-box, box], found by stepping from 0 by +-gen inside the box."""
-    seen, todo = {(0, 0)}, [(0, 0)]
-    while todo:
-        x, y = todo.pop()
-        for gj, gt in gens:
-            for step in ((x + gj, y + gt), (x - gj, y - gt)):
-                if step not in seen and max(map(abs, step)) <= box:
-                    seen.add(step)
-                    todo.append(step)
-    return seen
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.integers(1, 4), st.integers(-4, 4)), min_size=1, max_size=5, unique=True))
 @example([(2, 2), (4, 0)])
 @example([(3, 1), (1, 1)])
-def test_suffix_reach_cone_and_lattice_oracle(coords):
-    # Inside the cone of each suffix (the only remainders the search
-    # tests), the stored Hermite form accepts exactly the lattice points
-    # found by stepping; the cone ends are the least and greatest slope.
+def test_suffix_reach_cone_oracle(coords):
+    # The cone ends of each suffix are its least and greatest slope.
     reach = _suffix_reach([(j, t, (0, 0, 0)) for j, t in coords])
-    for i, (j, t, lo_j, lo_t, hi_j, hi_t, a, b, c) in enumerate(reach):
+    for i, (j, t, lo_j, lo_t, hi_j, hi_t) in enumerate(reach):
         suffix = coords[i:]
         assert (j, t) == coords[i]
         slopes = [F(y, x) for x, y in suffix]
         assert (F(lo_t, lo_j), F(hi_t, hi_j)) == (min(slopes), max(slopes))
-        lattice = _lattice_points(suffix, 24)
-        for left in range(1, 9):
-            for t_left in range(-8, 9):
-                if t_left * lo_j >= lo_t * left and t_left * hi_j <= hi_t * left:
-                    hnf = left % a == 0 and (t_left - left // a * b) % c == 0
-                    assert hnf == ((left, t_left) in lattice), (suffix, left, t_left)
 
 
 # S^[n] at parts_max = N: six walls with a level-1 class and up to 41,234
