@@ -277,15 +277,14 @@ def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
     """Dimension u^2 + 2 of the moduli space of stable objects of class u."""
     if not u.is_primitive():
         raise ValueError(f"moduli_dim expects a primitive class, got {u}")
-    return _part_dim(u, p)
+    return _part_dim(u, mukai_square(u, p))
 
 
-def _part_dim(u: MukaiVector, p: SurfaceParams) -> int:
-    """Stable-locus dimension for a decomposition part; multiples of
-    positive-square classes still carry stable objects.  As u = g*w has
-    u^2 = g^2*w^2, that is the rule of _levelled_classes: u^2 > 0 or u
-    primitive (the zero class is neither)."""
-    sq = mukai_square(u, p)
+def _part_dim(u: MukaiVector, sq: int) -> int:
+    """Stable-locus dimension for a decomposition part u of square sq;
+    multiples of positive-square classes still carry stable objects.  As
+    u = g*w has u^2 = g^2*w^2, that is the rule of _levelled_classes:
+    u^2 > 0 or u primitive (the zero class is neither)."""
     if sq < -2:
         raise ValueError(f"no semistable objects of class {u} (square {sq} < -2)")
     if sq <= 0 and not u.is_primitive():
@@ -331,7 +330,7 @@ def stratum_dims(
     if (r, c, s) != v.as_tuple():
         raise ValueError(f"parts do not sum to {v}")
     # only a part of square <= 0 can fail the part checks of _part_dim
-    moduli = tuple([sq + 2 if sq > 0 else _part_dim(u, p) for sq, u in zip(squares, parts)])
+    moduli = tuple([sq + 2 if sq > 0 else _part_dim(u, sq) for sq, u in zip(squares, parts)])
     for f, u in zip(fibers, parts[1:]):
         if f < 0:
             raise ValueError(

@@ -57,21 +57,28 @@ def frac_str(q) -> str:
 def curve_json(curve) -> dict | None:
     if curve is None:
         return None
-    if isinstance(curve, VerticalLine):
-        return {"kind": "vertical_line", "x0": frac_json(curve.x0)}
     if isinstance(curve, Semicircle):
+        e_num, e_den = curve.center_x.as_integer_ratio()
+        r_num, r_den = curve.radius_sq.as_integer_ratio()
         return {
             "kind": "semicircle",
-            "center": frac_json(curve.center_x),
-            "radius_sq": frac_json(curve.radius_sq),
+            "center": {"num": e_num, "den": e_den},
+            "radius_sq": {"num": r_num, "den": r_den},
         }
+    if isinstance(curve, VerticalLine):
+        num, den = curve.x0.as_integer_ratio()
+        return {"kind": "vertical_line", "x0": {"num": num, "den": den}}
     raise TypeError(f"unknown curve {curve!r}")
 
 
 def record_json(rec: WallRecord) -> dict:
+    gamma, a = rec.gamma, rec.a
+    if gamma is not None:
+        num, den = gamma.as_integer_ratio()
+        gamma = {"num": num, "den": den}
     return {
-        "gamma": None if rec.gamma is None else frac_json(rec.gamma),
-        "a": list(rec.a.as_tuple()),
+        "gamma": gamma,
+        "a": [a.r, a.c, a.s],
         "a_sq": rec.a_sq,
         "pairing": rec.pairing_va,
         "curve": curve_json(rec.curve),
@@ -198,13 +205,10 @@ def _walls_title(payload: dict) -> str:
 
 
 def _table(rows: list[tuple], header: tuple) -> str:
-    """Columns two spaces apart, each as wide as its longest cell, padded
-    column by column."""
-    columns = []
-    for column in zip(header, *rows):
-        width = max(map(len, column))
-        columns.append([cell.ljust(width) for cell in column])
-    return "\n".join([line.rstrip() for line in map("  ".join, zip(*columns))])
+    """Columns two spaces apart, each as wide as its longest cell: one
+    format of left-aligned fields per line."""
+    fields = "  ".join([f"%-{max(map(len, column))}s" for column in zip(header, *rows)])
+    return "\n".join([(fields % row).rstrip() for row in (header, *rows)])
 
 
 def _gamma_str(gamma: dict | None) -> str:
@@ -214,14 +218,6 @@ def _gamma_str(gamma: dict | None) -> str:
 # ---------------------------------------------------------------------------
 # rows shared by the text and csv renderers: a vector cell stays a list of
 # components, which text writes as (r, c, s) and csv as three columns
-
-
-def _wall_rows(payload: dict) -> list[tuple]:
-    """(gamma, a, a^2, (v,a), curve, type) per wall."""
-    return [
-        (_gamma_str(w["gamma"]), w["a"], str(w["a_sq"]), str(w["pairing"]), w["curve"], w["type"])
-        for w in payload["walls"]
-    ]
 
 
 def _path_rows(payload: dict) -> list[tuple]:
@@ -252,9 +248,17 @@ def _decomposition_rows(payload: dict) -> list[tuple]:
 
 def render_walls_text(payload: dict) -> str:
     header = ("gamma", "a", "a^2", "(v,a)", "wall", "type")
+    vector = payload["vector"]
     rows = [
-        (gamma, vector_str(a), a_sq, pairing, curve_equation(curve, payload["vector"]), wall_type)
-        for gamma, a, a_sq, pairing, curve, wall_type in _wall_rows(payload)
+        (
+            _gamma_str(w["gamma"]),
+            vector_str(w["a"]),
+            str(w["a_sq"]),
+            str(w["pairing"]),
+            curve_equation(w["curve"], vector),
+            w["type"],
+        )
+        for w in payload["walls"]
     ]
     body = _table(rows, header) if rows else "(no walls found)"
     return (
@@ -330,8 +334,8 @@ def _curve_cells(curve: dict | None) -> list[str]:
 
 def render_walls_csv(payload: dict) -> str:
     rows = [["gamma", "a_r", "a_c", "a_s", "a_sq", "pairing", "curve_kind", "center_x", "radius_sq", "x0", "type"]]
-    for gamma, a, a_sq, pairing, curve, wall_type in _wall_rows(payload):
-        rows.append([gamma, *map(str, a), a_sq, pairing, *_curve_cells(curve), wall_type])
+    for w in payload["walls"]:
+        rows.append([_gamma_str(w["gamma"]), *w["a"], w["a_sq"], w["pairing"], *_curve_cells(w["curve"]), w["type"]])
     return _csv(rows)
 
 
@@ -404,16 +408,6 @@ def _record_template(newline: str, has_gamma: bool, kind: str | None) -> str:
     return _json(dict(zip(_RECORD, holes)), newline).replace(_json_str("\0"), "%s")
 
 
-def _int_pair(q) -> tuple[int, int] | None:
-    """(num, den) of q when it is a rational of the payload's shape with int
-    leaves, else None."""
-    if type(q) is dict and tuple(q) == _RATIONAL:
-        num, den = q.values()
-        if type(num) is int and type(den) is int:
-            return num, den
-    return None
-
-
 def _record_json(wall, newline: str) -> str:
     """wall as _json(wall, newline) writes it."""
     if type(wall) is not dict or tuple(wall) != _RECORD:
@@ -421,23 +415,24 @@ def _record_json(wall, newline: str) -> str:
     gamma, a, a_sq, pairing, curve, wall_type = wall.values()
     if type(a) is not list or len(a) != 3 or type(wall_type) is not str:
         return _json(wall, newline)
-    r, c, s = a
-    if not (type(r) is int and type(c) is int and type(s) is int and type(a_sq) is int and type(pairing) is int):
+    if gamma is None:
+        ints = [*a, a_sq, pairing]
+    elif type(gamma) is dict and tuple(gamma) == _RATIONAL:
+        ints = [*gamma.values(), *a, a_sq, pairing]
+    else:
         return _json(wall, newline)
-    ints = [r, c, s, a_sq, pairing]
     if curve is None:
         kind = None
     elif type(curve) is dict and type(kind := curve.get("kind")) is str and tuple(curve) == _CURVES.get(kind):
         for q in tuple(curve.values())[1:]:
-            if (pair := _int_pair(q)) is None:
+            if type(q) is not dict or tuple(q) != _RATIONAL:
                 return _json(wall, newline)
-            ints += pair
+            ints += q.values()
     else:
         return _json(wall, newline)
-    if gamma is not None:
-        if (pair := _int_pair(gamma)) is None:
+    for leaf in ints:
+        if type(leaf) is not int:
             return _json(wall, newline)
-        ints[:0] = pair
     return _record_template(newline, gamma is not None, kind) % (*ints, _json_str(wall_type))
 
 

@@ -83,7 +83,8 @@ class _Canvas:
             raise ValueError("figure ranges must have a finite width")
         # every value written is an int, an int margin plus a float, or a
         # product of non-negative floats, so none is -0.0
-        self.fmt = f"%.{precision}f".__mod__
+        self.num = f"%.{precision}f"
+        self.fmt = self.num.__mod__
         self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
         self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
         self.sx = self.plot_w / (self.x1 - self.x0)
@@ -174,33 +175,29 @@ def render_figure(
         )
 
     # one arc or line per wall that reaches into the x window, and one
-    # swatch per drawn wall in the legend in the right margin
-    fmt, px, sx, sy = cv.fmt, cv.px, cv.sx, cv.sy
+    # swatch per drawn wall in the legend in the right margin, each one
+    # format whose numbers are written as cv.fmt writes them
+    num, x0, x1, sx, sy = cv.num, cv.x0, cv.x1, cv.sx, cv.sy
+    line = (f'<line x1="{num}" y1="{bottom}" x2="{num}" y2="{top}" stroke="%s" '
+            f'stroke-width="1.5" stroke-dasharray="2,3" clip-path="url(#plot)"/>')
+    arc = (f'<path d="M {num} {bottom} A {num} {num} 0 0 1 {num} {bottom}" '
+           f'fill="none" stroke="%s" stroke-width="1.5" clip-path="url(#plot)"/>')
     lx = WIDTH - MARGIN_RIGHT + 14
-    swatch_x1, swatch_x2, label_x = fmt(lx), fmt(lx + 22), fmt(lx + 28)
+    swatch = (f'<line x1="{cv.fmt(lx)}" y1="{num}" x2="{cv.fmt(lx + 22)}" y2="{num}" stroke="%s" stroke-width="2"/>\n'
+              f'<text x="{cv.fmt(lx + 28)}" y="{num}" font-family="monospace" font-size="11" fill="#000000">%s</text>')
     legend: list[str] = []
     for wall, (lo, hi, _) in drawn:
-        if hi < cv.x0 or lo > cv.x1:
+        if hi < x0 or lo > x1:
             continue
         color = PALETTE[len(legend) % len(PALETTE)]
+        x_lo = MARGIN_LEFT + (lo - x0) * sx  # as _Canvas.px
         if wall["curve"]["kind"] == "vertical_line":
-            wx = px(lo)
-            out.append(
-                f'<line x1="{wx}" y1="{bottom}" x2="{wx}" y2="{top}" stroke="{color}" '
-                f'stroke-width="1.5" stroke-dasharray="2,3" clip-path="url(#plot)"/>'
-            )
+            out.append(line % (x_lo, x_lo, color))
         else:
             radius = (hi - lo) / 2.0
-            out.append(
-                f'<path d="M {px(lo)} {bottom} A {fmt(radius * sx)} {fmt(radius * sy)} 0 0 1 {px(hi)} {bottom}" '
-                f'fill="none" stroke="{color}" stroke-width="1.5" clip-path="url(#plot)"/>'
-            )
+            out.append(arc % (x_lo, radius * sx, radius * sy, MARGIN_LEFT + (hi - x0) * sx, color))
         ly = MARGIN_TOP + 10 + 18 * len(legend)
-        legend.append(
-            f'<line x1="{swatch_x1}" y1="{fmt(ly)}" x2="{swatch_x2}" y2="{fmt(ly)}" stroke="{color}" stroke-width="2"/>\n'
-            f'<text x="{label_x}" y="{fmt(ly + 4)}" font-family="monospace" '
-            f'font-size="11" fill="#000000">{_legend_label(wall)}</text>'
-        )
+        legend.append(swatch % (ly, ly, color, ly + 4, _legend_label(wall)))
     out += legend
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -250,11 +250,16 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
     big_p, two_d_q = gamma_max[0], two_d * gamma_max[1]
     out = []
     for r in range(-r_max, r_max + 1):
-        s_top = r * (n - 1)  # s = s_top - k
-        rs_ends = (r * s_top, r * (s_top - k_max))
-        lo, hi = min(rs_ends) - 1, max(rs_ends) + half_max  # bounds on d*c^2
+        s_top = r * (n - 1)  # s = s_top - k runs from s_bot to s_top
+        s_bot = s_top - k_max
+        r_abs = r if r >= 0 else -r
+        rs_lo = r * s_bot if r > 0 else r * s_top  # r*s runs from rs_lo to rs_lo + |r|*k_max
+        lo, hi = rs_lo - 1, rs_lo + r_abs * k_max + half_max  # bounds on d*c^2
         c_lo = 0 if lo <= 0 else math.isqrt(-(-lo // d) - 1) + 1
-        c_hi = min(math.isqrt(hi // d), big_p * (2 * abs(r) * (n - 1) + k_max) // two_d_q)
+        c_hi = math.isqrt(hi // d)
+        c_cap = big_p * (2 * r_abs * (n - 1) + k_max) // two_d_q
+        if c_hi > c_cap:
+            c_hi = c_cap
         for c in range(c_lo, c_hi + 1):
             q = d * c * c
             if r > 0:
@@ -262,9 +267,13 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
             elif r < 0:
                 s_lo, s_hi = -(-(q + 1) // r), (q - half_max) // r
             else:
-                s_lo, s_hi = s_top - k_max, s_top
-            for s in range(max(s_lo, s_top - k_max), min(s_hi, s_top) + 1):
-                den = r * (n - 1) + s
+                s_lo, s_hi = s_bot, s_top
+            if s_lo < s_bot:
+                s_lo = s_bot
+            if s_hi > s_top:
+                s_hi = s_top
+            for s in range(s_lo, s_hi + 1):
+                den = s_top + s
                 if two_d_q * c > big_p * abs(den):
                     continue
                 a_sq, k = 2 * (q - r * s), s_top - s
@@ -396,9 +405,10 @@ def movable_cone(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SU
 def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> WallSearch:
     """All walls for v = (1, 0, 1-n), sorted by ascending slope.
 
-    Walls sharing a slope are deduplicated; the representative class
-    minimizes (|r|, |c|, |s|) with positive leading coordinate breaking
-    exact ties.  A divisorial clause anywhere on the wall marks the whole
+    Walls sharing a slope are deduplicated: a wall with one class takes
+    that class, and otherwise the representative class minimizes
+    (|r|, |c|, |s|) with positive leading coordinate breaking exact
+    ties.  A divisorial clause anywhere on the wall marks the whole
     wall divisorial.  Each curve follows from the slope alone (see the
     module docstring).  The Lagrangian boundary record, when d(n-1) is a
     perfect square, is appended last with no curve.  r_max caps the
@@ -409,9 +419,9 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
     r_max = _rank_cap(n, r_max)
     gamma_max, rank = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
-    groups: dict[tuple[int, int], list[tuple[MukaiVector, bool, int, int]]] = {}
-    for a, divisorial, gamma, a_sq, k in _slope_classes(n, rank if complete else r_max, p, gamma_max):
-        groups.setdefault(gamma, []).append((a, divisorial, a_sq, k))
+    groups: dict[tuple[int, int], list[tuple]] = {}  # slope -> its _slope_classes items
+    for item in _slope_classes(n, rank if complete else r_max, p, gamma_max):
+        groups.setdefault(item[2], []).append(item)
 
     records = []
     for gamma in _sorted_pairs(groups):
@@ -425,17 +435,13 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
                 continue
             curve = Semicircle(Fraction(-big_q, big_p), Fraction(delta, d * big_p * big_p))
         members = groups[gamma]
-        rep, _, a_sq, k = min(members, key=lambda member: _representative_key(member[0]))
-        records.append(
-            WallRecord(
-                a=rep,
-                a_sq=a_sq,
-                pairing_va=k,
-                gamma=Fraction(big_p, big_q),
-                curve=curve,
-                wall_type="divisorial" if any(member[1] for member in members) else "flopping",
-            )
-        )
+        if len(members) == 1:
+            rep, divisorial, _, a_sq, k = members[0]
+        else:
+            rep, _, _, a_sq, k = min(members, key=lambda member: _representative_key(member[0]))
+            divisorial = any(member[1] for member in members)
+        wall_type = "divisorial" if divisorial else "flopping"
+        records.append(WallRecord(rep, a_sq, k, Fraction(big_p, big_q), curve, wall_type))
     lag = _lagrangian_class(n, p)
     if lag is not None:
         records.append(
@@ -476,16 +482,7 @@ def transport_walls(
         assert mukai_square(a_new, p) == rec.a_sq
         assert mukai_pairing(v_new, a_new, p) == rec.pairing_va
         curve = None if rec.curve is None else wall_locus(v_new, a_new, p)
-        out.append(
-            WallRecord(
-                a=a_new,
-                a_sq=rec.a_sq,
-                pairing_va=rec.pairing_va,
-                gamma=rec.gamma,
-                curve=curve,
-                wall_type=rec.wall_type,
-            )
-        )
+        out.append(WallRecord(a_new, rec.a_sq, rec.pairing_va, rec.gamma, curve, rec.wall_type))
     return out
 
 
@@ -614,18 +611,10 @@ def candidate_walls(
     center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
     for radius_sq in _sorted_pairs(buckets, reverse=True):
-        rep = min(buckets[radius_sq], key=_representative_key)
+        classes = buckets[radius_sq]
+        rep = classes[0] if len(classes) == 1 else min(classes, key=_representative_key)
         curve = Semicircle(center, Fraction(*radius_sq))
-        records.append(
-            WallRecord(
-                a=rep,
-                a_sq=mukai_square(rep, p),
-                pairing_va=mukai_pairing(v, rep, p),
-                gamma=None,
-                curve=curve,
-                wall_type="candidate",
-            )
-        )
+        records.append(WallRecord(rep, mukai_square(rep, p), mukai_pairing(v, rep, p), None, curve, "candidate"))
     return WallSearch(vector=v, records=tuple(records), complete=complete, mode="candidate")
 
 

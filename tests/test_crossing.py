@@ -402,11 +402,11 @@ def test_part_dim_accepts_exactly_the_stable_classes(d):
                 sq = mukai_square(u, p)
                 stable = sq >= -2 and (u.is_primitive() or (u != zero and mukai_square(u.primitive_part(), p) > 0))
                 if stable:
-                    assert _part_dim(u, p) == sq + 2
+                    assert _part_dim(u, sq) == sq + 2
                     accepted += 1
                     continue
                 with pytest.raises(ValueError) as exc:
-                    _part_dim(u, p)
+                    _part_dim(u, sq)
                 if sq < -2:
                     assert str(exc.value) == f"no semistable objects of class {u} (square {sq} < -2)"
                 else:

@@ -5,9 +5,10 @@ The wall search (walls.py), the wall-crossing decompositions
 (crossing.py), the lattice (lattice.py) and the central charges, wall
 loci and geometric checks (charge.py) stay in integers and Fractions
 throughout, with no exempt member.
-The integer kernels of walls.py build no Fraction at all, the per-row
-render helpers neither a Fraction nor a frac_str, path_intersection one
-Fraction (its hit), and no module calls json.dumps with an indent.
+The integer kernels of walls.py build no Fraction at all, the renderers
+and helpers that read payload rows neither a Fraction nor a frac_str,
+path_intersection one Fraction (its hit), and no module calls json.dumps
+with an indent.
 """
 
 import ast
@@ -124,10 +125,11 @@ def test_integer_kernels_build_no_fraction():
     assert INTEGER_KERNELS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
-# the per-row render helpers read payload rationals as {"num", "den"} pairs,
-# and path_intersection builds one Fraction: the y^2 of a hit
+# the renderers and helpers that read payload rows take rationals as
+# {"num", "den"} pairs, and path_intersection builds one Fraction: the y^2
+# of a hit
 ROW_HELPERS = {
-    "report.py": {"_wall_rows", "_curve_cells"},
+    "report.py": {"render_walls_text", "render_walls_csv", "_curve_cells"},
     "svgfig.py": {"_legend_label", "_wall_extent"},
 }
 
@@ -138,10 +140,10 @@ def _is_fraction_or_frac_str_call(call: ast.Call) -> bool:
 
 def test_guard_sees_frac_str_calls():
     source = (
-        "def _wall_rows(payload):\n    return [frac_str(w['gamma']) for w in payload]\n"
+        "def render_walls_text(payload):\n    return [frac_str(w['gamma']) for w in payload]\n"
         "def _curve_cells(curve):\n    return [_ratio_str(curve['num'], curve['den'])]\n"
     )
-    assert _calls(source, _is_fraction_or_frac_str_call) == [("_wall_rows", 2)]
+    assert _calls(source, _is_fraction_or_frac_str_call) == [("render_walls_text", 2)]
 
 
 def test_row_helpers_build_no_fraction():

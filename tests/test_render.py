@@ -6,6 +6,9 @@ layout of the text tables, each against a formula of its own.
   change away from it (a key missing, added or moved, a leaf of another
   type), which must give the json.dumps bytes or the TypeError that a
   non-payload value raises.
+- walls_payload's wall records are compared with dicts built from each
+  record's fields, numerators and denominators, key order included, over
+  the Hilbert, transported and candidate tables of a range of inputs.
 - Each figure is parsed, and its drawn walls, their coordinates and the
   legend are recomputed from the payload's exact rationals and the float
   formulas of the canvas.
@@ -26,8 +29,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from k3walls import report
+from k3walls.charge import Semicircle, VerticalLine
 from k3walls.cli import main
+from k3walls.lattice import SurfaceParams
 from k3walls.svgfig import render_figure
+from k3walls.walls import candidate_walls, hilbert_walls, transport_search
 
 # ---------------------------------------------------------------------------
 # render_json on wall records against json.dumps(indent=2)
@@ -173,6 +179,71 @@ def test_render_json_wall_records_against_json_dumps(payload):
             report.render_json(payload)
     else:
         assert report.render_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# walls_payload's records against the WallRecord fields
+
+
+def _searches():
+    """(search, p) for the Hilbert tables of d <= 2, n <= 30 that the search
+    answers, S^[m^2 + 1] moved through Phi_m for m = 2..5, and the
+    candidate tables of (0, m, k), m = 2..5, k = -1, -2."""
+    for d in (1, 2):
+        p = SurfaceParams(d)
+        for n in range(2, 31):
+            try:
+                yield hilbert_walls(n, None, p), p
+            except ValueError:
+                pass
+    p = SurfaceParams(1)
+    for m in range(2, 6):
+        yield transport_search(hilbert_walls(m * m + 1, None, p), m, p), p
+        for k in (-1, -2):
+            yield candidate_walls((0, m, k), None, p), p
+
+
+def _rational(q: Fraction) -> dict:
+    return {"num": q.numerator, "den": q.denominator}
+
+
+def _expected_record(rec) -> dict:
+    curve = rec.curve
+    if isinstance(curve, Semicircle):
+        curve = {"kind": "semicircle", "center": _rational(curve.center_x), "radius_sq": _rational(curve.radius_sq)}
+    elif isinstance(curve, VerticalLine):
+        curve = {"kind": "vertical_line", "x0": _rational(curve.x0)}
+    else:
+        assert curve is None
+    return {
+        "gamma": None if rec.gamma is None else _rational(rec.gamma),
+        "a": [rec.a.r, rec.a.c, rec.a.s],
+        "a_sq": rec.a_sq,
+        "pairing": rec.pairing_va,
+        "curve": curve,
+        "type": rec.wall_type,
+    }
+
+
+def test_walls_payload_records_against_the_record_fields():
+    kinds, tables = set(), 0
+    for search, p in _searches():
+        walls = report.walls_payload(search, p)["walls"]
+        assert walls == [_expected_record(rec) for rec in search.records]
+        for wall in walls:
+            # json bytes follow the key order
+            assert list(wall) == ["gamma", "a", "a_sq", "pairing", "curve", "type"]
+            curve = wall["curve"]
+            if curve is not None:
+                kinds.add(curve["kind"])
+                keys = ["kind", "x0"] if curve["kind"] == "vertical_line" else ["kind", "center", "radius_sq"]
+                assert list(curve) == keys
+                assert all(list(q) == ["num", "den"] for q in list(curve.values())[1:])
+            if wall["gamma"] is not None:
+                assert list(wall["gamma"]) == ["num", "den"]
+        tables += 1
+    assert kinds == {"vertical_line", "semicircle"}
+    assert tables > 60
 
 
 # ---------------------------------------------------------------------------
