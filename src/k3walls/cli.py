@@ -86,7 +86,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     group.add_argument("--n", type=_at_least(2), help="number of points: use the Hilbert scheme vector (1, 0, 1-n)")
     group.add_argument("--vector", type=_vector, help="Mukai vector r,c,s")
     sub.add_argument("--degree", type=_at_least(1), default=1, metavar="D", help="polarization degree H^2 = 2D (default 1)")
-    sub.add_argument("--rmax", type=_at_least(1), help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, certified when their proven bound is at most twice the cap; the proven bound for candidates)")
+    sub.add_argument("--rmax", type=_at_least(1), help="cap on |rank| of wall classes (default 4n for Hilbert and Beauville-Mukai vectors, with n = dm^2+1, the Hilbert partner, for (0, m, -1), certified when their proven bound is at most twice the cap; the proven bound for candidates)")
     sub.add_argument("--ymin", type=_at_least(0, _fraction), default=Fraction(1), metavar="Q", help="height cut, default 1: a candidate search keeps circles of radius > Q, path lists crossings at y > Q, figure draws the walls above y = Q and marks that line; otherwise unused")
     sub.add_argument("--output", metavar="PATH", help="write output to PATH instead of stdout")
     sub.add_argument("--strict-complete", action="store_true", help="exit 3 when the search cannot certify completeness")

@@ -26,7 +26,7 @@ import csv
 
 from .charge import Semicircle, VerticalLine
 from .lattice import MukaiVector, SurfaceParams
-from .walls import WallRecord, WallSearch
+from .walls import WallRecord, WallSearch, hilbert_n_of
 
 FORMATS = ("text", "csv", "json")
 
@@ -198,9 +198,9 @@ def _walls_title(payload: dict) -> str:
     if "m" in payload:
         src = vector_str(payload["source_vector"])
         return f"Walls transported by Phi_{payload['m']}: v = {src} -> v' = {vec} (d = {d})"
-    r, c, s = payload["vector"]
-    if r == 1 and c == 0 and s <= -1:
-        return f"Walls for v = {vec} on S^[{1 - s}] (d = {d})"
+    n = hilbert_n_of(MukaiVector(*payload["vector"]))
+    if n is not None:
+        return f"Walls for v = {vec} on S^[{n}] (d = {d})"
     return f"Candidate walls for v = {vec} (d = {d})"
 
 
@@ -446,7 +446,7 @@ def render_json(payload: dict) -> str:
         if key == "walls" and type(value) is list and value:
             text = "[\n    " + ",\n    ".join([_record_json(w, "\n    ") for w in value]) + "\n  ]"
         else:
-            text = (_record_json if key == "wall" else _json)(value, "\n  ")
+            text = _json(value, "\n  ")
         items.append(_json_str(key) + ": " + text)
     return "{\n  " + ",\n  ".join(items) + "\n}\n"
 

@@ -73,30 +73,6 @@ def _fitted_ranges(extents: list, y_marker: float) -> tuple[tuple[float, float],
     return (min(xs) - pad, max(xs) + pad), (0.0, top + 0.5)
 
 
-class _Canvas:
-    def __init__(self, x_range: tuple[float, float], y_range: tuple[float, float], precision: int):
-        self.x0, self.x1 = x_range
-        self.y0, self.y1 = y_range
-        if not (self.x1 > self.x0 and self.y1 > self.y0):
-            raise ValueError("figure ranges must be increasing intervals")
-        if not (math.isfinite(self.x1 - self.x0) and math.isfinite(self.y1 - self.y0)):
-            raise ValueError("figure ranges must have a finite width")
-        # every value written is an int, an int margin plus a float, or a
-        # product of non-negative floats, so none is -0.0
-        self.num = f"%.{precision}f"
-        self.fmt = self.num.__mod__
-        self.plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-        self.plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-        self.sx = self.plot_w / (self.x1 - self.x0)
-        self.sy = self.plot_h / (self.y1 - self.y0)
-
-    def px(self, x: float) -> str:
-        return self.fmt(MARGIN_LEFT + (x - self.x0) * self.sx)
-
-    def py(self, y: float) -> str:
-        return self.fmt(MARGIN_TOP + (self.y1 - y) * self.sy)
-
-
 def _legend_label(wall: dict) -> str:
     gamma, curve = wall["gamma"], wall["curve"]
     if gamma is not None:
@@ -118,11 +94,30 @@ def render_figure(
     marker_sq = (y_marker * y_marker).as_integer_ratio()
     drawn = [(wall, extent) for wall in payload["walls"] if (extent := _wall_extent(wall, marker_sq)) is not None]
     auto_x, auto_y = _fitted_ranges([extent for _, extent in drawn], marker)
-    cv = _Canvas(x_range or auto_x, y_range or auto_y, precision)
+    x0, x1 = x_range or auto_x
+    y0, y1 = y_range or auto_y
+    if not (x1 > x0 and y1 > y0):
+        raise ValueError("figure ranges must be increasing intervals")
+    if not (math.isfinite(x1 - x0) and math.isfinite(y1 - y0)):
+        raise ValueError("figure ranges must have a finite width")
+    # every value written is an int, an int margin plus a float, or a
+    # product of non-negative floats, so none is -0.0
+    num = f"%.{precision}f"
+    fmt = num.__mod__
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+    sx = plot_w / (x1 - x0)
+    sy = plot_h / (y1 - y0)
+
+    def px(x: float) -> str:
+        return fmt(MARGIN_LEFT + (x - x0) * sx)
+
+    def py(y: float) -> str:
+        return fmt(MARGIN_TOP + (y1 - y) * sy)
 
     title = f"Walls for v = {vector_str(payload['vector'])}, d = {payload['surface']['d']}"
-    left, right = cv.px(cv.x0), cv.px(cv.x1)
-    top, bottom = cv.py(cv.y1), cv.py(cv.y0)
+    left, right = px(x0), px(x1)
+    top, bottom = py(y1), py(y0)
 
     out: list[str] = []
     out.append(
@@ -131,66 +126,65 @@ def render_figure(
     )
     out.append('<rect width="100%" height="100%" fill="#ffffff"/>')
     out.append(
-        f'<clipPath id="plot"><rect x="{left}" y="{top}" width="{cv.fmt(cv.plot_w)}" '
-        f'height="{cv.fmt(cv.plot_h)}"/></clipPath>'
+        f'<clipPath id="plot"><rect x="{left}" y="{top}" width="{fmt(plot_w)}" '
+        f'height="{fmt(plot_h)}"/></clipPath>'
     )
     out.append(
-        f'<text x="{cv.fmt(MARGIN_LEFT)}" y="{cv.fmt(MARGIN_TOP - 12)}" font-family="monospace" '
+        f'<text x="{fmt(MARGIN_LEFT)}" y="{fmt(MARGIN_TOP - 12)}" font-family="monospace" '
         f'font-size="14" fill="#000000">{title}</text>'
     )
     out.append(
-        f'<rect x="{left}" y="{top}" width="{cv.fmt(cv.plot_w)}" height="{cv.fmt(cv.plot_h)}" '
+        f'<rect x="{left}" y="{top}" width="{fmt(plot_w)}" height="{fmt(plot_h)}" '
         f'fill="none" stroke="#000000" stroke-width="1"/>'
     )
 
     # ticks along the x axis at the smallest step 1, 2, 5 x 10^k (k < 309
     # covers every finite float width) leaving at most MAX_TICK_STEPS steps
-    width = cv.x1 - cv.x0
+    width = x1 - x0
     step = next(s for k in range(309) for s in (10**k, 2 * 10**k, 5 * 10**k) if width <= MAX_TICK_STEPS * s)
-    for tick in (i * step for i in range(math.ceil(cv.x0 / step), math.floor(cv.x1 / step) + 1)):
-        tx = cv.px(tick)
+    for tick in (i * step for i in range(math.ceil(x0 / step), math.floor(x1 / step) + 1)):
+        tx = px(tick)
         out.append(
-            f'<line x1="{tx}" y1="{bottom}" x2="{tx}" y2="{cv.fmt(float(bottom) + 5)}" '
+            f'<line x1="{tx}" y1="{bottom}" x2="{tx}" y2="{fmt(float(bottom) + 5)}" '
             f'stroke="#000000" stroke-width="1"/>'
         )
         out.append(
-            f'<text x="{tx}" y="{cv.fmt(float(bottom) + 18)}" font-family="monospace" font-size="11" '
+            f'<text x="{tx}" y="{fmt(float(bottom) + 18)}" font-family="monospace" font-size="11" '
             f'text-anchor="middle" fill="#000000">{tick}</text>'
         )
     out.append(
-        f'<text x="{right}" y="{cv.fmt(float(bottom) + 34)}" font-family="monospace" font-size="12" '
+        f'<text x="{right}" y="{fmt(float(bottom) + 34)}" font-family="monospace" font-size="12" '
         f'text-anchor="end" fill="#000000">x</text>'
     )
 
     # dashed horizontal marker, usually the y = 1 geometricity line
-    if cv.y0 < marker < cv.y1:
-        my = cv.py(marker)
+    if y0 < marker < y1:
+        my = py(marker)
         out.append(
             f'<line x1="{left}" y1="{my}" x2="{right}" y2="{my}" stroke="#888888" '
             f'stroke-width="1" stroke-dasharray="6,4"/>'
         )
         out.append(
-            f'<text x="{cv.fmt(float(right) + 6)}" y="{my}" font-family="monospace" font-size="11" '
+            f'<text x="{fmt(float(right) + 6)}" y="{my}" font-family="monospace" font-size="11" '
             f'dominant-baseline="middle" fill="#555555">y = {frac_str(y_marker)}</text>'
         )
 
     # one arc or line per wall that reaches into the x window, and one
     # swatch per drawn wall in the legend in the right margin, each one
-    # format whose numbers are written as cv.fmt writes them
-    num, x0, x1, sx, sy = cv.num, cv.x0, cv.x1, cv.sx, cv.sy
+    # format whose numbers are written as fmt writes them
     line = (f'<line x1="{num}" y1="{bottom}" x2="{num}" y2="{top}" stroke="%s" '
             f'stroke-width="1.5" stroke-dasharray="2,3" clip-path="url(#plot)"/>')
     arc = (f'<path d="M {num} {bottom} A {num} {num} 0 0 1 {num} {bottom}" '
            f'fill="none" stroke="%s" stroke-width="1.5" clip-path="url(#plot)"/>')
     lx = WIDTH - MARGIN_RIGHT + 14
-    swatch = (f'<line x1="{cv.fmt(lx)}" y1="{num}" x2="{cv.fmt(lx + 22)}" y2="{num}" stroke="%s" stroke-width="2"/>\n'
-              f'<text x="{cv.fmt(lx + 28)}" y="{num}" font-family="monospace" font-size="11" fill="#000000">%s</text>')
+    swatch = (f'<line x1="{fmt(lx)}" y1="{num}" x2="{fmt(lx + 22)}" y2="{num}" stroke="%s" stroke-width="2"/>\n'
+              f'<text x="{fmt(lx + 28)}" y="{num}" font-family="monospace" font-size="11" fill="#000000">%s</text>')
     legend: list[str] = []
     for wall, (lo, hi, _) in drawn:
         if hi < x0 or lo > x1:
             continue
         color = PALETTE[len(legend) % len(PALETTE)]
-        x_lo = MARGIN_LEFT + (lo - x0) * sx  # as _Canvas.px
+        x_lo = MARGIN_LEFT + (lo - x0) * sx  # px's map, kept a float for the formats above
         if wall["curve"]["kind"] == "vertical_line":
             out.append(line % (x_lo, x_lo, color))
         else:

@@ -319,9 +319,10 @@ def _pell_unit(big_d: int, x_cap: int) -> tuple[int, int] | None:
     return x, y
 
 
-def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], int]:
-    """(gamma_max, R*): the cone boundary slope as a coprime pair, and a
-    rank beyond which no clause class has a slope in [0, gamma_max].
+def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], int, MukaiVector | None]:
+    """(gamma_max, R*, lag): the cone boundary slope as a coprime pair, a
+    rank beyond which no clause class has a slope in [0, gamma_max], and
+    the Lagrangian class (_lagrangian_class) when there is one, else None.
 
     With X = 2(n-1)r - <v,a>, the denominator of the slope, and
     N = <v,a>^2 - 2(n-1)a^2, every class has X^2 - 4d(n-1)c^2 = N, so
@@ -357,7 +358,7 @@ def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], i
     n_max = k_max * k_max + 4 * (n - 1)
     lag = _lagrangian_class(n, p)
     if lag is not None:
-        return _slope(n, lag.r, lag.c, lag.s, d), ((n_max + 1) // 2 + k_max) // (2 * (n - 1))
+        return _slope(n, lag.r, lag.c, lag.s, d), ((n_max + 1) // 2 + k_max) // (2 * (n - 1)), lag
     big_d, x_cap = d * (n - 1), 2 * (n - 1) * r_max * r_max + 1
     unit = _pell_unit(big_d, x_cap)
     boundary = []  # the boundary classes; none when the walk passed x_cap
@@ -377,7 +378,7 @@ def _cone_rank(n: int, r_max: int, p: SurfaceParams) -> tuple[tuple[int, int], i
         )
     big_p, big_q = gamma_max = _slope(n, *boundary[0], d)
     delta = d * big_q * big_q - (n - 1) * big_p * big_p
-    return gamma_max, (math.isqrt(n_max * d * big_q * big_q // delta) + k_max) // (2 * (n - 1))
+    return gamma_max, (math.isqrt(n_max * d * big_q * big_q // delta) + k_max) // (2 * (n - 1)), None
 
 
 def _rank_cap(n: int, r_max: int | None) -> int:
@@ -398,7 +399,7 @@ def movable_cone(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SU
     class of rank at most r_max realizes it, and ValueError when none does."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    gamma_max, _ = _cone_rank(n, _rank_cap(n, r_max), p)
+    gamma_max, _, _ = _cone_rank(n, _rank_cap(n, r_max), p)
     return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
 
 
@@ -417,7 +418,7 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
     v = hilbert_vector(n)
     d = p.d
     r_max = _rank_cap(n, r_max)
-    gamma_max, rank = _cone_rank(n, r_max, p)
+    gamma_max, rank, lag = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
     groups: dict[tuple[int, int], list[tuple]] = {}  # slope -> its _slope_classes items
     for item in _slope_classes(n, rank if complete else r_max, p, gamma_max):
@@ -442,7 +443,6 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
             divisorial = any(member[1] for member in members)
         wall_type = "divisorial" if divisorial else "flopping"
         records.append(WallRecord(rep, a_sq, k, Fraction(big_p, big_q), curve, wall_type))
-    lag = _lagrangian_class(n, p)
     if lag is not None:
         records.append(
             WallRecord(

@@ -8,8 +8,11 @@ with it.  The dual shift (r, c, s) -> (-r, c, -s) gives
 Z_{x,y}(u dual) = -conj(Z_{-x,y}(u)), so every wall is reflected by
 x -> -x.  These relations compare the code with itself on transformed
 inputs: they add to the independent oracles and do not replace them.
+Phi_m identifies S^[dm^2+1] with M(0, m, -1), so the two sides of a
+shared wall must also have the same strata.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings, strategies as st
@@ -23,9 +26,13 @@ from k3walls import (
     decompositions,
     dual_shift,
     hilbert_walls,
+    line_bundle_vector,
+    mukai_pairing,
+    mukai_square,
     path_intersection,
     stratum_dims,
     tensor_twist,
+    transport_search,
     wall_locus,
 )
 from k3walls.charge import Semicircle, VerticalLine
@@ -165,3 +172,62 @@ def test_twist_carries_decompositions():
                     ]
                     cases += 1
     assert cases > 1000
+
+
+def _effective_strata(v, w, p):
+    """The multiset of stratum dims of every decomposition of v at w (no
+    cap on the parts) that stratum_dims accepts."""
+    dims = Counter()
+    for dec in decompositions(v, w, 10**9, p):
+        try:
+            dims[stratum_dims(dec.parts, v, p).stratum_dim] += 1
+        except ValueError:
+            pass
+    return dims
+
+
+def test_phi_m_carries_strata():
+    """Phi_m identifies S^[n], n = dm^2 + 1, with M(0, m, -1): on each
+    semicircular wall of hilbert_walls(n), and the same row of its
+    transport_search, both sides must give the same multiset of effective
+    stratum dims.  d = 1, 2 and m = 1..7 share 834 such walls.
+
+    They agree on all but 15, and each of those differs in exactly one
+    stratum, for a known reason:
+    - at gamma = 2dm/(2dm^2 + 1), once per table, the wall is totally
+      semistable on the Hilbert side, with the spherical witness
+      s = v(O(-mH)), <s, v> = -1, as its class up to sign; there the
+      chain model counts one extra stratum of dimension v^2 + 2, the whole
+      space (S^[10] at 6/19 is one of them);
+    - at S^[10], gamma = 4/13, the Hilbert side lists the parts in the
+      order (a, a, b), which raises at a negative fibre, while the
+      M(0, 3, -1) side lists its parts in an order that passes and counts
+      a stratum of dimension 12, as (a, b, a) and (b, a, a) do on the
+      Hilbert side.
+    Mending those two (ROADMAP items 18 and 16) shrinks this list.
+    """
+    walls = 0
+    differ = {}
+    for d in (1, 2):
+        p = SurfaceParams(d=d)
+        for m in range(1, 8):
+            search = hilbert_walls(d * m * m + 1, None, p)
+            moved = transport_search(search, m, p)
+            for w, tw in zip(search.records, moved.records):
+                if not isinstance(w.curve, Semicircle):
+                    continue
+                assert isinstance(tw.curve, Semicircle)
+                walls += 1
+                ours = _effective_strata(search.vector, w, p)
+                theirs = _effective_strata(moved.vector, tw, p)
+                if ours != theirs:
+                    differ[d, m, w.gamma] = (ours - theirs, theirs - ours)
+            gamma = F(2 * d * m, 2 * d * m * m + 1)
+            full = mukai_square(search.vector, p) + 2
+            assert differ.pop((d, m, gamma)) == (Counter({full: 1}), Counter())
+            witness = line_bundle_vector(-m, p)
+            assert mukai_pairing(witness, search.vector, p) == -1
+            (rec,) = [w for w in search.records if w.gamma == gamma]
+            assert rec.a in (witness, -witness)
+    assert walls == 834
+    assert differ == {(1, 3, F(4, 13)): (Counter(), Counter({12: 1}))}

@@ -8,7 +8,9 @@ layout of the text tables, each against a formula of its own.
   non-payload value raises.
 - walls_payload's wall records are compared with dicts built from each
   record's fields, numerators and denominators, key order included, over
-  the Hilbert, transported and candidate tables of a range of inputs.
+  the Hilbert, transported and candidate tables of a range of inputs,
+  and render_json writes each of them from its template, not through the
+  generic writer.
 - Each figure is parsed, and its drawn walls, their coordinates and the
   legend are recomputed from the payload's exact rationals and the float
   formulas of the canvas.
@@ -246,6 +248,39 @@ def test_walls_payload_records_against_the_record_fields():
     assert tables > 60
 
 
+@pytest.mark.parametrize(
+    "search, p",
+    [
+        (hilbert_walls(10), SurfaceParams(1)),
+        (transport_search(hilbert_walls(50), 7), SurfaceParams(1)),
+        (candidate_walls((0, 5, -1)), SurfaceParams(1)),
+    ],
+    ids=["hilbert", "transported", "candidate"],
+)
+def test_render_json_writes_every_record_from_its_template(monkeypatch, search, p):
+    """Once the templates are made, render_json writes no wall record
+    through the generic _json: it calls _json as often as on the payload
+    without its walls, however many records the table has.  A record key
+    list that drifted from record_json's would send every record to _json
+    (the same bytes, but a slower writer)."""
+    payload = report.walls_payload(search, p)
+    report.render_json(payload)  # makes the templates
+    calls = 0
+    real = report._json
+
+    def counted(value, newline):
+        nonlocal calls
+        calls += 1
+        return real(value, newline)
+
+    monkeypatch.setattr(report, "_json", counted)
+    report.render_json(payload)
+    with_walls, calls = calls, 0
+    report.render_json({key: value for key, value in payload.items() if key != "walls"})
+    assert len(payload["walls"]) > 10
+    assert with_walls == calls
+
+
 # ---------------------------------------------------------------------------
 # figure geometry against the payload's exact rationals
 
@@ -291,25 +326,28 @@ def _label(wall) -> str:
 
 
 @pytest.mark.parametrize(
-    "argv, y_marker, precision, xrange, clipped",
+    "argv, y_marker, precision, xrange, yrange, clipped",
     [
-        (["--n", "20"], Fraction(1), 6, None, False),
-        (["--vector", "0,3,-1", "--ymin", "1/2"], Fraction(1, 2), 6, None, False),
-        (["--n", "10"], Fraction(1), 3, (-6.0, 1.0), False),
-        (["--n", "10"], Fraction(1), 6, (-1.2, 1.0), True),
-        (["--n", "10", "--ymin", "7/8"], Fraction(7, 8), 6, None, False),  # a wall of radius 7/8 stays out
+        (["--n", "20"], Fraction(1), 6, None, None, False),
+        (["--vector", "0,3,-1", "--ymin", "1/2"], Fraction(1, 2), 6, None, None, False),
+        (["--n", "10"], Fraction(1), 3, (-6.0, 1.0), None, False),
+        (["--n", "10"], Fraction(1), 6, (-1.2, 1.0), None, True),
+        (["--n", "10", "--ymin", "7/8"], Fraction(7, 8), 6, None, None, False),  # a wall of radius 7/8 stays out
         # candidate tables, labelled by r^2; (0, 3, 1) is not a partner, so it needs no flag
-        (["--vector", "0,2,-1", "--candidates"], Fraction(1), 6, None, False),
-        (["--vector", "0,3,1", "--ymin", "3/2"], Fraction(3, 2), 4, None, False),
+        (["--vector", "0,2,-1", "--candidates"], Fraction(1), 6, None, None, False),
+        (["--vector", "0,3,1", "--ymin", "3/2"], Fraction(3, 2), 4, None, None, False),
+        (["--n", "10"], Fraction(1), 6, None, (0.5, 4.0), False),  # a y window that does not start at 0
     ],
     ids=["n20", "bm_ymin_half", "n10_precision3_window", "n10_clipped", "n10_radius_at_marker",
-         "candidates_forced", "candidates_ymin_3_2"],
+         "candidates_forced", "candidates_ymin_3_2", "n10_yrange"],
 )
-def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, clipped):
+def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, yrange, clipped):
     """The drawn walls are the walls above the marker that meet the x
     window, each at the coordinates of the canvas formulas, in payload
-    order, with one legend entry each in its colour."""
+    order, with one legend entry each in its colour; the marker line sits
+    at its height in the y window."""
     window = [] if xrange is None else [f"--xrange={xrange[0]},{xrange[1]}"]
+    window += [] if yrange is None else [f"--yrange={yrange[0]},{yrange[1]}"]
     root = ET.fromstring(_run(["figure", *argv, *window, "--precision", str(precision)]))
     payload = json.loads(_run(["walls", *argv, "--format", "json"]))
 
@@ -326,10 +364,12 @@ def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, 
         xs = [0.0, *(x for lo, hi, _ in extents for x in (lo, hi))]
         pad = max(0.5, 0.05 * (max(xs) - min(xs)))
         xrange = (min(xs) - pad, max(xs) + pad)
-    y_top = max([1.0, float(y_marker), *(peak for _, _, peak in extents)]) + 0.5
+    if yrange is None:  # the fitted window: from 0 to half above the highest wall, marker or 1
+        yrange = (0.0, max([1.0, float(y_marker), *(peak for _, _, peak in extents)]) + 0.5)
     x0, x1 = xrange
-    sx, sy = 560 / (x1 - x0), 402 / y_top
-    bottom, top = fmt(34 + y_top * sy), fmt(34.0)
+    y0, y1 = yrange
+    sx, sy = 560 / (x1 - x0), 402 / (y1 - y0)
+    bottom, top = fmt(34 + (y1 - y0) * sy), fmt(34.0)
 
     drawn = [w for w in above if _meets_window(w["curve"], Fraction(x0), Fraction(x1))]
     expected = []
@@ -359,6 +399,10 @@ def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, 
     assert labels == [_label(w) for w in drawn]
     swatches = [el.get("stroke") for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
     assert swatches == [el.get("stroke") for el in walls_drawn]
+
+    marker_y = fmt(34 + (y1 - float(y_marker)) * sy)
+    markers = [(el.get("y1"), el.get("y2")) for el in root.iter(f"{ns}line") if el.get("stroke-dasharray") == "6,4"]
+    assert markers == ([(marker_y, marker_y)] if y0 < y_marker < y1 else [])
 
 
 def test_figure_labels_a_vertical_wall_without_slope():
