@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_pairing, mukai_square
+from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setters, _Value, mukai_pairing, mukai_square
 
 
 class StabilityPoint(_Value):
@@ -44,8 +44,11 @@ class StabilityPoint(_Value):
         x, y_sq = Fraction(x), Fraction(y_sq)
         if y_sq <= 0:
             raise ValueError(f"stability point needs y > 0, got y^2 = {y_sq}")
-        _setattr(self, "x", x)
-        _setattr(self, "y_sq", y_sq)
+        _set_x(self, x)
+        _set_point_y_sq(self, y_sq)
+
+
+_set_x, _set_point_y_sq = _setters(StabilityPoint)
 
 
 class ComplexValue(_Value):
@@ -54,9 +57,9 @@ class ComplexValue(_Value):
     __slots__ = ("re", "im_coeff", "y_sq")
 
     def __init__(self, re: Fraction, im_coeff: Fraction, y_sq: Fraction) -> None:
-        _setattr(self, "re", re)
-        _setattr(self, "im_coeff", im_coeff)
-        _setattr(self, "y_sq", y_sq)
+        _set_re(self, re)
+        _set_im_coeff(self, im_coeff)
+        _set_value_y_sq(self, y_sq)
 
     def times_conj(self, other: "ComplexValue") -> tuple[Fraction, Fraction]:
         """Exact real part and imaginary coefficient of self * conj(other)."""
@@ -65,6 +68,9 @@ class ComplexValue(_Value):
         re = self.re * other.re + self.im_coeff * other.im_coeff * self.y_sq
         im_coeff = self.im_coeff * other.re - self.re * other.im_coeff
         return re, im_coeff
+
+
+_set_re, _set_im_coeff, _set_value_y_sq = _setters(ComplexValue)
 
 
 def central_charge(u: MukaiVector, pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> ComplexValue:
@@ -83,7 +89,10 @@ class VerticalLine(_Value):
     __slots__ = ("x0",)
 
     def __init__(self, x0: Fraction) -> None:
-        _setattr(self, "x0", x0)
+        _set_x0(self, x0)
+
+
+(_set_x0,) = _setters(VerticalLine)
 
 
 class Semicircle(_Value):
@@ -92,8 +101,11 @@ class Semicircle(_Value):
     __slots__ = ("center_x", "radius_sq")
 
     def __init__(self, center_x: Fraction, radius_sq: Fraction) -> None:
-        _setattr(self, "center_x", center_x)
-        _setattr(self, "radius_sq", radius_sq)
+        _set_center_x(self, center_x)
+        _set_radius_sq(self, radius_sq)
+
+
+_set_center_x, _set_radius_sq = _setters(Semicircle)
 
 
 # a | union, not typing.Union: typing caches Union[...] for good, which would
@@ -135,12 +147,9 @@ DEGENERATE = _Degenerate()
 
 
 def _integer_ratio(x) -> tuple[int, int]:
-    """x in lowest terms, den > 0: an int, a Fraction or anything Fraction
-    accepts."""
-    try:
-        return x.as_integer_ratio()
-    except AttributeError:  # a str, say
-        return Fraction(x).as_integer_ratio()
+    """x, anything Fraction accepts that has no as_integer_ratio (a str,
+    say), in lowest terms with den > 0."""
+    return Fraction(x).as_integer_ratio()
 
 
 def path_intersection(curve: WallCurve, x0: Fraction):
@@ -151,7 +160,10 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     wall.  A miss is decided from the sign of the integer numerator of
     radius^2 - (x0 - center)^2; a Fraction is built only for a hit.
     """
-    xn, xd = _integer_ratio(x0)
+    try:
+        xn, xd = x0.as_integer_ratio()
+    except AttributeError:
+        xn, xd = _integer_ratio(x0)
     if isinstance(curve, VerticalLine):
         return DEGENERATE if (xn, xd) == curve.x0.as_integer_ratio() else None
     en, ed = curve.center_x.as_integer_ratio()

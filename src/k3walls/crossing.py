@@ -58,7 +58,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 
 from .charge import Semicircle, StabilityPoint, wall_locus
-from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setattr, _Value, mukai_square
+from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setters, _Value, mukai_square
 from .walls import WallRecord
 
 
@@ -208,7 +208,10 @@ class Decomposition(_Value):
     __slots__ = ("parts",)
 
     def __init__(self, parts: tuple[MukaiVector, ...]) -> None:
-        _setattr(self, "parts", parts)
+        _set_parts(self, parts)
+
+
+(_set_parts,) = _setters(Decomposition)
 
 
 def _suffix_reach(classes: list[tuple[int, int, tuple[int, int, int]]]) -> list[tuple[int, ...]]:
@@ -298,9 +301,12 @@ class DimReport(_Value):
     __slots__ = ("part_moduli_dims", "fiber_dims", "stratum_dim")
 
     def __init__(self, part_moduli_dims: tuple[int, ...], fiber_dims: tuple[int, ...], stratum_dim: int) -> None:
-        _setattr(self, "part_moduli_dims", part_moduli_dims)
-        _setattr(self, "fiber_dims", fiber_dims)
-        _setattr(self, "stratum_dim", stratum_dim)
+        _set_part_moduli_dims(self, part_moduli_dims)
+        _set_fiber_dims(self, fiber_dims)
+        _set_stratum_dim(self, stratum_dim)
+
+
+_set_part_moduli_dims, _set_fiber_dims, _set_stratum_dim = _setters(DimReport)
 
 
 def stratum_dims(

@@ -24,17 +24,18 @@ from __future__ import annotations
 
 import math
 
-_setattr = object.__setattr__
-
 
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass lists its fields, in order, as its __slots__ and sets them
-    in its own __init__ through object.__setattr__.  Instances then act as
-    frozen dataclasses would: compared by class and fields, hashed as the
-    tuple of fields, shown as Name(field=value, ...), closed to assignment
-    and deletion, and pickled or copied by calling the class again.
+    A subclass lists its fields, in order, as its __slots__.  Its module
+    binds the __set__ of each field's slot descriptor once, right after
+    the class (_set_r, _set_c, _set_s = _setters(MukaiVector)), and the
+    subclass's own __init__ sets each field through its setter, which
+    __setattr__ below does not see.  Instances then act as frozen
+    dataclasses would: compared by class and fields, hashed as the tuple
+    of fields, shown as Name(field=value, ...), closed to assignment and
+    deletion, and pickled or copied by calling the class again.
     """
 
     __slots__ = ()
@@ -64,6 +65,11 @@ class _Value:
         return self.__class__, self._fields()
 
 
+def _setters(cls: type) -> list:
+    """The __set__ of each slot descriptor of cls, in field order."""
+    return [cls.__dict__[name].__set__ for name in cls.__slots__]
+
+
 class SurfaceParams(_Value):
     """Numerical invariants of the polarized K3 surface: H^2 = 2d."""
 
@@ -72,8 +78,10 @@ class SurfaceParams(_Value):
     def __init__(self, d: int = 1) -> None:
         if not isinstance(d, int) or d < 1:
             raise ValueError(f"degree parameter d must be a positive integer, got {d!r}")
-        _setattr(self, "d", d)
+        _set_d(self, d)
 
+
+(_set_d,) = _setters(SurfaceParams)
 
 DEFAULT_SURFACE = SurfaceParams(1)
 
@@ -88,9 +96,9 @@ class MukaiVector(_Value):
             for name, value in (("r", r), ("c", c), ("s", s)):
                 if not isinstance(value, int):
                     raise ValueError(f"Mukai vector components must be integers, got {name}={value!r}")
-        _setattr(self, "r", r)
-        _setattr(self, "c", c)
-        _setattr(self, "s", s)
+        _set_r(self, r)
+        _set_c(self, c)
+        _set_s(self, s)
 
     # -- basic group structure ------------------------------------------------
 
@@ -141,6 +149,9 @@ class MukaiVector(_Value):
         if len(parts) != 3:
             raise ValueError(f"expected three components, got {value!r}")
         return cls(int(parts[0]), int(parts[1]), int(parts[2]))
+
+
+_set_r, _set_c, _set_s = _setters(MukaiVector)
 
 
 def mukai_pairing(u: MukaiVector, w: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:

@@ -156,14 +156,13 @@ def _expanded_circle(center, radius_sq) -> str:
     bn, bd = -2 * en // g, ed // g
     cn, cd = rn * ed * ed - en * en * rd, rd * ed * ed
     g = math.gcd(cn, cd)
-    cn, cd = cn // g, cd // g
+    rhs = cn // g if cd == g else f"{cn // g}/{cd // g}"
     if bn == 0:
-        lhs = "x^2 + y^2"
-    else:
-        coeff = _ratio_str(abs(bn), bd)
-        term = f"{coeff}x" if bd == 1 else f"{coeff} x"
-        lhs = f"x^2 {'+' if bn > 0 else '-'} {term} + y^2"
-    return f"{lhs} = {_ratio_str(cn, cd)}"
+        return f"x^2 + y^2 = {rhs}"
+    sign, bn = ("+", bn) if bn > 0 else ("-", -bn)
+    if bd == 1:
+        return f"x^2 {sign} {bn}x + y^2 = {rhs}"
+    return f"x^2 {sign} {bn}/{bd} x + y^2 = {rhs}"
 
 
 def _centered_circle(center, radius_sq) -> str:
@@ -309,52 +308,70 @@ def render_decompose_text(payload: dict) -> str:
 # csv renderers
 
 
-def _csv(rows: list[list[str]]) -> str:
+def _csv(rows: list[tuple]) -> str:
+    """rows, each as wide as the first, as csv.writer(lineterminator="\n")
+    writes them.  One "%s,...,%s" template writes each line; csv writes the
+    same bytes unless a cell holds a comma, a newline, a quote or a
+    carriage return, or is None (csv writes ""), so the whole text is
+    checked once for those, and csv writes the rows when any is there."""
+    width = len(rows[0])
+    line = ",".join(["%s"] * width)
+    try:
+        text = "\n".join([line % row for row in rows]) + "\n"
+    except TypeError:  # a row of another width: the counts below fail
+        text = ""
+    if (
+        text.count(",") == (width - 1) * len(rows)
+        and text.count("\n") == len(rows)
+        and '"' not in text
+        and "\r" not in text
+        and "None" not in text
+    ):
+        return text
     buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
 
 
-def _curve_cells(curve: dict | None) -> list[str]:
+def _curve_cells(curve: dict | None) -> tuple[str, ...]:
     """curve_kind, center_x, radius_sq, x0 columns."""
     if curve is None:
-        return ["", "", "", ""]
+        return ("", "", "", "")
     if curve["kind"] == "semicircle":
         center, radius_sq = curve["center"], curve["radius_sq"]
-        return [
+        return (
             curve["kind"],
             _ratio_str(center["num"], center["den"]),
             _ratio_str(radius_sq["num"], radius_sq["den"]),
             "",
-        ]
+        )
     x0 = curve["x0"]
-    return [curve["kind"], "", "", _ratio_str(x0["num"], x0["den"])]
+    return (curve["kind"], "", "", _ratio_str(x0["num"], x0["den"]))
 
 
 def render_walls_csv(payload: dict) -> str:
-    rows = [["gamma", "a_r", "a_c", "a_s", "a_sq", "pairing", "curve_kind", "center_x", "radius_sq", "x0", "type"]]
+    rows = [("gamma", "a_r", "a_c", "a_s", "a_sq", "pairing", "curve_kind", "center_x", "radius_sq", "x0", "type")]
     for w in payload["walls"]:
-        rows.append([_gamma_str(w["gamma"]), *w["a"], w["a_sq"], w["pairing"], *_curve_cells(w["curve"]), w["type"]])
+        rows.append((_gamma_str(w["gamma"]), *w["a"], w["a_sq"], w["pairing"], *_curve_cells(w["curve"]), w["type"]))
     return _csv(rows)
 
 
 def render_path_csv(payload: dict) -> str:
-    rows = [["gamma", "a_r", "a_c", "a_s", "y_sq", "y"]]
+    rows = [("gamma", "a_r", "a_c", "a_s", "y_sq", "y")]
     for gamma, a, y_sq, y in _path_rows(payload):
-        rows.append([gamma, *map(str, a), y_sq, y])
+        rows.append((gamma, *map(str, a), y_sq, y))
     return _csv(rows)
 
 
 def render_decompose_csv(payload: dict) -> str:
-    rows = [["decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error"]]
+    rows = [("decomposition", "parts", "moduli_dims", "fiber_dims", "stratum_dim", "error")]
     for i, parts, entry in _decomposition_rows(payload):
         if entry.get("error"):
-            rows.append([i, parts, "", "", "", entry["error"]])
+            rows.append((i, parts, "", "", "", entry["error"]))
         else:
             moduli = " ".join(map(str, entry["moduli_dims"]))
             fibers = " ".join(map(str, entry["fiber_dims"]))
-            rows.append([i, parts, moduli, fibers, str(entry["stratum_dim"]), ""])
+            rows.append((i, parts, moduli, fibers, str(entry["stratum_dim"]), ""))
     return _csv(rows)
 
 

@@ -40,26 +40,22 @@ PALETTE = (
 )
 
 
-def _float(q: dict) -> float:
-    """A payload rational as a float, num / den (correctly rounded)."""
-    return q["num"] / q["den"]
-
-
 def _wall_extent(wall: dict, marker_sq: tuple[int, int]) -> tuple[float, float, float] | None:
     """(x lo, x hi, top y) in plane coordinates of a wall that reaches above
     the marker line, else None.  Vertical lines always reach; semicircles
     need radius^2 > marker^2, marker_sq = (num, den) (exact
-    cross-multiplication; both denominators are positive)."""
+    cross-multiplication; both denominators are positive).  A payload
+    rational becomes the float num / den, which is correctly rounded."""
     curve = wall["curve"]
     if curve is None:
         return None
     if curve["kind"] == "vertical_line":
-        x0 = _float(curve["x0"])
+        x0 = curve["x0"]["num"] / curve["x0"]["den"]
         return x0, x0, 0.0
     rho_sq = curve["radius_sq"]
     if rho_sq["num"] * marker_sq[1] > marker_sq[0] * rho_sq["den"]:
-        center = _float(curve["center"])
-        radius = math.sqrt(_float(rho_sq))
+        center = curve["center"]["num"] / curve["center"]["den"]
+        radius = math.sqrt(rho_sq["num"] / rho_sq["den"])
         return center - radius, center + radius, radius
     return None
 
@@ -142,16 +138,13 @@ def render_figure(
     # covers every finite float width) leaving at most MAX_TICK_STEPS steps
     width = x1 - x0
     step = next(s for k in range(309) for s in (10**k, 2 * 10**k, 5 * 10**k) if width <= MAX_TICK_STEPS * s)
+    # one format per tick, its x written by px and the tick (an int) by %d
+    mark = (f'<line x1="%s" y1="{bottom}" x2="%s" y2="{fmt(float(bottom) + 5)}" stroke="#000000" stroke-width="1"/>\n'
+            f'<text x="%s" y="{fmt(float(bottom) + 18)}" font-family="monospace" font-size="11" '
+            f'text-anchor="middle" fill="#000000">%d</text>')
     for tick in (i * step for i in range(math.ceil(x0 / step), math.floor(x1 / step) + 1)):
         tx = px(tick)
-        out.append(
-            f'<line x1="{tx}" y1="{bottom}" x2="{tx}" y2="{fmt(float(bottom) + 5)}" '
-            f'stroke="#000000" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{tx}" y="{fmt(float(bottom) + 18)}" font-family="monospace" font-size="11" '
-            f'text-anchor="middle" fill="#000000">{tick}</text>'
-        )
+        out.append(mark % (tx, tx, tx, tick))
     out.append(
         f'<text x="{right}" y="{fmt(float(bottom) + 34)}" font-family="monospace" font-size="12" '
         f'text-anchor="end" fill="#000000">x</text>'
@@ -171,14 +164,16 @@ def render_figure(
 
     # one arc or line per wall that reaches into the x window, and one
     # swatch per drawn wall in the legend in the right margin, each one
-    # format whose numbers are written as fmt writes them
+    # format whose numbers are written as fmt writes them; a swatch's y
+    # is an int, which %d and precision zeros write as fmt would
     line = (f'<line x1="{num}" y1="{bottom}" x2="{num}" y2="{top}" stroke="%s" '
             f'stroke-width="1.5" stroke-dasharray="2,3" clip-path="url(#plot)"/>')
     arc = (f'<path d="M {num} {bottom} A {num} {num} 0 0 1 {num} {bottom}" '
            f'fill="none" stroke="%s" stroke-width="1.5" clip-path="url(#plot)"/>')
     lx = WIDTH - MARGIN_RIGHT + 14
-    swatch = (f'<line x1="{fmt(lx)}" y1="{num}" x2="{fmt(lx + 22)}" y2="{num}" stroke="%s" stroke-width="2"/>\n'
-              f'<text x="{fmt(lx + 28)}" y="{num}" font-family="monospace" font-size="11" fill="#000000">%s</text>')
+    whole = f"%d.{'0' * precision}" if precision else "%d"
+    swatch = (f'<line x1="{fmt(lx)}" y1="{whole}" x2="{fmt(lx + 22)}" y2="{whole}" stroke="%s" stroke-width="2"/>\n'
+              f'<text x="{fmt(lx + 28)}" y="{whole}" font-family="monospace" font-size="11" fill="#000000">%s</text>')
     legend: list[str] = []
     for wall, (lo, hi, _) in drawn:
         if hi < x0 or lo > x1:

@@ -63,6 +63,7 @@ the common center.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
 
@@ -71,7 +72,7 @@ from .lattice import (
     DEFAULT_SURFACE,
     MukaiVector,
     SurfaceParams,
-    _setattr,
+    _setters,
     _Value,
     mukai_pairing,
     mukai_square,
@@ -102,12 +103,15 @@ class WallRecord(_Value):
     ) -> None:
         if wall_type not in WALL_TYPES:
             raise ValueError(f"unknown wall type {wall_type!r}")
-        _setattr(self, "a", a)
-        _setattr(self, "a_sq", a_sq)
-        _setattr(self, "pairing_va", pairing_va)
-        _setattr(self, "gamma", gamma)
-        _setattr(self, "curve", curve)
-        _setattr(self, "wall_type", wall_type)
+        _set_a(self, a)
+        _set_a_sq(self, a_sq)
+        _set_pairing_va(self, pairing_va)
+        _set_gamma(self, gamma)
+        _set_curve(self, curve)
+        _set_wall_type(self, wall_type)
+
+
+_set_a, _set_a_sq, _set_pairing_va, _set_gamma, _set_curve, _set_wall_type = _setters(WallRecord)
 
 
 class MovableCone(_Value):
@@ -120,9 +124,12 @@ class MovableCone(_Value):
     __slots__ = ("n", "gamma_min", "gamma_max")
 
     def __init__(self, n: int, gamma_min: Fraction, gamma_max: Fraction) -> None:
-        _setattr(self, "n", n)
-        _setattr(self, "gamma_min", gamma_min)
-        _setattr(self, "gamma_max", gamma_max)
+        _set_cone_n(self, n)
+        _set_gamma_min(self, gamma_min)
+        _set_gamma_max(self, gamma_max)
+
+
+_set_cone_n, _set_gamma_min, _set_gamma_max = _setters(MovableCone)
 
 
 class WallSearch(_Value):
@@ -143,13 +150,16 @@ class WallSearch(_Value):
         m: int | None = None,
         source_vector: MukaiVector | None = None,
     ) -> None:
-        _setattr(self, "vector", vector)
-        _setattr(self, "records", records)
-        _setattr(self, "complete", complete)
-        _setattr(self, "mode", mode)
-        _setattr(self, "n", n)
-        _setattr(self, "m", m)
-        _setattr(self, "source_vector", source_vector)
+        _set_vector(self, vector)
+        _set_records(self, records)
+        _set_complete(self, complete)
+        _set_mode(self, mode)
+        _set_search_n(self, n)
+        _set_m(self, m)
+        _set_source_vector(self, source_vector)
+
+
+_set_vector, _set_records, _set_complete, _set_mode, _set_search_n, _set_m, _set_source_vector = _setters(WallSearch)
 
 
 def hilbert_vector(n: int) -> MukaiVector:
@@ -420,9 +430,9 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
     r_max = _rank_cap(n, r_max)
     gamma_max, rank, lag = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
-    groups: dict[tuple[int, int], list[tuple]] = {}  # slope -> its _slope_classes items
+    groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)  # slope -> its _slope_classes items
     for item in _slope_classes(n, rank if complete else r_max, p, gamma_max):
-        groups.setdefault(item[2], []).append(item)
+        groups[item[2]].append(item)
 
     records = []
     for gamma in _sorted_pairs(groups):
@@ -474,11 +484,17 @@ def transport_walls(
     keeps <v,a>^2 - v^2 a^2, which decides whether the locus meets the
     upper half plane, so a curve-less record (the Lagrangian boundary)
     stays curve-less and every other one gets its transported locus.
+    Phi_m is linear, so each class goes through one integer matrix, whose
+    rows are the images of (1, 0, 0), (0, 1, 0) and (0, 0, 1).
     """
     v_new = phi_pushforward(v, m, p)
+    (rr, rc, rs), (cr, cc, cs), (sr, sc, ss) = [
+        phi_pushforward(MukaiVector(*row), m, p).as_tuple() for row in ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    ]
     out = []
     for rec in records:
-        a_new = phi_pushforward(rec.a, m, p)
+        r, c, s = rec.a.r, rec.a.c, rec.a.s
+        a_new = MukaiVector(r * rr + c * cr + s * sr, r * rc + c * cc + s * sc, r * rs + c * cs + s * ss)
         assert mukai_square(a_new, p) == rec.a_sq
         assert mukai_pairing(v_new, a_new, p) == rec.pairing_va
         curve = None if rec.curve is None else wall_locus(v_new, a_new, p)
@@ -539,7 +555,7 @@ def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfacePa
     cut_r = 4 * d * d * m * m * yn * yn - k * k * yd * yd
     cut_c = 4 * d * m * k * yd * yd
     cut_den = 4 * d * m * m * yd * yd
-    buckets: dict[tuple[int, int], list[MukaiVector]] = {}
+    buckets: dict[tuple[int, int], list[MukaiVector]] = defaultdict(list)
     for r in range(-r_max, r_max + 1):
         if r == 0:
             continue
@@ -561,7 +577,7 @@ def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfacePa
                 a = MukaiVector(r, c, s)
                 assert num * yd * yd > yn * yn * den  # radius^2 > y_min^2
                 assert wall_discriminant(w, a, p) > 0
-                buckets.setdefault((num // g, den // g), []).append(a)
+                buckets[num // g, den // g].append(a)
     return buckets
 
 

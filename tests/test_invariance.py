@@ -9,9 +9,12 @@ Z_{x,y}(u dual) = -conj(Z_{-x,y}(u)), so every wall is reflected by
 x -> -x.  These relations compare the code with itself on transformed
 inputs: they add to the independent oracles and do not replace them.
 Phi_m identifies S^[dm^2+1] with M(0, m, -1), so the two sides of a
-shared wall must also have the same strata.
+shared wall must also have the same strata.  An isometry that fixes
+(1, 0, 1-n) and swaps the two ends of the movable cone of S^[n] maps the
+walls onto themselves, so a certified table is symmetric under it.
 """
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -27,6 +30,7 @@ from k3walls import (
     dual_shift,
     hilbert_walls,
     line_bundle_vector,
+    movable_cone,
     mukai_pairing,
     mukai_square,
     path_intersection,
@@ -231,3 +235,81 @@ def test_phi_m_carries_strata():
             assert rec.a in (witness, -witness)
     assert walls == 834
     assert differ == {(1, 3, F(4, 13)): (Counter(), Counter({12: 1}))}
+
+
+def _pair(u, w, d):
+    """The Mukai pairing of two triples, written out."""
+    return 2 * d * u[1] * w[1] - u[0] * w[2] - w[0] * u[2]
+
+
+def _cone_involution(n, d, gamma_max):
+    """The integral isometry g with g(v) = v, v = (1, 0, 1-n), that sends
+    w0 = (0, 1, 0) to e*w1 and w1 to e*w0, e = +-1, where w1 is the
+    primitive part of (P, -Q, P(n-1)) and P/Q = gamma_max: w0 and w1 span
+    the rays of the two ends of the movable cone.  Returned as the images
+    of (1, 0, 0), (0, 1, 0) and (0, 0, 1), or None when w0^2 != w1^2 or
+    neither sign is integral.
+
+    A vector x is alpha*v + beta*w0 + gamma*w1 with alpha = <x,v>/v^2
+    (v is orthogonal to both w) and (beta, gamma) solving the Gram system
+    of w0 and w1; g(x) = alpha*v + e*(beta*w1 + gamma*w0).
+    """
+    v, w0 = (1, 0, 1 - n), (0, 1, 0)
+    big_p, big_q = gamma_max.numerator, gamma_max.denominator
+    content = math.gcd(big_p, big_q, big_p * (n - 1))
+    w1 = (big_p // content, -big_q // content, big_p * (n - 1) // content)
+    sq = _pair(w1, w1, d)
+    if sq != _pair(w0, w0, d):
+        return None
+    cross, v_sq = _pair(w0, w1, d), _pair(v, v, d)
+    det = sq * sq - cross * cross
+    for e in (1, -1):
+        images = []
+        for x in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+            alpha = F(_pair(x, v, d), v_sq)
+            b0, b1 = _pair(x, w0, d), _pair(x, w1, d)
+            beta, gamma = F(b0 * sq - b1 * cross, det), F(b1 * sq - b0 * cross, det)
+            images.append([alpha * v[i] + e * (beta * w1[i] + gamma * w0[i]) for i in range(3)])
+        if all(c.denominator == 1 for image in images for c in image):
+            return [tuple(int(c) for c in image) for image in images]
+    return None
+
+
+def _image(g, a):
+    return tuple(sum(a[j] * g[j][i] for j in range(3)) for i in range(3))
+
+
+def test_certified_tables_are_symmetric_under_their_cone_involution():
+    """Every certified default table at d <= 3, n <= 80 that has a cone
+    involution g is g-symmetric: for every record a but the Lagrangian
+    boundary, the slope of g(a) = (r, c, s), -2dc/(r(n-1) + s), is the
+    slope of a wall of the table.  g keeps a^2 and <v,a>, so it maps a
+    clause class to a clause class, and it swaps the ends gamma = 0 and
+    gamma_max; the image comes from lattice algebra, not from the scan.
+    27 tables at d <= 2 and 12 at d = 3 have one today, and certifying
+    more tables can only add to them.  S^[n] at d = 1 has none for n = 2,
+    3, 4, 8 and 10."""
+    symmetric, without = Counter(), set()
+    for d in (1, 2, 3):
+        p = SurfaceParams(d)
+        for n in range(2, 81):
+            try:
+                search = hilbert_walls(n, None, p)
+            except ValueError:  # no cone boundary within the default cap
+                continue
+            if not search.complete:
+                continue
+            g = _cone_involution(n, d, movable_cone(n, None, p).gamma_max)
+            if g is None:
+                without.add((d, n))
+                continue
+            slopes = {rec.gamma for rec in search.records}
+            for rec in search.records:
+                if rec.wall_type == "boundary_lagrangian":
+                    continue
+                r, c, s = _image(g, rec.a.as_tuple())
+                assert r * (n - 1) + s != 0, (d, n, rec)
+                assert F(-2 * d * c, r * (n - 1) + s) in slopes, (d, n, rec)
+            symmetric[d] += 1
+    assert symmetric[1] + symmetric[2] >= 27 and symmetric[3] >= 12
+    assert {(1, n) for n in (2, 3, 4, 8, 10)} <= without

@@ -14,12 +14,15 @@ layout of the text tables, each against a formula of its own.
 - Each figure is parsed, and its drawn walls, their coordinates and the
   legend are recomputed from the payload's exact rationals and the float
   formulas of the canvas.
+- The csv renderers are compared with csv.writer on the rows they build,
+  and report._csv on generated rows.
 - report._table is checked for column positions, widths and trailing
   whitespace on generated cells.
 - A hand-built payload with a vertical wall of no slope gets the plain
   legend label, and the renderers reject a foreign curve and an svg table.
 """
 
+import csv
 import io
 import json
 import math
@@ -397,12 +400,29 @@ def test_figure_geometry_against_the_payload(argv, y_marker, precision, xrange, 
     legend_x = fmt(800 - 180 + 14 + 28)
     labels = [el.text for el in root.iter(f"{ns}text") if el.get("x") == legend_x]
     assert labels == [_label(w) for w in drawn]
-    swatches = [el.get("stroke") for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
-    assert swatches == [el.get("stroke") for el in walls_drawn]
+    swatches = [el for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
+    assert [el.get("stroke") for el in swatches] == [el.get("stroke") for el in walls_drawn]
+    # swatch i sits at y = 44 + 18i, its label 4 lower
+    assert [(el.get("y1"), el.get("y2")) for el in swatches] == [(fmt(44 + 18 * i),) * 2 for i in range(len(drawn))]
+    label_ys = [el.get("y") for el in root.iter(f"{ns}text") if el.get("x") == legend_x]
+    assert label_ys == [fmt(48 + 18 * i) for i in range(len(drawn))]
 
     marker_y = fmt(34 + (y1 - float(y_marker)) * sy)
     markers = [(el.get("y1"), el.get("y2")) for el in root.iter(f"{ns}line") if el.get("stroke-dasharray") == "6,4"]
     assert markers == ([(marker_y, marker_y)] if y0 < y_marker < y1 else [])
+
+
+def test_figure_legend_at_precision_zero():
+    """The library takes precision 0, which the CLI does not: every legend
+    y is then a bare integer."""
+    payload = json.loads(_run(["walls", "--n", "10", "--format", "json"]))
+    root = ET.fromstring(render_figure(payload, precision=0))
+    ns = "{http://www.w3.org/2000/svg}"
+    swatches = [(el.get("y1"), el.get("y2")) for el in root.iter(f"{ns}line") if el.get("stroke-width") == "2"]
+    assert len(swatches) > 5
+    assert swatches == [(f"{44 + 18 * i:.0f}",) * 2 for i in range(len(swatches))]
+    label_ys = [el.get("y") for el in root.iter(f"{ns}text") if el.get("x") == f"{800 - 180 + 14 + 28:.0f}"]
+    assert label_ys == [f"{48 + 18 * i:.0f}" for i in range(len(swatches))]
 
 
 def test_figure_labels_a_vertical_wall_without_slope():
@@ -422,6 +442,73 @@ def test_render_rejects_svg_for_a_table():
     payload = {"surface": {"d": 1}, "vector": [1, 0, -1], "walls": [], "complete": True}
     with pytest.raises(ValueError, match="format 'svg' is not valid for walls output"):
         report.render("walls", payload, "svg")
+
+
+# ---------------------------------------------------------------------------
+# csv renderers against csv.writer
+
+
+def _writer_csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+_csv_cells = st.text(st.sampled_from(',"\n\r a1/-'), max_size=4) | st.integers() | st.none()
+
+
+@given(st.sampled_from([6, 11]).flatmap(lambda width: st.lists(st.tuples(*[_csv_cells] * width), min_size=1)))
+@example([("gamma", "a_r", "a_c", "a_s", "y_sq", "y"), ("", "", "", "", "", "")])
+@example([("a,b", 'say "x"', "two\nlines", "cr\rlf", "", None)])
+@example([("None", 1, -2, "", "", "x"), ("1/2", 0, 0, "", "", "y")])
+def test_csv_writes_what_csv_writer_writes(rows):
+    """Rows of the widths the renderers emit, 11 (walls) and 6 (path and
+    decompose), against the running interpreter's csv module, whose
+    quoting of a lone carriage return differs between Python versions."""
+    assert report._csv(rows) == _writer_csv(rows)
+
+
+_HOSTILE = ("a,b", 'say "x"', "two\nlines", "cr\rlf", "None")
+
+
+@pytest.mark.parametrize(
+    "kind, argv",
+    [
+        ("walls", ["walls", "--n", "10"]),
+        ("walls", ["walls", "--vector", "0,3,-1"]),
+        ("walls", ["transport", "--n", "10", "--m", "3"]),
+        ("walls", ["walls", "--vector", "0,2,-1", "--candidates"]),
+        ("path", ["path", "--n", "10", "--x0", "-3"]),
+        ("path", ["path", "--vector", "0,3,-1", "--x0", "-1/6"]),
+        ("decompose", ["decompose", "--n", "10", "--gamma", "2/11"]),
+        ("decompose", ["decompose", "--n", "10", "--gamma", "4/13"]),
+        ("decompose", ["decompose", "--vector", "0,3,-1", "--gamma", "6/19"]),
+    ],
+    ids=["walls_n10", "walls_bm", "transport_n10_m3", "candidates", "path_n10", "path_bm",
+         "decompose_n10_2_11", "decompose_n10_4_13", "decompose_bm_6_19"],
+)
+def test_csv_renderers_write_what_csv_writer_writes(monkeypatch, kind, argv):
+    """Each csv renderer writes what csv.writer writes for the rows it
+    builds: on the payloads of the golden vectors, and on copies whose
+    string cells (wall types, slopes, errors) hold a comma, a quote, a
+    newline, a carriage return, an empty string or the text None."""
+    rows_seen = []
+    csv_rows = report._csv
+    monkeypatch.setattr(report, "_csv", lambda rows: rows_seen.append(rows) or csv_rows(rows))
+    payload = json.loads(_run([*argv, "--format", "json"]))
+    items = payload[{"walls": "walls", "path": "hits", "decompose": "decompositions"}[kind]]
+    assert items
+    assert report.render(kind, payload, "csv") == _writer_csv(rows_seen[-1])
+    for cell in (*_HOSTILE, ""):
+        for item in items:
+            if kind == "walls":
+                item["type"] = cell
+            elif kind == "path":
+                item["gamma"] = {"num": cell, "den": 1}
+            elif cell:  # an empty error reads as no error
+                item["error"] = cell
+        assert report.render(kind, payload, "csv") == _writer_csv(rows_seen[-1])
+    assert len(rows_seen) == 2 + len(_HOSTILE)
 
 
 # ---------------------------------------------------------------------------
