@@ -54,8 +54,10 @@ dimension 12.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
+from operator import itemgetter
 
 from .charge import Semicircle, StabilityPoint, wall_locus
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setters, _Value, mukai_square
@@ -63,18 +65,19 @@ from .walls import WallRecord
 
 
 def _plane_basis(v: MukaiVector, a: MukaiVector) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-    """Integer basis (b1, b2), as (r, c, s) triples, of the saturation of span(v, a).
-
-    The plane is { u : u . n = 0 } for the primitive normal n = (v x a)/g;
-    the construction spans that whole orthogonal lattice, certified by
-    b1 x b2 = +-n coming back primitive.
-    """
-    x = v.c * a.s - v.s * a.c
-    y = v.s * a.r - v.r * a.s
-    z = v.r * a.c - v.c * a.r
-    g = math.gcd(x, y, z)
-    if g == 0:
+    """Integer basis (b1, b2), as (r, c, s) triples, of the saturation of span(v, a)."""
+    x, y, z = v.c * a.s - v.s * a.c, v.s * a.r - v.r * a.s, v.r * a.c - v.c * a.r
+    if not (x or y or z):
         raise ValueError(f"classes {v} and {a} are proportional")
+    return _normal_plane(x, y, z)
+
+
+def _normal_plane(x: int, y: int, z: int) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Integer basis (b1, b2) of the plane { u : u . n = 0 } for the
+    primitive normal n = (x, y, z)/g of a nonzero (x, y, z), such as the
+    cross product v x a; it spans that whole orthogonal lattice, certified
+    by b1 x b2 = +-n coming back primitive."""
+    g = math.gcd(x, y, z)
     n1, n2, n3 = x // g, y // g, z // g
     if n2 == 0 and n3 == 0:
         return (0, 1, 0), (0, 0, 1)
@@ -132,17 +135,20 @@ def _levelled_classes(
     num, den = curve.center_x.as_integer_ratio()
     rad_n, rad_d = curve.radius_sq.as_integer_ratio()
     a, d = w.a, p.d
+    vr, vc, vs = v.r, v.c, v.s
+    ar, ac, as_ = a.r, a.c, a.s
     # the curve is wall_locus(v, a) exactly when these integer identities
     # hold (P, B, C as there); only a mismatch pays for the Fractions
-    P, B, C = a.r * v.c - v.r * a.c, a.r * v.s - v.r * a.s, v.c * a.s - a.c * v.s
+    P, B, C = ar * vc - vr * ac, ar * vs - vr * as_, vc * as_ - ac * vs
     two_dp = 2 * d * P
     if not (P and B * den == two_dp * num and (B * B + 4 * d * P * C) * rad_d == two_dp * two_dp * rad_n > 0):
         if wall_locus(v, a, p) != curve:
             raise ValueError("record curve is not the wall of (v, a): charges do not align at the apex")
-    (r1, c1, s1), (r2, c2, s2) = _plane_basis(v, a)
+    # the curve is a semicircle, so P != 0 and v x a = (C, B, -P) is nonzero
+    (r1, c1, s1), (r2, c2, s2) = _normal_plane(C, B, -P)
     # L(u) = den*c_u - num*r_u is den times Im Z(u) / 2dy at the apex
     # x = num/den, so lambda = L(u)/L(v); L(b1), L(b2) generate g*Z
-    l_v = den * v.c - num * v.r
+    l_v = den * vc - num * vr
     if l_v == 0:
         raise ValueError("v has vanishing charge at the wall apex; not a wall for v")
     sign = 1 if l_v > 0 else -1
@@ -161,21 +167,21 @@ def _levelled_classes(
     # l_v != 0 makes Z(k0) = 0 at the apex, so k0^2 = -2d r(k0)^2 y^2
     assert a2 < 0 < D
 
-    v_k0 = 2 * d * v.c * kc - v.r * ks - kr * v.s
+    v_k0 = 2 * d * vc * kc - vr * ks - kr * vs
     t_v = (2 * v_k0 - level_count * b) // (2 * a2)  # v = N*bez + t_v*k0
     h = math.gcd(level_count, t_v)
     step, t_h = level_count // h, t_v // h
-    kappa, inv = level_count * b + 2 * a2 * t_v, pow(t_h, -1, step)
+    kappa, inv = level_count * b + 2 * a2 * t_v, pow(-t_h, -1, step)
     r0 = (math.isqrt(E) + 1) * level_count
     rn = (math.isqrt(level_count * level_count * D + E) + 1) * level_count
     lo, hi = min(-r0, -kappa * level_count - rn), max(r0, -kappa * level_count + rn)  # 2*a2*beta; q = beta/h
     two_abs_ah = -2 * a2 * h
     found: list[tuple[int, int, int, int, int]] = []
     for q in range(-(hi // two_abs_ah), -lo // two_abs_ah + 1):
-        j = -q * inv % step or step
+        j = q * inv % step or step
         while j < level_count:
             t = (q + t_h * j) // step
-            sq = a2 * t * t + b * j * t + c * j * j  # u^2
+            sq = (a2 * t + b * j) * t + c * j * j  # u^2
             if sq >= -2:
                 ur, uc, us = j * br + t * kr, j * bc + t * kc, j * bs + t * ks
                 # u is nonzero (j > 0); a multiple carries stable objects
@@ -217,15 +223,15 @@ class Decomposition(_Value):
 def _suffix_reach(classes: list[tuple[int, int, tuple[int, int, int]]]) -> list[tuple[int, ...]]:
     """Per index i: (j, t) of class i and the (j, t) of least and of
     greatest slope t/j in classes[i:]."""
-    reach: list[tuple[int, ...]] = [()] * len(classes)
+    reach: list[tuple[int, ...]] = []
     lo_j, lo_t, hi_j, hi_t = 0, 1, 0, -1  # slopes +inf and -inf, as j > 0
-    for i in range(len(classes) - 1, -1, -1):
-        j, t, _ = classes[i]
+    for j, t, _ in reversed(classes):
         if t * lo_j < lo_t * j:
             lo_j, lo_t = j, t
         if t * hi_j > hi_t * j:
             hi_j, hi_t = j, t
-        reach[i] = (j, t, lo_j, lo_t, hi_j, hi_t)
+        reach.append((j, t, lo_j, lo_t, hi_j, hi_t))
+    reach.reverse()
     return reach
 
 
@@ -236,7 +242,11 @@ def decompositions(
     p: SurfaceParams = DEFAULT_SURFACE,
 ) -> tuple[Decomposition, ...]:
     """All multisets of positive classes of the wall summing to v, with
-    between 2 and parts_max parts.
+    between 2 and parts_max parts; parts_max is an int of at least 2, and
+    any other cap raises ValueError.  Each decomposition lists its parts in
+    class-list order (descending lambda, ties by (r, c, s)), and the list
+    is ordered by the number of parts, then by the parts' (r, c, s) in
+    that order.
 
     Parts sum to v = N*bez + t_v*k0 exactly when their levels sum to N and
     their t to t_v.  The search takes parts in class-list order, on an
@@ -247,33 +257,41 @@ def decompositions(
     passes two exact tests against classes[i:]: the level cap
     R <= (parts left) * j_i, as levels descend, and the cone, S/R between
     their least and greatest t/j.  A test failing at i fails at every later
-    index, so it ends the loop."""
+    index, so it ends the loop.  The loop starts at the first class of a
+    level below R (a bisection): the classes before it, of level >= R, can
+    take no part, and a test they fail fails there too."""
+    if not isinstance(parts_max, int):
+        raise ValueError(f"parts_max must be an integer, got {parts_max!r}")
     if parts_max < 2:
         raise ValueError("parts_max must be at least 2")
     level_count, t_v, classes = _levelled_classes(v, w, p)
+    count = len(classes)
     index = {(j, t): i for i, (j, t, _) in enumerate(classes)}
+    neg_levels = [-j for j, _, _ in classes]  # ascending
     reach = _suffix_reach(classes)
     found: list[tuple[int, ...]] = []
-    stack: list[tuple[tuple[int, ...], int, int, int]] = [((), 0, level_count, t_v)]
+    # (parts so far, first index, what v lacks (left, t_left), room): room
+    # is the parts still allowed, at least 2
+    stack: list[tuple[tuple[int, ...], int, int, int, int]] = [((), 0, level_count, t_v, parts_max)]
     while stack:
-        acc, start, left, t_left = stack.pop()  # (left, t_left): what v lacks
-        room = parts_max - len(acc)  # at least 2
-        for i in range(start, len(classes)):
+        acc, start, left, t_left, room = stack.pop()
+        # the classes of level >= left come first in classes[start:] and take no part
+        for i in range(bisect_right(neg_levels, -left, start), count):
             j, t, lo_j, lo_t, hi_j, hi_t = reach[i]
             if left > room * j or t_left * lo_j < lo_t * left or t_left * hi_j > hi_t * left:
                 break
-            if j < left:
-                parts, rest, t_rest = (*acc, i), left - j, t_left - t
-                last = index.get((rest, t_rest))
-                if last is not None and last >= i:
-                    found.append((*parts, last))
-                if room > 2:
-                    stack.append((parts, i, rest, t_rest))
+            rest, t_rest = left - j, t_left - t
+            # the last part, at or after i, has a level <= j
+            if rest <= j and (last := index.get((rest, t_rest), -1)) >= i:
+                found.append((*acc, i, last))
+            if room > 2:
+                stack.append(((*acc, i), i, rest, t_rest, room - 1))
 
-    triples = [u for _, _, u in classes]
-    found.sort(key=lambda parts: (len(parts), [triples[i] for i in parts]))
-    vectors = {i: MukaiVector(*triples[i]) for i in {i for parts in found for i in parts}}
-    return tuple(Decomposition(tuple(vectors[i] for i in parts)) for parts in found)
+    vectors = {i: MukaiVector(*classes[i][2]) for i in set().union(*found)}
+    if len(found) > 1:
+        found.sort(key=lambda parts: (len(parts), [classes[i][2] for i in parts]))
+    # each parts tuple has two or more indices, so itemgetter gives a tuple
+    return tuple([Decomposition(itemgetter(*parts)(vectors)) for parts in found])
 
 
 def moduli_dim(u: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> int:
@@ -321,25 +339,31 @@ def stratum_dims(
     negative fiber raises, in the order given, so another order of the same
     parts may pass (see the module docstring).  v must be primitive; its
     own moduli dimension is moduli_dim(v)."""
-    if not v.is_primitive():
+    vr, vc, vs = v.r, v.c, v.s
+    if math.gcd(vr, vc, vs) != 1:
         raise ValueError(f"stratum_dims expects a primitive class, got {v}")
-    parts = [MukaiVector.coerce(u) for u in parts]
+    parts = [u if u.__class__ is MukaiVector else MukaiVector.coerce(u) for u in parts]
     if len(parts) < 2:
         raise ValueError("a decomposition needs at least two parts")
     two_d = 2 * p.d
-    r, c, s = parts[0].as_tuple()  # the partial sum u_1 + ... + u_i
-    squares, fibers = [two_d * c * c - 2 * r * s], []
+    u = parts[0]
+    r, c, s = u.r, u.c, u.s  # the partial sum u_1 + ... + u_i
+    moduli, fibers = [two_d * c * c - 2 * r * s + 2], []
     for u in parts[1:]:
-        squares.append(two_d * u.c * u.c - 2 * u.r * u.s)
-        fibers.append(two_d * c * u.c - r * u.s - u.r * s - 1)
-        r, c, s = r + u.r, c + u.c, s + u.s
-    if (r, c, s) != v.as_tuple():
+        ur, uc, us = u.r, u.c, u.s
+        moduli.append(two_d * uc * uc - 2 * ur * us + 2)
+        fibers.append(two_d * c * uc - r * us - ur * s - 1)
+        r, c, s = r + ur, c + uc, s + us
+    if r != vr or c != vc or s != vs:
         raise ValueError(f"parts do not sum to {v}")
-    # only a part of square <= 0 can fail the part checks of _part_dim
-    moduli = tuple([sq + 2 if sq > 0 else _part_dim(u, sq) for sq, u in zip(squares, parts)])
-    for f, u in zip(fibers, parts[1:]):
-        if f < 0:
-            raise ValueError(
-                f"negative fiber dimension {f} at part {u}; the extension stratum is not effective"
-            )
-    return DimReport(part_moduli_dims=moduli, fiber_dims=tuple(fibers), stratum_dim=sum(moduli) + sum(fibers))
+    if min(moduli) <= 2:  # only a part of square <= 0 can fail the checks of _part_dim
+        for dim, u in zip(moduli, parts):
+            if dim <= 2:
+                _part_dim(u, dim - 2)
+    if min(fibers) < 0:
+        for f, u in zip(fibers, parts[1:]):
+            if f < 0:
+                raise ValueError(
+                    f"negative fiber dimension {f} at part {u}; the extension stratum is not effective"
+                )
+    return DimReport(tuple(moduli), tuple(fibers), sum(moduli) + sum(fibers))

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import frozen
 from k3walls import (
     DEFAULT_SURFACE,
+    DimReport,
     MukaiVector,
     SurfaceParams,
     WallRecord,
@@ -287,6 +288,23 @@ def test_decompositions_rejects_small_parts_max():
     w = _wall(V10, F(2, 11))
     with pytest.raises(ValueError, match="parts_max must be at least 2"):
         decompositions(V10, w, parts_max=1)
+
+
+def test_decompositions_rejects_non_integer_parts_max():
+    # S^[40] at 4/25 has 59 decompositions of at most 3 parts and 99 of at
+    # most 4; a cap between the two is refused, not read as either.  An int
+    # below 2 keeps its own message.
+    search = hilbert_walls(40)
+    v, w = search.vector, _record(search, F(4, 25))
+    assert [len(decompositions(v, w, parts_max=cap)) for cap in (3, 4)] == [59, 99]
+    for cap in (3.5, 1.5, 3.0, F(7, 2), "3", None):
+        with pytest.raises(ValueError) as exc:
+            decompositions(v, w, parts_max=cap)
+        assert str(exc.value) == f"parts_max must be an integer, got {cap!r}"
+    for cap in (1, 0, -3):
+        with pytest.raises(ValueError) as exc:
+            decompositions(v, w, parts_max=cap)
+        assert str(exc.value) == "parts_max must be at least 2"
 
 
 def test_charge_additivity_on_wall_points():
@@ -573,6 +591,17 @@ def test_complete_decompositions_lambda_oracle():
     assert longest >= 5
 
 
+def test_decompositions_list_order_at_each_cap():
+    # The list comes by number of parts, then by the parts' components in
+    # the order listed, and a cap keeps the complete list's order.
+    for v, w, complete in _complete_decompositions():
+        for cap in (2, 3, 4, sys.maxsize):
+            got = decompositions(v, w, parts_max=cap)
+            keys = [(len(d.parts), [u.as_tuple() for u in d.parts]) for d in got]
+            assert keys == sorted(keys), (v, w.a, cap)
+            assert got == tuple(d for d in complete if len(d.parts) <= cap), (v, w.a, cap)
+
+
 def _pairing(u, w):
     """The Mukai pairing of two component tuples at d = 1."""
     return 2 * u[1] * w[1] - u[0] * w[2] - w[0] * u[2]
@@ -632,6 +661,44 @@ def test_stratum_dims_pairing_closed_form():
     a, b = (1, -2, 4), (-1, 4, -17)
     assert ((1, 0, -9), (a, a, b)) in reorderable
     assert _closed_form_dims((b, a, a)) == ([0, 2, 2], [4, 4], None)
+
+
+def _stratum_outcome(parts, v):
+    """stratum_dims of the parts, or its error message, the same for the
+    parts given as MukaiVectors, as tuples and as lists."""
+    triples = [tuple(u) if isinstance(u, (tuple, list)) else u.as_tuple() for u in parts]
+    outcomes = []
+    for given in ([MukaiVector(*u) for u in triples], triples, [list(u) for u in triples]):
+        try:
+            outcomes.append(stratum_dims(given, v))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0], (triples, outcomes)
+    return outcomes[0]
+
+
+def _closed_form_outcome(parts):
+    """The DimReport or negative-fiber message of _closed_form_dims."""
+    moduli, fibers, message = _closed_form_dims(parts)
+    return message or DimReport(tuple(moduli), tuple(fibers), sum(moduli) + sum(fibers))
+
+
+def test_stratum_dims_input_types():
+    for v, _, decs in _complete_decompositions():
+        for d in decs:
+            parts = [u.as_tuple() for u in d.parts]
+            assert _stratum_outcome(parts, v) == _closed_form_outcome(parts)
+    # the cases of test_stratum_dims_check_order: the closed form finds the
+    # fiber of -25, but the part check and the sum check come first
+    u, w = (-3, -3, -3), (4, 3, -6)
+    for parts in ([u, w], [w, u]):
+        assert _closed_form_outcome(parts).startswith("negative fiber dimension -25 at part")
+        assert _stratum_outcome(parts, V10) == (
+            "no stable objects of class (-3, -3, -3) (imprimitive over a non-positive class)"
+        )
+    assert _stratum_outcome([u, (4, 3, -5)], V10) == "parts do not sum to (1, 0, -9)"
+    parts = list(frozen.DECOMPOSITIONS[(frozen.V10, F(2, 11))][0][0])
+    assert _stratum_outcome(parts, V10) == _closed_form_outcome(parts)
 
 
 def test_wall_without_decompositions():

@@ -42,7 +42,9 @@ its output; a ValueError counts as output, by its message.
   (0, m, -1) for m = 3, 4, 5), of S^[n] for n = 2..20 at d = 2, and of
   (0, m, -1) for m = 6, 7, 8 at d = 2 and 3, one case each per wall (the
   last are walls of small |k0^2|, where the walk over the lines parallel
-  to v tries up to 2N candidates on a wall of N >= 20 charge levels);
+  to v tries up to 2N candidates on a wall of N >= 20 charge levels); and
+  the same for decompositions at parts_max=2 and at parts_max=3, the
+  default of `decompose`, on the walls of the `wall_crossings` tables;
 - crossing_full: the decompositions of the crossing group's walls with
   the stratum_dims or error message of each, at parts_max=sys.maxsize:
   every part has a charge level >= 1 and the levels of a decomposition
@@ -98,10 +100,14 @@ RENDER_DS, RENDER_NS = (2, 3), range(100, 121)
 PATH_HILBERT_NS, PATH_TRANSPORT_MS = range(2, 81), range(2, 13)
 PATH_FRACTIONS = (Fraction(1, 2), Fraction(-1, 3), Fraction(-7, 4), Fraction(-25, 6))
 CHARGE_CLASSES = ((1, 0, -9), (0, 3, -1), (1, -1, 2), (2, 1, 1))
-# (vector, d) of the tables whose walls the crossing group decomposes
-CROSSING_TABLES = (
+# (vector, d) of the tables whose walls the crossing group decomposes,
+# the tables of the benchmark workload `wall_crossings` first
+BENCH_CROSSING_TABLES = (
     *(((1, 0, 1 - n), 1) for n in range(12, 41, 4)),
     *(((0, m, -1), 1) for m in (3, 4, 5)),
+)
+CROSSING_TABLES = (
+    *BENCH_CROSSING_TABLES,
     *(((1, 0, 1 - n), 2) for n in range(2, 21)),
     *(((0, m, -1), d) for d in (2, 3) for m in (6, 7, 8)),
 )
@@ -334,6 +340,9 @@ def digests(bench_dir: Path):
             label = f"{v} d={d} gamma={rec.gamma}"
             yield "crossing", f"classes {label}", _digest(lambda: crossing.positive_classes(v, rec, p))
             yield "crossing", f"decompositions {label}", _digest(lambda: _strata(v, rec, p, 4))
+            if (vector, d) in BENCH_CROSSING_TABLES:
+                for cap in (2, 3):
+                    yield "crossing", f"decompositions parts_max={cap} {label}", _digest(lambda: _strata(v, rec, p, cap))
             yield "crossing_full", label, _digest(lambda: _strata(v, rec, p, sys.maxsize))
 
     sys.path.insert(0, str(bench_dir))
