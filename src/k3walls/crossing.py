@@ -128,7 +128,11 @@ def _levelled_classes(
     classes u = j*bez + t*k0 = (r, c, s) of the wall, with lambda(u) = j/N,
     sorted by descending j, ties by (r, c, s): one step per line
     beta = N*t - t_v*j between its j = 0 and j = N bounds (2N + O(area)),
-    each with at most h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h."""
+    each with at most h = gcd(N, t_v) levels, j = -(beta/h)/(t_v/h) mod N/h.
+    For primitive v (h = 1, as on all 584 walls of the `wall_crossings`
+    benchmark) each line meets 0 < j < N in exactly one point, so a bound on
+    beta from u^2 >= -2 per line would decide that point with the same
+    quadratic the walk evaluates there, and could skip no work."""
     curve = w.curve
     if not isinstance(curve, Semicircle):
         raise ValueError("positive classes need a semicircular wall")

@@ -142,13 +142,22 @@ class MukaiVector(_Value):
 
     @classmethod
     def coerce(cls, value) -> "MukaiVector":
-        """Accept an existing vector or any length-three integer iterable."""
+        """Accept an existing vector or any length-three iterable of ints or
+        decimal-integer strings; any other component raises ValueError."""
         if isinstance(value, cls):
             return value
         parts = tuple(value)
         if len(parts) != 3:
             raise ValueError(f"expected three components, got {value!r}")
-        return cls(int(parts[0]), int(parts[1]), int(parts[2]))
+        ints = []
+        for part in parts:
+            if isinstance(part, str):
+                try:
+                    part = int(part)
+                except ValueError:
+                    pass  # left a str, which the constructor refuses by name
+            ints.append(part)
+        return cls(*ints)
 
 
 _set_r, _set_c, _set_s = _setters(MukaiVector)

@@ -20,9 +20,6 @@ import math
 from fractions import Fraction
 from functools import cache
 from io import StringIO
-from json.encoder import encode_basestring_ascii as _json_str
-
-import csv
 
 from .charge import Semicircle, VerticalLine
 from .lattice import MukaiVector, SurfaceParams
@@ -328,6 +325,8 @@ def _csv(rows: list[tuple]) -> str:
         and "None" not in text
     ):
         return text
+    import csv
+
     buf = StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
@@ -377,6 +376,16 @@ def render_decompose_csv(payload: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # dispatch
+
+
+def _json_str(text: str) -> str:
+    """text as a JSON string literal, as json writes it.  The first call
+    imports json's C encoder and rebinds this name to it, so a command that
+    writes no JSON never loads json, and later calls go straight to C."""
+    global _json_str
+    from json.encoder import encode_basestring_ascii as _json_str
+
+    return _json_str(text)
 
 
 def _json(value, newline: str) -> str:

@@ -1,5 +1,6 @@
 """Lattice arithmetic: pairing, squares, and the autoequivalence actions."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from k3walls import (
     DEFAULT_SURFACE,
     MukaiVector,
     SurfaceParams,
+    candidate_walls,
     dual_shift,
     line_bundle_vector,
     mukai_pairing,
@@ -16,6 +18,7 @@ from k3walls import (
     phi_pullback,
     phi_pushforward,
     spherical_reflect,
+    stratum_dims,
     tensor_twist,
 )
 
@@ -71,8 +74,25 @@ def test_vector_arithmetic_and_content():
 def test_coerce():
     assert MukaiVector.coerce([1, 0, -9]) == MukaiVector(1, 0, -9)
     assert MukaiVector.coerce(MukaiVector(0, 1, 0)) == MukaiVector(0, 1, 0)
+    assert MukaiVector.coerce("1,0,-9".split(",")) == MukaiVector(1, 0, -9)
+    assert MukaiVector.coerce(["0", " 3", "-1"]) == MukaiVector(0, 3, -1)
     with pytest.raises(ValueError):
         MukaiVector.coerce([1, 2])
+    # no component is truncated: each non-integer is named in the error
+    for value, component in [
+        ((0, 2.5, -1), "c=2.5"),
+        ((1.7, Fraction(1, 2), -9.9), "r=1.7"),
+        ((1, 0, Fraction(-9)), "s=Fraction(-9, 1)"),
+        ((1.0, 0, -9), "r=1.0"),
+        (("1", "0", "-9.5"), "s='-9.5'"),
+        (("1", "x", "-9"), "c='x'"),
+    ]:
+        with pytest.raises(ValueError, match=f"must be integers, got {re.escape(component)}$"):
+            MukaiVector.coerce(value)
+    with pytest.raises(ValueError, match="c=2.5"):
+        candidate_walls((0, 2.5, -1))
+    with pytest.raises(ValueError, match="r=1.5"):
+        stratum_dims([(1.5, -1, 2), (0, 1, -11)], MukaiVector(1, 0, -9))
 
 
 def test_line_bundle_vector_is_spherical():

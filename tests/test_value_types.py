@@ -206,6 +206,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out.strip() == "[]"
 
 
+def test_cli_loads_json_and_csv_only_to_write_them():
+    """Text, csv without quoting and svg need neither; json loads json."""
+    out = _run_isolated(
+        "import io, sys\n"
+        "from k3walls.cli import main\n"
+        "for argv in (['walls', '--n', '4'], ['walls', '--n', '4', '--format', 'csv'], ['figure', '--n', '4'],\n"
+        "             ['walls', '--n', '4', '--format', 'json']):\n"
+        "    real, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    code = main(argv)\n"
+        "    sys.stdout = real\n"
+        "    print(argv[-1], code, sorted(m for m in ('json', 'csv') if m in sys.modules))\n"
+    )
+    assert out.splitlines() == ["4 0 []", "csv 0 []", "4 0 []", "json 0 ['json']"]
+
+
 def test_reimported_classes_are_collected():
     out = _run_isolated(
         "import gc, importlib, sys, weakref\n"

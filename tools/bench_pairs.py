@@ -1,12 +1,15 @@
 """Alternating before/after runs of the benchmark on two checkouts.
 
-    python3 tools/bench_pairs.py OTHER_ROOT --workload W --pairs N --seconds S
+    python3 tools/bench_pairs.py OTHER_ROOT --workload W --pairs N --seconds S [--first-seed F]
 
 runs `bench/run.py --workload W --seed k --seconds S --trace 0` of
 OTHER_ROOT and of ROOT (default: the checkout holding this script) for
-k = 1..N, one run at a time, OTHER_ROOT first in the odd pairs and ROOT
-first in the even ones, so a drift of the host over the session does not
-fall on one side.  Each run uses its own checkout's bench/ and src/.
+k = F..F+N-1 (F = 1 by default), one run at a time, OTHER_ROOT first in
+the first, third, ... pair and ROOT first in the others, so a drift of
+the host over the session does not fall on one side.  N must be even:
+the second of two back-to-back runs tends to read faster, so each side
+runs first equally often.  Each run uses its own checkout's bench/ and
+src/.
 
 It prints every run's end-to-end metrics (the `end_to_end` names of
 ROOT's BENCHMARK.json) and then, per metric, both medians, the change,
@@ -71,9 +74,12 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--first-seed", type=int, default=1, help="the seed of the first pair (default: 1)")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs and --seconds must be positive")
+    if args.pairs % 2:
+        parser.error("--pairs must be even, so that each side runs first in as many pairs as the other")
     sides = {"other": args.other_root.resolve(), "this": args.root.resolve()}
     spec = json.loads((sides["this"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
@@ -81,8 +87,8 @@ def main(argv: list[str] | None = None) -> int:
 
     values: dict[str, dict[str, list[float]]] = {side: {name: [] for name in better} for side in sides}
     ok = True
-    for seed in range(1, args.pairs + 1):
-        order = ("other", "this") if seed % 2 else ("this", "other")
+    for seed in range(args.first_seed, args.first_seed + args.pairs):
+        order = ("other", "this") if (seed - args.first_seed) % 2 == 0 else ("this", "other")
         results = {side: run_bench(sides[side], args.workload, seed, args.seconds) for side in order}
         bad = [side for side in order if results[side] is None or not results[side]["correct"]]
         if bad:  # the pair is left out of the summary

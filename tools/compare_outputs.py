@@ -64,12 +64,13 @@ its output; a ValueError counts as output, by its message.
 - cli: what main writes for the argv of the golden commands
   (GOLDEN_COMMANDS) and of the exit-code tests of tests/test_cli.py
   (test_usage_errors_exit_two, test_usage_errors_name_the_bad_value and
-  test_domain_errors_exit_two_with_message), and for the bounded options
+  test_domain_errors_exit_two_with_message), for the bounded options
   at and below their bounds (CLI_BOUNDS: --degree, --precision,
-  --parts-max, --rmax and --ymin), all read from ROOT: the exit code,
-  stdout and stderr, or for a usage error (argparse's SystemExit) its
-  code and the last line of stderr, the error itself.  The usage synopsis
-  above that line lists the options of the subcommand, so it is left out.
+  --parts-max, --rmax and --ymin), all read from ROOT, and for --help of
+  the command and of each subcommand (CLI_HELP): the exit code, stdout
+  and stderr, also when argparse ends main with SystemExit (a usage
+  error, or --help).  Both trees run with COLUMNS=80, so argparse wraps
+  its usage and help alike.
 
 `--digests SRC` prints the digests of one tree, one case a line; the
 comparison runs it twice.
@@ -126,6 +127,7 @@ CLI_BOUNDS = (
     ["path", "--n", "10", "--x0", "0", "--rmax", "1"], ["path", "--n", "10", "--x0", "0", "--rmax", "0"],
     ["path", "--n", "10", "--x0", "0", "--ymin", "0"], ["path", "--n", "10", "--x0", "0", "--ymin", "-1/2"],
 )
+CLI_HELP = (["--help"], *([sub, "--help"] for sub in ("walls", "path", "decompose", "transport", "figure")))
 # (vector, candidates) of the tables behind the golden CLI commands
 GOLDEN_TABLES = (
     *(((1, 0, 1 - n), False) for n in (2, 3, 4, 8, 10)),
@@ -146,7 +148,7 @@ def _digest(thunk) -> str:
 
 def _cli(argv: list[str]):
     """(exit code, stdout, stderr) of the k3walls command, run in process;
-    for a usage error, (exit code, last line of stderr)."""
+    the exit code of argparse's SystemExit when it ends main."""
     from k3walls.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -154,7 +156,7 @@ def _cli(argv: list[str]):
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:
-        return exc.code, err.getvalue().splitlines()[-1]
+        code = exc.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -170,6 +172,7 @@ def _cli_commands():
             for case in ast.literal_eval(mark.args[1]):
                 yield case[0] if isinstance(case, tuple) else case
     yield from CLI_BOUNDS
+    yield from CLI_HELP
 
 
 def _render_commands():
@@ -360,7 +363,7 @@ def digests(bench_dir: Path):
 
 
 def _run_digests(root: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), COLUMNS="80")
     proc = subprocess.run(
         [sys.executable, __file__, "--digests", str(root / "src")],
         env=env, capture_output=True, text=True, check=True,
