@@ -22,15 +22,6 @@ from .charge import (
     wall_discriminant,
     wall_locus,
 )
-from .crossing import (
-    Decomposition,
-    DimReport,
-    decompositions,
-    moduli_dim,
-    positive_classes,
-    stratum_dims,
-    wall_base_point,
-)
 from .lattice import (
     DEFAULT_SURFACE,
     MukaiVector,
@@ -59,6 +50,46 @@ from .walls import (
     transport_search,
     transport_walls,
 )
+
+
+def _lazy_submodule(name: str):
+    """k3walls.<name>, registered in sys.modules and on the package as a
+    module that executes on its first attribute access: a command that
+    never uses it never compiles or runs it.  A submodule imported before
+    is returned as it is."""
+    import importlib.util
+    import sys
+
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        globals()[name] = module
+    return module
+
+
+crossing = _lazy_submodule("crossing")
+_CROSSING_NAMES = frozenset(
+    ("Decomposition", "DimReport", "decompositions", "moduli_dim", "positive_classes", "stratum_dims", "wall_base_point")
+)
+
+
+def __getattr__(name: str):
+    """The crossing names of __all__, each bound here on first use."""
+    if name not in _CROSSING_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(crossing, name)
+    return value
+
+
+def __dir__() -> list[str]:
+    """Every public name, the crossing names also before their first use."""
+    return sorted(globals().keys() | _CROSSING_NAMES)
+
 
 __version__ = "0.1.0"
 

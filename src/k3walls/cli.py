@@ -13,11 +13,9 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import report
+from . import _lazy_submodule, crossing, report
 from .charge import DEGENERATE, path_intersection
-from .crossing import decompositions, moduli_dim, stratum_dims
 from .lattice import MukaiVector, SurfaceParams
-from .svgfig import render_figure
 from .walls import (
     WallSearch,
     candidate_walls,
@@ -25,6 +23,9 @@ from .walls import (
     resolve_walls,
     transport_search,
 )
+
+# only the figure command draws
+svgfig = _lazy_submodule("svgfig")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -203,17 +204,17 @@ def cmd_decompose(args) -> tuple[str, bool]:
             raise ValueError(f"{missing}; available slopes: {available or 'none'}")
         rec = matches[0]
     entries = []
-    for dec in decompositions(v, rec, parts_max=args.parts_max, p=p):
+    for dec in crossing.decompositions(v, rec, parts_max=args.parts_max, p=p):
         entry = {"parts": [list(u.as_tuple()) for u in dec.parts]}
         try:
-            dims = stratum_dims(dec.parts, v, p)
+            dims = crossing.stratum_dims(dec.parts, v, p)
             entry["moduli_dims"] = list(dims.part_moduli_dims)
             entry["fiber_dims"] = list(dims.fiber_dims)
             entry["stratum_dim"] = dims.stratum_dim
         except ValueError as exc:
             entry["error"] = str(exc)
         entries.append(entry)
-    payload = report.decompose_payload(v, rec, entries, args.parts_max, moduli_dim(v, p), p)
+    payload = report.decompose_payload(v, rec, entries, args.parts_max, crossing.moduli_dim(v, p), p)
     return report.render("decompose", payload, args.format), search.complete
 
 
@@ -235,7 +236,7 @@ def cmd_transport(args) -> tuple[str, bool]:
 def cmd_figure(args) -> tuple[str, bool]:
     search, p = _wall_search(args)
     payload = report.walls_payload(search, p)
-    return render_figure(payload, args.xrange, args.yrange, y_marker=args.ymin, precision=args.precision), search.complete
+    return svgfig.render_figure(payload, args.xrange, args.yrange, y_marker=args.ymin, precision=args.precision), search.complete
 
 
 def _fuse_negative_values(argv: list[str]) -> list[str]:

@@ -134,8 +134,10 @@ def _levelled_classes(
     beta from u^2 >= -2 per line would decide that point with the same
     quadratic the walk evaluates there, and could skip no work."""
     curve = w.curve
+    if curve is None:
+        raise ValueError("positive classes need a semicircular wall; the Lagrangian boundary record has no wall curve")
     if not isinstance(curve, Semicircle):
-        raise ValueError("positive classes need a semicircular wall")
+        raise ValueError(f"positive classes need a semicircular wall, not the vertical line x = {curve.x0}")
     num, den = curve.center_x.as_integer_ratio()
     rad_n, rad_d = curve.radius_sq.as_integer_ratio()
     a, d = w.a, p.d

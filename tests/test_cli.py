@@ -495,6 +495,9 @@ def test_usage_errors_name_the_bad_value(argv, last_line):
         (["walls", "--vector", "1,0,-9", "--candidates"], "S^[10] has the exact search (hilbert_walls, --n 10)"),
         # candidate rows have no slope for --gamma-min to keep
         (["transport", "--vector", "0,2,1", "--m", "1", "--gamma-min", "0"], "--gamma-min keeps rows by slope; none of the 6 rows has one"),
+        # a wall decompose cannot take is named: here the vertical line
+        (["decompose", "--n", "10", "--gamma", "0"], "semicircular wall, not the vertical line x = 0"),
+        (["decompose", "--n", "2", "--wall-index", "0"], "semicircular wall, not the vertical line x = 0"),
     ],
 )
 def test_domain_errors_exit_two_with_message(argv, needle):

@@ -221,6 +221,34 @@ def test_cli_loads_json_and_csv_only_to_write_them():
     assert out.splitlines() == ["4 0 []", "csv 0 []", "4 0 []", "json 0 ['json']"]
 
 
+def test_each_command_executes_crossing_and_svgfig_only_to_use_them():
+    """Both stay in sys.modules, as before, but run on first use; a module
+    that has not run yet is still a LazyLoader module, not a ModuleType."""
+    out = _run_isolated(
+        "import io, sys, types\n"
+        "def loaded():\n"
+        "    return sorted(n for n in sys.modules if n == 'k3walls' or n.startswith('k3walls.'))\n"
+        "import k3walls\n"
+        "print(loaded())\n"
+        "from k3walls.cli import main\n"
+        "print(loaded())\n"
+        "for argv in (['walls', '--n', '4'], ['figure', '--n', '4'], ['decompose', '--n', '10', '--gamma', '2/11']):\n"
+        "    real, sys.stdout = sys.stdout, io.StringIO()\n"
+        "    code = main(argv)\n"
+        "    sys.stdout = real\n"
+        "    ran = [m for m in ('crossing', 'svgfig') if type(sys.modules['k3walls.' + m]) is types.ModuleType]\n"
+        "    print(argv[0], code, ran)\n"
+    )
+    package = ["k3walls", "k3walls.charge", "k3walls.crossing", "k3walls.lattice", "k3walls.walls"]
+    assert out.splitlines() == [
+        str(package),
+        str(sorted(package + ["k3walls.cli", "k3walls.report", "k3walls.svgfig"])),
+        "walls 0 []",
+        "figure 0 ['svgfig']",
+        "decompose 0 ['crossing', 'svgfig']",
+    ]
+
+
 def test_reimported_classes_are_collected():
     out = _run_isolated(
         "import gc, importlib, sys, weakref\n"
