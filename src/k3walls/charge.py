@@ -30,6 +30,7 @@ to lattice data and is exercised by the property tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .lattice import DEFAULT_SURFACE, MukaiVector, SurfaceParams, _setters, _Value, mukai_pairing, mukai_square
 
@@ -49,6 +50,22 @@ class StabilityPoint(_Value):
 
 
 _set_x, _set_point_y_sq = _setters(StabilityPoint)
+
+
+def _rational(num: int, den: int) -> Fraction:
+    """The Fraction(num, den) of two ints, in lowest terms with den > 0,
+    built without the generic argument dispatch of Fraction's constructor:
+    reduced as that constructor reduces, then made as Python 3.12's
+    Fraction._from_coprime_ints makes a Fraction."""
+    if den == 0:
+        raise ZeroDivisionError(f"Fraction({num}, 0)")
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    q = object.__new__(Fraction)
+    q._numerator = num // g
+    q._denominator = den // g
+    return q
 
 
 class ComplexValue(_Value):
@@ -128,12 +145,12 @@ def wall_locus(v: MukaiVector, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFAC
             if C == 0:
                 raise ValueError(f"classes {v} and {a} are proportional; the wall is undefined")
             raise ValueError(f"wall of {v} and {a} does not meet the upper half plane")
-        return VerticalLine(Fraction(-C, B))
+        return VerticalLine(_rational(-C, B))
     # radius^2 = center^2 + C/(dP) over the common denominator (2dP)^2
     radius_num = B * B + 4 * d * P * C
     if radius_num <= 0:
         raise ValueError(f"wall of {v} and {a} does not meet the upper half plane")
-    return Semicircle(Fraction(B, 2 * d * P), Fraction(radius_num, 4 * d * d * P * P))
+    return Semicircle(_rational(B, 2 * d * P), _rational(radius_num, 4 * d * d * P * P))
 
 
 class _Degenerate:
@@ -173,7 +190,7 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     y_sq_num = rn * q * q - offset * offset * rd
     if y_sq_num <= 0:
         return None
-    return Fraction(y_sq_num, rd * q * q)
+    return _rational(y_sq_num, rd * q * q)
 
 
 def geometric_check(pt: StabilityPoint, p: SurfaceParams = DEFAULT_SURFACE) -> MukaiVector | None:

@@ -67,7 +67,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from fractions import Fraction
 
-from .charge import Semicircle, VerticalLine, WallCurve, wall_discriminant, wall_locus
+from .charge import Semicircle, VerticalLine, WallCurve, _rational, wall_discriminant, wall_locus
 from .lattice import (
     DEFAULT_SURFACE,
     MukaiVector,
@@ -194,7 +194,7 @@ def _slope(n: int, r: int, c: int, s: int, d: int) -> tuple[int, int]:
 
 def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) -> Fraction:
     """Slope of the wall of (v, a) in the movable cone of S^[n] (see _slope)."""
-    return Fraction(*_slope(n, a.r, a.c, a.s, p.d))
+    return _rational(*_slope(n, a.r, a.c, a.s, p.d))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +410,7 @@ def movable_cone(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SU
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     gamma_max, _, _ = _cone_rank(n, _rank_cap(n, r_max), p)
-    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=Fraction(*gamma_max))
+    return MovableCone(n=n, gamma_min=Fraction(0), gamma_max=_rational(*gamma_max))
 
 
 def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_SURFACE) -> WallSearch:
@@ -444,7 +444,7 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
             if delta <= 0:
                 # no wall; at gamma_max, the Lagrangian boundary, appended below
                 continue
-            curve = Semicircle(Fraction(-big_q, big_p), Fraction(delta, d * big_p * big_p))
+            curve = Semicircle(_rational(-big_q, big_p), _rational(delta, d * big_p * big_p))
         members = groups[gamma]
         if len(members) == 1:
             rep, divisorial, _, a_sq, k = members[0]
@@ -452,14 +452,14 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
             rep, _, _, a_sq, k = min(members, key=lambda member: _representative_key(member[0]))
             divisorial = any(member[1] for member in members)
         wall_type = "divisorial" if divisorial else "flopping"
-        records.append(WallRecord(rep, a_sq, k, Fraction(big_p, big_q), curve, wall_type))
+        records.append(WallRecord(rep, a_sq, k, _rational(big_p, big_q), curve, wall_type))
     if lag is not None:
         records.append(
             WallRecord(
                 a=lag,
                 a_sq=0,
                 pairing_va=0,
-                gamma=Fraction(*gamma_max),
+                gamma=_rational(*gamma_max),
                 curve=None,
                 wall_type="boundary_lagrangian",
             )
@@ -624,12 +624,12 @@ def candidate_walls(
     r_max = min(b for b in (proven, r_max) if b is not None)
     buckets = _candidate_buckets(w, r_max, y_min, p)
     complete = r_max == proven
-    center = Fraction(w.s, 2 * p.d * w.c)  # every wall of w is centered here
+    center = _rational(w.s, 2 * p.d * w.c)  # every wall of w is centered here
     records = []
     for radius_sq in _sorted_pairs(buckets, reverse=True):
         classes = buckets[radius_sq]
         rep = classes[0] if len(classes) == 1 else min(classes, key=_representative_key)
-        curve = Semicircle(center, Fraction(*radius_sq))
+        curve = Semicircle(center, _rational(*radius_sq))
         records.append(WallRecord(rep, mukai_square(rep, p), mukai_pairing(v, rep, p), None, curve, "candidate"))
     return WallSearch(vector=v, records=tuple(records), complete=complete, mode="candidate")
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+import rational_oracle
 from k3walls import (
     DEGENERATE,
     MukaiVector,
@@ -115,6 +116,25 @@ def test_path_intersection_oracle(center, radius_sq, x0):
         assert got is None
     line = VerticalLine(center)
     assert path_intersection(line, x0) is (DEGENERATE if F(x0) == center else None)
+
+
+huge = st.integers(min_value=-(10**60), max_value=10**60)
+
+
+@given(st.one_of(st.integers(), huge), st.one_of(st.sampled_from([1, -1, 0]), st.integers(), huge))
+@example(0, -7)
+@example(10**50 + 3, -1)
+@example(-(2**100), -(2**40))
+@example(5, 0)
+def test_rational_matches_fraction(num, den):
+    """charge._rational(num, den) is Fraction(num, den): the same type,
+    ratio, hash, repr, arithmetic, comparisons, pickle and copies, and the
+    same ZeroDivisionError for den = 0 (tests/rational_oracle.py)."""
+    rational_oracle.check(num, den)
+
+
+def test_rational_oracle_grid():
+    assert rational_oracle.main() == 0
 
 
 def test_geometric_check_ok_above_one():

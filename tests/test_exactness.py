@@ -5,10 +5,12 @@ The wall search (walls.py), the wall-crossing decompositions
 (crossing.py), the lattice (lattice.py) and the central charges, wall
 loci and geometric checks (charge.py) stay in integers and Fractions
 throughout, with no exempt member.
-The integer kernels of walls.py build no Fraction at all, the renderers
-and helpers that read payload rows neither a Fraction nor a frac_str,
-path_intersection one Fraction (its hit), and no module calls json.dumps
-with an indent.
+walls.py and charge.py build every rational of two ints through one
+helper, charge._rational, and call Fraction with one argument at most.
+The integer kernels of walls.py build no rational at all (neither a
+Fraction nor a _rational), the renderers and helpers that read payload
+rows neither a rational nor a frac_str, path_intersection one rational
+(its hit), and no module calls json.dumps with an indent.
 """
 
 import ast
@@ -56,7 +58,16 @@ def _is_float_call(call: ast.Call) -> bool:
 
 
 def _is_fraction_call(call: ast.Call) -> bool:
-    return isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+    """Fraction(...) or _rational(...): a call that builds a rational."""
+    return isinstance(call.func, ast.Name) and call.func.id in ("Fraction", "_rational")
+
+
+def _is_two_int_fraction_call(call: ast.Call) -> bool:
+    """Fraction(a, b) or Fraction(*pair), which _rational builds instead."""
+    return (
+        isinstance(call.func, ast.Name) and call.func.id == "Fraction"
+        and (len(call.args) > 1 or any(isinstance(arg, ast.Starred) for arg in call.args))
+    )
 
 
 def _is_indented_dumps(call: ast.Call) -> bool:
@@ -110,10 +121,12 @@ def test_guard_sees_fraction_and_indented_dumps_calls():
         "def _slope_classes(n):\n    return [Fraction(1, n)]\n"
         "def _candidate_buckets(w):\n    return {Fraction(w): json.dumps(w, indent=2)}\n"
         "def other(x):\n    return Fraction(x), json.dumps(x), json.dumps(x, sort_keys=True)\n"
+        "def _pell_unit(d):\n    return _rational(d, 2), rational(d, 2)\n"
     )
     assert [c for c in _calls(source, _is_fraction_call) if c[0] in INTEGER_KERNELS] == [
         ("_slope_classes", 4),
         ("_candidate_buckets", 6),
+        ("_pell_unit", 10),
     ]
     assert _calls(source, _is_indented_dumps) == [("_candidate_buckets", 6)]
 
@@ -125,8 +138,21 @@ def test_integer_kernels_build_no_fraction():
     assert INTEGER_KERNELS <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
 
 
+def test_guard_sees_two_int_fraction_calls():
+    source = (
+        "def f(a, b, pair):\n    return Fraction(a, b), Fraction(*pair)\n"
+        "def g(x):\n    return Fraction(x), Fraction(), _rational(x, 2), fractions.Fraction(x, 2)\n"
+    )
+    assert _calls(source, _is_two_int_fraction_call) == [("f", 2), ("f", 2)]
+
+
+def test_rationals_of_two_ints_go_through_one_helper():
+    for name in ("walls.py", "charge.py"):
+        assert _calls((SRC / name).read_text(), _is_two_int_fraction_call) == [], name
+
+
 # the renderers and helpers that read payload rows take rationals as
-# {"num", "den"} pairs, and path_intersection builds one Fraction: the y^2
+# {"num", "den"} pairs, and path_intersection builds one rational: the y^2
 # of a hit
 ROW_HELPERS = {
     "report.py": {"render_walls_text", "render_walls_csv", "_curve_cells"},
@@ -135,15 +161,16 @@ ROW_HELPERS = {
 
 
 def _is_fraction_or_frac_str_call(call: ast.Call) -> bool:
-    return isinstance(call.func, ast.Name) and call.func.id in ("Fraction", "frac_str")
+    return isinstance(call.func, ast.Name) and call.func.id in ("Fraction", "_rational", "frac_str")
 
 
 def test_guard_sees_frac_str_calls():
     source = (
         "def render_walls_text(payload):\n    return [frac_str(w['gamma']) for w in payload]\n"
         "def _curve_cells(curve):\n    return [_ratio_str(curve['num'], curve['den'])]\n"
+        "def _legend_label(row):\n    return _rational(row['num'], row['den'])\n"
     )
-    assert _calls(source, _is_fraction_or_frac_str_call) == [("render_walls_text", 2)]
+    assert _calls(source, _is_fraction_or_frac_str_call) == [("render_walls_text", 2), ("_legend_label", 6)]
 
 
 def test_row_helpers_build_no_fraction():

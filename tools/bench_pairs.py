@@ -12,10 +12,12 @@ runs first equally often.  Each run uses its own checkout's bench/ and
 src/.
 
 It prints every run's end-to-end metrics (the `end_to_end` names of
-ROOT's BENCHMARK.json) and then, per metric, both medians, the change,
-OTHER_ROOT's interquartile range and the number of pairs each side won
-(by the metric's `better` direction; a tie counts for neither).  It
-exits 1 when any run is incorrect or ends without its JSON line.
+ROOT's BENCHMARK.json) and then, per metric, each side's median and
+quartiles, the change of the median, OTHER_ROOT's interquartile range,
+the number of pairs each side won (by the metric's `better` direction;
+a tie counts for neither) and the verdict of `verdict` against the
+metric's relative `bound`.  It exits 1 when any run is incorrect or ends
+without its JSON line.
 """
 
 from __future__ import annotations
@@ -60,11 +62,40 @@ def run_bench(root: Path, workload: str, seed: int, seconds: float) -> dict | No
         return None
 
 
-def _quartile_range(values: list[float]) -> float:
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of values."""
     if len(values) < 2:
-        return 0.0
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return q3 - q1
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return q1, median, q3
+
+
+def verdict(other: list[float], this: list[float], better: str, bound: float) -> str:
+    """How this side's runs of one metric compare with the other side's,
+    pair i of each list run together, for a metric whose `better` is
+    "lower" or "higher" and whose relative bound is `bound`:
+
+    - "gain": this side wins at least 9 of every 10 pairs and its median
+      beats the other's by more than the other's interquartile range;
+    - "beyond bound": this side's median is worse than the other's by
+      more than bound times the other's median;
+    - "unresolved": the other's interquartile range exceeds that bound,
+      and not every run of this side beats every run of the other;
+    - "within bound" otherwise.
+    """
+    sign = 1 if better == "lower" else -1
+    this_wins = sum(sign * (b - a) < 0 for a, b in zip(other, this))
+    med_other, med_this = statistics.median(other), statistics.median(this)
+    q1, _, q3 = _quartiles(other)
+    gap = sign * (med_other - med_this)  # > 0 when this side's median is better
+    allowed = bound * abs(med_other)
+    if 10 * this_wins >= 9 * len(other) and gap > q3 - q1:
+        return "gain"
+    if -gap > allowed:
+        return "beyond bound"
+    if q3 - q1 > allowed and not all(sign * (b - a) < 0 for a in other for b in this):
+        return "unresolved"
+    return "within bound"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -83,6 +114,7 @@ def main(argv: list[str] | None = None) -> int:
     sides = {"other": args.other_root.resolve(), "this": args.root.resolve()}
     spec = json.loads((sides["this"] / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
     print(f"other: {sides['other']}\nthis:  {sides['this']}")
 
     values: dict[str, dict[str, list[float]]] = {side: {name: [] for name in better} for side in sides}
@@ -102,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
             shown = ", ".join(f"{name} {value:.6g}" for name, value in metrics.items())
             print(f"pair {seed} {side:5s} (run {order.index(side) + 1}): {shown}", flush=True)
 
-    print(f"\n{'metric':12s} {'other':>10s} {'this':>10s} {'change':>8s} {'other IQR':>10s}  wins other/this")
+    print(f"\n{'metric':12s} {'other median [q1, q3]':>32s} {'this median [q1, q3]':>32s} {'change':>8s}"
+          f" {'other IQR':>10s}  {'wins other/this':16s} verdict (bound)")
     for name, direction in better.items():
         other, this = values["other"][name], values["this"][name]
         pairs = list(zip(other, this))
@@ -111,10 +144,11 @@ def main(argv: list[str] | None = None) -> int:
         sign = 1 if direction == "lower" else -1
         this_wins = sum(sign * (b - a) < 0 for a, b in pairs)
         other_wins = sum(sign * (b - a) > 0 for a, b in pairs)
-        med_other, med_this = statistics.median(other), statistics.median(this)
+        (o1, med_other, o3), (t1, med_this, t3) = _quartiles(other), _quartiles(this)
         change = (med_this - med_other) / med_other * 100 if med_other else 0.0
-        print(f"{name:12s} {med_other:10.6g} {med_this:10.6g} {change:+7.2f}% {_quartile_range(other):10.4g}"
-              f"  {other_wins}/{this_wins} of {len(pairs)}")
+        print(f"{name:12s} {f'{med_other:.6g} [{o1:.6g}, {o3:.6g}]':>32s} {f'{med_this:.6g} [{t1:.6g}, {t3:.6g}]':>32s}"
+              f" {change:+7.2f}% {o3 - o1:10.4g}  {f'{other_wins}/{this_wins} of {len(pairs)}':16s}"
+              f" {verdict(other, this, direction, bounds[name])} ({bounds[name]:g})")
     return 0 if ok else 1
 
 
