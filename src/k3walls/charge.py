@@ -164,9 +164,12 @@ DEGENERATE = _Degenerate()
 
 
 def _integer_ratio(x) -> tuple[int, int]:
-    """x, anything Fraction accepts that has no as_integer_ratio (a str,
-    say), in lowest terms with den > 0."""
-    return Fraction(x).as_integer_ratio()
+    """x, anything Fraction accepts, in lowest terms with den > 0: its
+    as_integer_ratio(), or Fraction(x)'s when it has none (a str, say)."""
+    try:
+        return x.as_integer_ratio()
+    except AttributeError:
+        return Fraction(x).as_integer_ratio()
 
 
 def path_intersection(curve: WallCurve, x0: Fraction):
@@ -176,15 +179,21 @@ def path_intersection(curve: WallCurve, x0: Fraction):
     wall, or the DEGENERATE marker when the path runs along a vertical
     wall.  A miss is decided from the sign of the integer numerator of
     radius^2 - (x0 - center)^2; a Fraction is built only for a hit.
+    The numerator and denominator of a Fraction (not of a subclass) are
+    read from its _numerator and _denominator slots, which hold them in
+    lowest terms, as as_integer_ratio() returns them.
     """
-    try:
-        xn, xd = x0.as_integer_ratio()
-    except AttributeError:
+    if type(x0) is Fraction:
+        xn, xd = x0._numerator, x0._denominator
+    else:
         xn, xd = _integer_ratio(x0)
-    if isinstance(curve, VerticalLine):
+    if type(curve) is Semicircle and type(e := curve.center_x) is Fraction and type(rho := curve.radius_sq) is Fraction:
+        en, ed, rn, rd = e._numerator, e._denominator, rho._numerator, rho._denominator
+    elif isinstance(curve, VerticalLine):
         return DEGENERATE if (xn, xd) == curve.x0.as_integer_ratio() else None
-    en, ed = curve.center_x.as_integer_ratio()
-    rn, rd = curve.radius_sq.as_integer_ratio()
+    else:
+        en, ed = curve.center_x.as_integer_ratio()
+        rn, rd = curve.radius_sq.as_integer_ratio()
     q = xd * ed  # (x0 - e) = offset / q
     offset = xn * ed - en * xd
     y_sq_num = rn * q * q - offset * offset * rd

@@ -31,6 +31,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_INCOMPLETE = 3
 
+# the most digits --precision writes of a float
+MAX_PRECISION = 100
+
 
 def _fraction(text: str) -> Fraction:
     try:
@@ -70,13 +73,16 @@ def _int(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from exc
 
 
-def _at_least(low: int, parse=_int):
-    """An argparse type: a value of parse no smaller than low."""
+def _at_least(low: int, parse=_int, high: int | None = None):
+    """An argparse type: a value of parse no smaller than low, and no
+    larger than high when high is given."""
 
     def checked(text: str):
         value = parse(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}, got {value}")
         return value
 
     return checked
@@ -106,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = argparse.ArgumentParser(add_help=False)
     table.add_argument("--format", choices=report.FORMATS, default="text", help="output format (default text)")
     floats = argparse.ArgumentParser(add_help=False)
-    floats.add_argument("--precision", type=_at_least(1), default=6, help="digits for float display (default 6)")
+    floats.add_argument("--precision", type=_at_least(1, high=MAX_PRECISION), default=6, help="digits for float display (default 6)")
 
     walls = subs.add_parser("walls", parents=[common, table], help="enumerate the walls of a Mukai vector")
     walls.set_defaults(run=cmd_walls)

@@ -54,7 +54,9 @@ curve from the pair, without the minors of a class (transport_walls,
 whose vectors are not Hilbert vectors, keeps wall_locus).
 
 The candidate search stops at a proven rank bound (_candidate_rank_bound),
-so its completeness is a proof.  Its scan is in integers too: the
+so its completeness is a proof.  Before it scans, it bounds the steps of
+the scan in closed form (_candidate_work) and refuses a window of more
+than CANDIDATE_WORK_LIMIT steps.  Its scan is in integers too: the
 buckets are keyed by radius^2 as a coprime pair and ordered by the same
 integer key, and each record's semicircle is built from that key and
 the common center.
@@ -204,11 +206,13 @@ def gamma_of_wall(n: int, a: MukaiVector, p: SurfaceParams = DEFAULT_SURFACE) ->
 def _clause_type(n: int, a_sq: int, k: int) -> bool | None:
     """True when (a^2, <v,a>) = (a_sq, k) satisfies a divisorial clause of
     the wall criterion, False for a flopping clause, None for neither."""
-    if (a_sq, k) in ((-2, 0), (0, 1), (0, 2)):
-        return True
     if a_sq == -2:
+        if k == 0:
+            return True
         k_lo = 1
     elif a_sq == 0:
+        if k == 1 or k == 2:
+            return True
         k_lo = 3
     elif a_sq > 0 and a_sq % 2 == 0 and 2 * a_sq < n - 1:
         k_lo = 2 * a_sq + 1
@@ -278,6 +282,8 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
                 s_lo, s_hi = -(-(q + 1) // r), (q - half_max) // r
             else:
                 s_lo, s_hi = s_bot, s_top
+            if s_lo > s_hi:  # no s at all, as for most c once |r| > A_max/2 + 1
+                continue
             if s_lo < s_bot:
                 s_lo = s_bot
             if s_hi > s_top:
@@ -286,9 +292,11 @@ def _slope_classes(n: int, r_max: int, p: SurfaceParams, gamma_max: tuple[int, i
                 den = s_top + s
                 if two_d_q * c > big_p * abs(den):
                     continue
+                if math.gcd(r, c, s) != 1:
+                    continue
                 a_sq, k = 2 * (q - r * s), s_top - s
                 divisorial = _clause_type(n, a_sq, k)
-                if divisorial is None or math.gcd(r, c, s) != 1:
+                if divisorial is None:
                     continue
                 # den = 2r(n-1) - k = 0 needs r = k = 0 (or n = 2, k = 2),
                 # which leaves a^2 = 2dc^2 (or 2dc^2 + 2): no clause
@@ -430,12 +438,21 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
     r_max = _rank_cap(n, r_max)
     gamma_max, rank, lag = _cone_rank(n, r_max, p)
     complete = rank <= 2 * r_max
-    groups: dict[tuple[int, int], list[tuple]] = defaultdict(list)  # slope -> its _slope_classes items
-    for item in _slope_classes(n, rank if complete else r_max, p, gamma_max):
-        groups[item[2]].append(item)
+    # slope -> [representative, divisorial, a^2, <v,a>], the representative
+    # the least _representative_key of the slope's classes so far
+    best: dict[tuple[int, int], list] = {}
+    for a, divisorial, gamma, a_sq, k in _slope_classes(n, rank if complete else r_max, p, gamma_max):
+        kept = best.get(gamma)
+        if kept is None:
+            best[gamma] = [a, divisorial, a_sq, k]
+            continue
+        if _representative_key(a) < _representative_key(kept[0]):
+            kept[0], kept[2], kept[3] = a, a_sq, k
+        if divisorial:
+            kept[1] = True
 
     records = []
-    for gamma in _sorted_pairs(groups):
+    for gamma in _sorted_pairs(best):
         big_p, big_q = gamma
         if big_p == 0:
             curve = VerticalLine(Fraction(0))
@@ -445,12 +462,7 @@ def hilbert_walls(n: int, r_max: int | None = None, p: SurfaceParams = DEFAULT_S
                 # no wall; at gamma_max, the Lagrangian boundary, appended below
                 continue
             curve = Semicircle(_rational(-big_q, big_p), _rational(delta, d * big_p * big_p))
-        members = groups[gamma]
-        if len(members) == 1:
-            rep, divisorial, _, a_sq, k = members[0]
-        else:
-            rep, _, _, a_sq, k = min(members, key=lambda member: _representative_key(member[0]))
-            divisorial = any(member[1] for member in members)
+        rep, divisorial, a_sq, k = best[gamma]
         wall_type = "divisorial" if divisorial else "flopping"
         records.append(WallRecord(rep, a_sq, k, _rational(big_p, big_q), curve, wall_type))
     if lag is not None:
@@ -532,6 +544,29 @@ def _candidate_rank_bound(m: int, y_min: Fraction, p: SurfaceParams) -> int | No
         return None
     num = (p.d * m * m + 1) * y_min.denominator ** 2
     return math.isqrt((num - 1) // (p.d * y_min.numerator ** 2))
+
+
+# the most steps a candidate search may take (_candidate_work); (0, 52, 5)
+# at r_max = 1 takes 193,336 and lists 82,054 circles
+CANDIDATE_WORK_LIMIT = 2 * 10**5
+
+
+def _candidate_work(m: int, r_max: int, p: SurfaceParams) -> int:
+    """An upper bound on the steps of _candidate_buckets for (0, m, k),
+    m > 0, at ranks 0 < |r| <= r_max: the values of c it tries plus the
+    lattice points (r, c, s) it tests.
+
+    Each of the 2 r_max ranks tries at most m values of c, at which
+    t = c - r*e is at most 1, 2, ..., m (see _candidate_buckets), and the
+    s-window of r and c has length at most (d*t^2 + 1)/|r| (the radius
+    cut only shortens it), so it holds at most that plus one points.
+    Summed over t that is S/|r| + m, S = d*m(m+1)(2m+1)/6 + m, and over
+    the ranks 2*(S*H + m*r_max), H = 1 + 1/2 + ... + 1/r_max, which is
+    less than 1 + the bit length of r_max.  The values of c add
+    2*m*r_max.
+    """
+    s_sum = p.d * m * (m + 1) * (2 * m + 1) // 6 + m
+    return 2 * (s_sum * (1 + r_max.bit_length()) + 2 * m * r_max)
 
 
 def _candidate_buckets(w: MukaiVector, r_max: int, y_min: Fraction, p: SurfaceParams) -> dict:
@@ -622,6 +657,12 @@ def candidate_walls(
     if proven is None and r_max is None:
         raise ValueError("a candidate search with y_min = 0 has no rank bound; give r_max (--rmax)")
     r_max = min(b for b in (proven, r_max) if b is not None)
+    work = _candidate_work(w.c, r_max, p)
+    if work > CANDIDATE_WORK_LIMIT:
+        raise ValueError(
+            f"a candidate search of {v} to rank {r_max} may take {work:,} steps, "
+            f"over the limit of {CANDIDATE_WORK_LIMIT:,}; raise y_min or lower r_max (--ymin, --rmax)"
+        )
     buckets = _candidate_buckets(w, r_max, y_min, p)
     complete = r_max == proven
     center = _rational(w.s, 2 * p.d * w.c)  # every wall of w is centered here

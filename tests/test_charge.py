@@ -1,6 +1,8 @@
 """Central charge values, wall loci, path crossings, geometric checks."""
 
 import math
+import operator
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -105,9 +107,17 @@ fractions = st.fractions(min_value=-20, max_value=20, max_denominator=40)
        st.one_of(st.integers(-20, 20), fractions, fractions.map(str)))
 @example(F(0), F(4), 2)  # tangency is not a crossing
 @example(F(-1, 2), F(1, 4), "-1/2")
+# curves whose fields are ints, which Semicircle and VerticalLine accept:
+# no Fraction slots to read
+@example(-5, 30, F(-3))
+@example(-5, 30, -3)
+@example(F(-11, 2), 25, F(-3))
+@example(0, F(9, 4), F(1, 2))
+@example(2, 7, 2)  # on the vertical line x = 2
 def test_path_intersection_oracle(center, radius_sq, x0):
     """y^2 = R - (x0 - e)^2 when that is positive, else None; x0 may be an
-    int, a str or a Fraction."""
+    int, a str or a Fraction, and the center and radius^2 ints or
+    Fractions."""
     expected = radius_sq - (F(x0) - center) ** 2
     got = path_intersection(Semicircle(center, radius_sq), x0)
     if expected > 0:
@@ -135,6 +145,20 @@ def test_rational_matches_fraction(num, den):
 
 def test_rational_oracle_grid():
     assert rational_oracle.main() == 0
+
+
+_OPERATIONS = (operator.add, operator.sub, operator.mul, operator.truediv, operator.mod)
+
+
+@given(st.fractions(), st.fractions().filter(bool), st.sampled_from(_OPERATIONS),
+       st.floats(allow_nan=False, allow_infinity=False), st.decimals(allow_nan=False, allow_infinity=False))
+@example(F(-7, 12), F(1, 6), operator.add, 0.1, Decimal("-3E+5"))
+def test_fraction_slots_hold_lowest_terms(a, b, op, x, d):
+    """The _numerator and _denominator slots that path_intersection reads
+    are as_integer_ratio() of a Fraction made by arithmetic, from a float,
+    a Decimal, a str or two ints (tests/rational_oracle.py)."""
+    for q in (op(a, b), F(x), F(d), F(str(a)), F(a.numerator * 6, a.denominator * -4)):
+        rational_oracle.check_slots(q)
 
 
 def test_geometric_check_ok_above_one():

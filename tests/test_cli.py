@@ -573,6 +573,34 @@ def test_decompose_without_a_part_cap_is_shallow():
     assert sum(line.startswith("decomposition ") for line in proc.stdout.splitlines()) == 27
 
 
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        # each y would be written with 10^9 digits
+        (["path", "--n", "10", "--x0", "-3", "--precision", "1000000000"],
+         "k3walls path: error: argument --precision: must be at most 100, got 1000000000"),
+        (["figure", "--n", "4", "--precision", "100000000000"],
+         "k3walls figure: error: argument --precision: must be at most 100, got 100000000000"),
+        # the rank bound grows as 1/ymin, and ymin = 0 leaves only --rmax
+        (["walls", "--vector", "0,3,-1", "--candidates", "--ymin", "1e-30"],
+         "error: a candidate search of (0, 3, -1) to rank 3162277660168379331998893544432 may take "
+         "37,947,331,922,020,551,983,986,722,536,686 steps, over the limit of 200,000; "
+         "raise y_min or lower r_max (--ymin, --rmax)"),
+        (["walls", "--vector", "0,3,-1", "--candidates", "--ymin", "0", "--rmax", "1000000000"],
+         "error: a candidate search of (0, 3, -1) to rank 1000000000 may take 12,000,001,054 steps, "
+         "over the limit of 200,000"),
+    ],
+)
+def test_unbounded_work_is_refused_at_once(argv, needle):
+    # in a fresh interpreter with a timeout, so a regression fails at once
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "k3walls.cli", *argv], env=env, capture_output=True, text=True, timeout=5,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert needle in proc.stderr.splitlines()[-1]
+
+
 def test_decompose_by_wall_index():
     _, by_gamma, _ = run_cli(["decompose", "--n", "10", "--gamma", "2/11"])
     _, by_index, _ = run_cli(["decompose", "--n", "10", "--wall-index", "1"])

@@ -36,9 +36,9 @@ from hypothesis import example, given, settings, strategies as st
 from k3walls import report
 from k3walls.charge import Semicircle, VerticalLine
 from k3walls.cli import main
-from k3walls.lattice import SurfaceParams
+from k3walls.lattice import MukaiVector, SurfaceParams
 from k3walls.svgfig import render_figure
-from k3walls.walls import candidate_walls, hilbert_walls, transport_search
+from k3walls.walls import WallRecord, candidate_walls, hilbert_walls, transport_search
 
 # ---------------------------------------------------------------------------
 # render_json on wall records against json.dumps(indent=2)
@@ -249,6 +249,18 @@ def test_walls_payload_records_against_the_record_fields():
         tables += 1
     assert kinds == {"vertical_line", "semicircle"}
     assert tables > 60
+    # slope and curve fields that are not plain Fractions (ints, or a
+    # Fraction subclass) are written by their values too
+    half = type("Half", (Fraction,), {})(1, 2)
+    for gamma, curve in (
+        (2, Semicircle(-5, 13)),
+        (None, Semicircle(Fraction(-5, 2), 3)),
+        (half, Semicircle(half, Fraction(9, 4))),
+        (Fraction(1, 3), VerticalLine(0)),
+        (1, None),
+    ):
+        rec = WallRecord(MukaiVector(1, -1, 2), -2, 1, gamma, curve, "flopping")
+        assert report.record_json(rec) == _expected_record(rec)
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,13 @@ from k3walls import (
     wall_locus,
 )
 from k3walls.charge import Semicircle, VerticalLine
-from k3walls.walls import _clause_type, _slope_classes
+from k3walls.walls import (
+    CANDIDATE_WORK_LIMIT,
+    _candidate_rank_bound,
+    _candidate_work,
+    _clause_type,
+    _slope_classes,
+)
 
 F = Fraction
 
@@ -791,3 +797,53 @@ def test_candidate_ymin_zero_needs_rmax():
     capped = candidate_walls(MukaiVector(0, 2, -1), 5, y_min=0)
     assert not capped.complete
     assert capped.records
+
+
+def _candidate_steps(vec, r_max, y_min, d):
+    """The (r, c) pairs of the destabilizer window of w = (0, m, k), m > 0,
+    at ranks 0 < |r| <= r_max, plus the points (r, c, s) among them with
+    a^2 >= -2 and radius^2 > y_min^2, primitive or not, straight from the
+    definitions as in _candidate_classes."""
+    _, m, k = vec
+    e = F(k, 2 * d * m)
+    steps = 0
+    for r in [*range(-r_max, 0), *range(1, r_max + 1)]:
+        for c in range(math.floor(r * e) + 1, math.ceil(r * e + m)):
+            steps += 1
+            cap = F(d * c * c + 1, r)
+            cut = F(c * k, m) + d * r * (y_min * y_min - e * e)
+            for s in range(math.floor(min(cap, cut)) - 1, math.ceil(max(cap, cut)) + 2):
+                big_p, big_b, big_c = r * m, r * k, m * s - c * k
+                radius_sq = F(big_b, 2 * d * big_p) ** 2 + F(big_c, d * big_p)
+                steps += 2 * d * c * c - 2 * r * s >= -2 and radius_sq > y_min * y_min
+    return steps
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_candidate_work_bounds_the_window(d):
+    """_candidate_work, the closed form checked against
+    CANDIDATE_WORK_LIMIT, is at least the brute-force count of the scan's
+    steps, at the proven rank bound and at r_max = 7 with y_min = 0."""
+    p = SurfaceParams(d=d)
+    for m in range(1, 7):
+        for k in range(-5, 6):
+            for y_min in (F(1), F(1, 2), F(3, 2), F(1, 3), F(0)):
+                r_max = _candidate_rank_bound(m, y_min, p) or 7
+                assert _candidate_work(m, r_max, p) >= _candidate_steps((0, m, k), r_max, y_min, d), (m, k, y_min)
+
+
+def test_candidate_search_refuses_work_over_the_limit():
+    """The limit holds whatever bounds the rank, and a search just under
+    it runs: (0, 34, 1) at y_min = 1 takes 196,690 steps and (0, 35, 1)
+    214,130."""
+    p = SurfaceParams(1)
+    assert CANDIDATE_WORK_LIMIT == 2 * 10**5
+    assert _candidate_work(34, _candidate_rank_bound(34, F(1), p), p) == 196_690
+    for args, kwargs in (
+        ((MukaiVector(0, 35, 1),), {}),
+        ((MukaiVector(0, 3, -1),), {"y_min": F(1, 100000)}),
+        ((MukaiVector(0, 3, -1), 10**9), {"y_min": 0}),
+    ):
+        with pytest.raises(ValueError, match="steps, over the limit of 200,000; raise y_min or lower r_max"):
+            candidate_walls(*args, **kwargs)
+    assert candidate_walls(MukaiVector(0, 3, -1), y_min=F(1, 1000)).complete

@@ -65,8 +65,9 @@ its output; a ValueError counts as output, by its message.
   (GOLDEN_COMMANDS) and of the exit-code tests of tests/test_cli.py
   (test_usage_errors_exit_two, test_usage_errors_name_the_bad_value and
   test_domain_errors_exit_two_with_message), for the bounded options
-  at and below their bounds (CLI_BOUNDS: --degree, --precision,
-  --parts-max, --rmax and --ymin), all read from ROOT, and for --help of
+  at and beyond their bounds (CLI_BOUNDS: --degree, --precision,
+  --parts-max, --rmax and --ymin; --precision also at and above its
+  most), all read from ROOT, and for --help of
   the command and of each subcommand (CLI_HELP): the exit code, stdout
   and stderr, also when argparse ends main with SystemExit (a usage
   error, or --help).  Both trees run with COLUMNS=80, so argparse wraps
@@ -121,7 +122,9 @@ CLI_EXIT_TESTS = (
 CLI_BOUNDS = (
     ["walls", "--n", "10", "--degree", "1"],
     ["path", "--n", "10", "--x0", "0", "--precision", "1"], ["path", "--n", "10", "--x0", "0", "--precision", "0"],
+    ["path", "--n", "10", "--x0", "0", "--precision", "100"], ["path", "--n", "10", "--x0", "0", "--precision", "101"],
     ["figure", "--n", "10", "--precision", "1"], ["figure", "--n", "10", "--precision", "0"],
+    ["figure", "--n", "10", "--precision", "100"], ["figure", "--n", "10", "--precision", "101"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "2"],
     ["decompose", "--n", "10", "--gamma", "2/11", "--parts-max", "x"],
     ["path", "--n", "10", "--x0", "0", "--rmax", "1"], ["path", "--n", "10", "--x0", "0", "--rmax", "0"],
